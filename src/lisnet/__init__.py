@@ -10,17 +10,14 @@ from .apportioning import (
     ReferenceCommand,
     closed_form_oracle,
     init_states,
-    net_reserve,
     reference_command,
 )
 from .consensus import (
     ConsensusState,
     Envelope,
-    RatioView,
     absorb,
     emit,
     global_extremes_oracle,
-    ratio,
 )
 from .errors import (
     ConfigurationError,
@@ -42,11 +39,16 @@ from .netsim import (
 )
 from .scenario import (
     DispatchSchedule,
+    Infeasible,
+    InstantPlan,
     LisUnit,
     PowerProfile,
     Tracker,
     bounds_at,
+    day_instants,
+    plan_instant,
     run_day,
+    run_instant,
     six_lis_fleet,
     track,
 )
@@ -57,7 +59,6 @@ from .termination import (
     TerminationState,
     checkpoint,
     epoch_update,
-    run_node_step,
 )
 from .topology import Graph, WeightMatrix, build_weights, diameter
 
@@ -76,6 +77,8 @@ __all__ = [
     "Envelope",
     "FeasibilityError",
     "Graph",
+    "Infeasible",
+    "InstantPlan",
     "InvariantError",
     "LisnetError",
     "LisUnit",
@@ -84,7 +87,6 @@ __all__ = [
     "NonTerminationError",
     "PowerProfile",
     "ProtocolError",
-    "RatioView",
     "ReferenceCommand",
     "Simulation",
     "TerminationState",
@@ -95,18 +97,18 @@ __all__ = [
     "build_weights",
     "checkpoint",
     "closed_form_oracle",
+    "day_instants",
     "diameter",
     "emit",
     "epoch_update",
     "global_extremes_oracle",
     "init_states",
-    "net_reserve",
-    "ratio",
+    "plan_instant",
     "reference_command",
     "run_cycle",
     "run_day",
+    "run_instant",
     "run_naive_averaging",
-    "run_node_step",
     "simulate_averaging",
     "six_lis_fleet",
     "track",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .consensus import ConsensusState
 from .errors import FeasibilityError, InvariantError
@@ -55,10 +55,6 @@ class ApportionProblem:
             )
 
     @property
-    def nodes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.bounds))
-
-    @property
     def p(self) -> int:
         return len(self.demand_set)
 
@@ -93,9 +89,7 @@ class ReferenceCommand:
         return sum(self.commands.values())
 
 
-def init_states(
-    problem: ApportionProblem, *, with_t: bool = False
-) -> dict[int, ConsensusState]:
+def init_states(problem: ApportionProblem) -> dict[int, ConsensusState]:
     """Initial consensus states for a feasible problem.
 
     Demand-circulation nodes start their numerator at an equal slice of the
@@ -107,9 +101,7 @@ def init_states(
     states = {}
     for i, (lo, hi) in sorted(problem.bounds.items()):
         r0 = (share - lo) if i in problem.demand_set else -lo
-        states[i] = ConsensusState(
-            node=i, r=r0, s=hi - lo, t=1.0 if with_t else None
-        )
+        states[i] = ConsensusState(node=i, r=r0, s=hi - lo)
     return states
 
 
@@ -145,8 +137,3 @@ def closed_form_oracle(problem: ApportionProblem) -> ReferenceCommand:
     for i, (lo, hi) in sorted(problem.bounds.items()):
         commands[i] = lo + q * (hi - lo)
     return ReferenceCommand(commands)
-
-
-def net_reserve(generations: Iterable[float], loads: Iterable[float]) -> float:
-    """Generation capacity minus local load demand; positive means a source."""
-    return sum(generations) - sum(loads)

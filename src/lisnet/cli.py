@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -23,20 +24,23 @@ from typing import Any, Mapping, Sequence
 import yaml
 
 from .apportioning import ApportionProblem, closed_form_oracle
-from .errors import ConfigurationError, FeasibilityError, LisnetError
-from .netsim import DelayModel, run_cycle, run_naive_averaging, simulate_averaging
+from .errors import ConfigurationError, LisnetError
+from .netsim import DelayModel, run_naive_averaging, simulate_averaging
+from .netsim import run_cycle  # noqa: F401  timed here by perfbench/iteration.py
 from .scenario import (
-    NON_RES,
-    RES,
     DispatchSchedule,
+    Infeasible,
     LisUnit,
     PowerProfile,
-    bounds_at,
+    bounds_at,  # noqa: F401  traced here by perfbench/tracer.py
+    day_instants,
+    plan_instant,
     run_day,
+    run_instant,
     six_lis_fleet,
 )
-from .termination import CheckpointSchedule
-from .topology import Graph, build_weights, diameter
+from .topology import Graph, build_weights
+from .topology import diameter  # noqa: F401  traced here by perfbench/tracer.py
 
 TRACE_COLUMNS = (
     "cycle",
@@ -78,17 +82,19 @@ class ScenarioConfig:
     name: str
     seed: int
     rho: float
-    tau_bar: int
     diameter_bound: int | None
     graph: Graph
     delay: DelayModel
-    demand: float | PowerProfile
     circulation: frozenset[int]
     fleet: tuple[LisUnit, ...]
     dispatch: DispatchSchedule
     start_hours: float | None
     end_hours: float | None
     out_dir: str | None
+
+    def __post_init__(self):
+        if not 0 < self.rho < math.inf:
+            raise ConfigurationError("rho must be finite and positive")
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "ScenarioConfig":
@@ -190,11 +196,9 @@ class ScenarioConfig:
             name=str(doc.get("name", "scenario")),
             seed=int(doc.get("seed", 0)),
             rho=float(doc.get("rho", 0.02)),
-            tau_bar=tau_bar,
             diameter_bound=int(doc["diameter"]) if "diameter" in doc else None,
             graph=graph,
             delay=delay,
-            demand=demand,
             circulation=circulation,
             fleet=fleet,
             dispatch=dispatch,
@@ -208,7 +212,7 @@ class ScenarioConfig:
             "name": self.name,
             "seed": self.seed,
             "rho": self.rho,
-            "tau_bar": self.tau_bar,
+            "tau_bar": self.delay.tau_bar,
         }
         if self.diameter_bound is not None:
             doc["diameter"] = self.diameter_bound
@@ -229,10 +233,11 @@ class ScenarioConfig:
             dsec["probabilities"] = list(self.delay.probabilities)
         doc["delay"] = dsec
         dem: dict[str, Any] = {}
-        if isinstance(self.demand, PowerProfile):
-            dem["shape"] = [list(p) for p in self.demand.points]
+        demand = self.dispatch.demand
+        if isinstance(demand, PowerProfile):
+            dem["shape"] = [list(p) for p in demand.points]
         else:
-            dem["watts"] = self.demand
+            dem["watts"] = demand
         dem["circulation"] = sorted(self.circulation)
         doc["demand"] = dem
         doc["fleet"] = [_unit_to_dict(u) for u in self.fleet]
@@ -384,10 +389,10 @@ def _resolve_out_dir(flag: str | None, config: ScenarioConfig) -> Path:
 # run command
 
 
-def _assemble_day_rows(day_result, records_by_cycle) -> list[dict[str, Any]]:
+def _assemble_day_rows(day) -> list[dict[str, Any]]:
     rows = []
-    for row in day_result.trace_rows:
-        rec = records_by_cycle[row["cycle"]]
+    for row in day.trace_rows:
+        rec = day.records[row["cycle"]]
         out = dict(row)
         if row.get("frozen"):
             out["pi_star"] = rec.commands.get(row["node"])
@@ -404,29 +409,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         config = replace(config, seed=args.seed)
     if args.rho is not None:
         config = replace(config, rho=args.rho)
-    if args.tau_bar is not None:
-        config = replace(config, tau_bar=args.tau_bar)
-        if config.delay.kind == "stochastic":
-            config = replace(config, delay=DelayModel.stochastic(args.tau_bar))
+    if args.tau_bar is not None or args.delay_model is not None:
+        tau_bar = config.delay.tau_bar if args.tau_bar is None else args.tau_bar
+        if (args.delay_model or config.delay.kind) == "stochastic":
+            delay = DelayModel.stochastic(tau_bar)
         else:
-            config = replace(
-                config,
-                delay=DelayModel.fixed(dict(config.delay.fixed_delays or {}), args.tau_bar),
-            )
-    if args.delay_model is not None:
-        if args.delay_model == "stochastic":
-            config = replace(config, delay=DelayModel.stochastic(config.tau_bar))
-        else:
-            config = replace(
-                config,
-                delay=DelayModel.fixed(dict(config.delay.fixed_delays or {}), config.tau_bar),
-            )
+            delay = DelayModel.fixed(dict(config.delay.fixed_delays or {}), tau_bar)
+        config = replace(config, delay=delay)
     if args.demand is not None:
-        config = replace(
-            config,
-            demand=args.demand,
-            dispatch=replace(config.dispatch, demand=args.demand),
-        )
+        config = replace(config, dispatch=replace(config.dispatch, demand=args.demand))
     if args.dispatch_period is not None:
         config = replace(
             config, dispatch=replace(config.dispatch, dispatch_period=args.dispatch_period)
@@ -443,81 +434,43 @@ def cmd_run(args: argparse.Namespace) -> int:
     return _run_full_day(config, out_dir, record)
 
 
-def _instant_bounds(config: ScenarioConfig, t_hours: float):
-    window = {}
-    for unit in sorted(config.fleet, key=lambda u: u.uid):
-        b = bounds_at(unit, t_hours, config.dispatch.epsilon)
-        if b is not None:
-            window[unit.uid] = b
-    return window
-
-
 def _check_feasibility(config: ScenarioConfig, args: argparse.Namespace) -> int:
-    instants: list[float]
     if args.cycle_only:
         instants = [args.at_hours]
     else:
-        start, end = _day_span(config)
-        step = config.dispatch.dispatch_period / 3600.0
-        count = int(round((end - start) / step)) + 1
-        instants = [start + i * step for i in range(count)]
-    bad = []
-    for t in instants:
-        window = _instant_bounds(config, t)
-        demand = config.dispatch.demand_at(t)
-        lo = sum(b[0] for b in window.values())
-        hi = sum(b[1] for b in window.values())
-        if not window or not lo <= demand <= hi:
-            bad.append((t, demand, lo, hi))
+        instants = day_instants(
+            config.fleet, config.dispatch, config.start_hours, config.end_hours
+        )
+    plans = [
+        plan_instant(config.fleet, config.graph, config.dispatch, t, config.circulation)
+        for t in instants
+    ]
+    bad = [plan for plan in plans if isinstance(plan, Infeasible)]
+    for plan in bad:
+        print(f"infeasible at t={plan.t_hours:g} h: {plan.reason}")
     if bad:
-        for t, demand, lo, hi in bad:
-            print(
-                f"infeasible at t={t:g} h: demand {demand:g} W outside "
-                f"[{lo:g}, {hi:g}] W"
-            )
         print(f"feasibility check failed at {len(bad)} of {len(instants)} instants")
         return 1
     print(f"feasible at all {len(instants)} instants")
     return 0
 
 
-def _day_span(config: ScenarioConfig) -> tuple[float, float]:
-    profiles = [u.profile for u in config.fleet if u.kind == RES]
-    start = config.start_hours
-    end = config.end_hours
-    if start is None:
-        start = max(p.start for p in profiles) if profiles else 0.0
-    if end is None:
-        end = min(p.end for p in profiles) if profiles else start
-    return start, end
-
-
 def _run_single_cycle(config, args, out_dir: Path, record: str) -> int:
     t = args.at_hours
-    window = _instant_bounds(config, t)
-    if not window:
-        print("no unit offers capacity at the requested instant", file=sys.stderr)
+    plan = plan_instant(config.fleet, config.graph, config.dispatch, t, config.circulation)
+    if isinstance(plan, Infeasible):
+        print(f"infeasible at t={t:g} h: {plan.reason}", file=sys.stderr)
         return 1
-    demand = config.dispatch.demand_at(t)
-    graph = config.graph.induced(sorted(window))
-    circulating = sorted(config.circulation & set(window)) or [min(window)]
-    problem = ApportionProblem(demand, window, frozenset(circulating))
-    weights = build_weights(graph)
-    d_bound = diameter(graph)
-    if config.diameter_bound is not None:
-        d_bound = max(d_bound, config.diameter_bound)
-    schedule = CheckpointSchedule(max(1, d_bound), config.tau_bar)
-    result = run_cycle(
-        graph,
-        weights,
-        problem,
+    result = run_instant(
+        plan.graph,
+        plan.problem,
         config.delay,
-        schedule,
         config.rho,
+        diameter_bound=config.diameter_bound,
         seed=config.seed,
         record=record,
     )
-    oracle = closed_form_oracle(problem)
+    oracle = closed_form_oracle(plan.problem)
     rows = []
     for row in result.trace_rows:
         out = {"cycle": 0, **row}
@@ -528,12 +481,12 @@ def _run_single_cycle(config, args, out_dir: Path, record: str) -> int:
     write_trace_csv(out_dir / "trace.csv", rows)
     summary = [
         f"scenario: {config.name} (single cycle at t={t:g} h, seed {config.seed})",
-        f"demand: {demand:g} W, threshold rho={config.rho:g}",
+        f"demand: {plan.demand:g} W, threshold rho={config.rho:g}",
         f"terminated at checkpoint theta={result.theta} after {result.steps} iterations",
         f"total command: {result.commands.total:.3f} W "
-        f"(deviation {result.commands.total - demand:+.3f} W)",
+        f"(deviation {result.commands.total - plan.demand:+.3f} W)",
         f"worst node gap to closed form: "
-        f"{max(abs(result.commands[i] - oracle[i]) for i in window):.6f} W",
+        f"{max(abs(result.commands[i] - oracle[i]) for i in plan.participants):.6f} W",
         f"max conservation error: {result.max_conservation_error:.3e}",
     ]
     write_results_json(
@@ -544,10 +497,10 @@ def _run_single_cycle(config, args, out_dir: Path, record: str) -> int:
             "at_hours": t,
             "theta": result.theta,
             "iterations": result.steps,
-            "commands": {str(i): result.commands[i] for i in sorted(window)},
-            "oracle": {str(i): oracle[i] for i in sorted(window)},
+            "commands": {str(i): result.commands[i] for i in plan.participants},
+            "oracle": {str(i): oracle[i] for i in plan.participants},
             "total_command": result.commands.total,
-            "demand": demand,
+            "demand": plan.demand,
             "max_conservation_error": result.max_conservation_error,
         },
     )
@@ -556,9 +509,8 @@ def _run_single_cycle(config, args, out_dir: Path, record: str) -> int:
     return 0
 
 
-def _run_full_day(config: ScenarioConfig, out_dir: Path, record: str) -> int:
-    start, end = _day_span(config)
-    day = run_day(
+def _run_config_day(config: ScenarioConfig, record: str = "none"):
+    return run_day(
         list(config.fleet),
         config.graph,
         config.dispatch,
@@ -566,13 +518,16 @@ def _run_full_day(config: ScenarioConfig, out_dir: Path, record: str) -> int:
         config.rho,
         demand_nodes=config.circulation,
         seed=config.seed,
-        start_hours=start,
-        end_hours=end,
+        start_hours=config.start_hours,
+        end_hours=config.end_hours,
         diameter_bound=config.diameter_bound,
         record=record,
     )
-    records_by_cycle = {rec.index: rec for rec in day.records}
-    write_trace_csv(out_dir / "trace.csv", _assemble_day_rows(day, records_by_cycle))
+
+
+def _run_full_day(config: ScenarioConfig, out_dir: Path, record: str) -> int:
+    day = _run_config_day(config, record)
+    write_trace_csv(out_dir / "trace.csv", _assemble_day_rows(day))
     feasible = [r for r in day.records if r.feasible]
     deviations = [abs(r.total_delivered - r.demand) for r in feasible]
     per_cycle = [
@@ -671,20 +626,7 @@ def replicate_fig1(seed: int = 0) -> tuple[bool, list[str]]:
 
 def replicate_six_lis_day(seed: int = 0) -> tuple[bool, list[str]]:
     """Full-day dispatch of the six-unit fleet against the 7 kW demand band."""
-    config = replace(default_config(), seed=seed)
-    start, end = _day_span(config)
-    day = run_day(
-        list(config.fleet),
-        config.graph,
-        config.dispatch,
-        config.delay,
-        config.rho,
-        demand_nodes=config.circulation,
-        seed=config.seed,
-        start_hours=start,
-        end_hours=end,
-        diameter_bound=config.diameter_bound,
-    )
+    day = _run_config_day(replace(default_config(), seed=seed))
     feasible = [r for r in day.records if r.feasible]
     worst = max(abs(r.total_delivered - r.demand) for r in feasible)
     thetas = sorted(r.theta for r in feasible)
@@ -710,18 +652,6 @@ def replicate_six_lis_day(seed: int = 0) -> tuple[bool, list[str]]:
     return _suite_report("six-lis-day", checks)
 
 
-def _random_connected_graph(rng: random.Random, n: int) -> Graph:
-    nodes = list(range(1, n + 1))
-    edges = set()
-    for i in range(2, n + 1):
-        edges.add((rng.randrange(1, i), i))
-    extras = rng.randrange(0, n)
-    for _ in range(extras):
-        a, b = rng.sample(nodes, 2)
-        edges.add((min(a, b), max(a, b)))
-    return Graph.from_edges(nodes, edges)
-
-
 def replicate_oracle_sweep(seed: int = 0, count: int = 200) -> tuple[bool, list[str]]:
     """Random feasible problems: the distributed answer matches the closed form."""
     rng = random.Random(seed)
@@ -731,10 +661,10 @@ def replicate_oracle_sweep(seed: int = 0, count: int = 200) -> tuple[bool, list[
     failures = 0
     for case in range(count):
         n = rng.randint(2, 8)
-        graph = _random_connected_graph(rng, n)
+        graph = Graph.random_connected(rng, n)
         tau_bar = rng.randint(0, 3)
         if case % 2 == 0:
-            model = DelayModel.fixed_random(graph, tau_bar, rng.randrange(2**30))
+            model = DelayModel.fixed_random(graph, tau_bar, rng.randrange(10**6))
         else:
             model = DelayModel.stochastic(tau_bar)
         bounds = {}
@@ -747,16 +677,7 @@ def replicate_oracle_sweep(seed: int = 0, count: int = 200) -> tuple[bool, list[
         picks = rng.randint(1, n)
         demand_set = frozenset(rng.sample(sorted(graph.nodes), picks))
         problem = ApportionProblem(rho_d, bounds, demand_set)
-        schedule = CheckpointSchedule(max(1, diameter(graph)), tau_bar)
-        result = run_cycle(
-            graph,
-            build_weights(graph),
-            problem,
-            model,
-            schedule,
-            rho,
-            seed=rng.randrange(2**30),
-        )
+        result = run_instant(graph, problem, model, rho, seed=rng.randrange(10**6))
         oracle = closed_form_oracle(problem)
         node_ok = True
         for i in graph.nodes:
@@ -789,11 +710,8 @@ def cmd_replicate(args: argparse.Namespace) -> int:
         passed, lines = replicate_fig1(args.seed or 0)
     elif args.suite == "six-lis-day":
         passed, lines = replicate_six_lis_day(args.seed or 0)
-    elif args.suite == "oracle-sweep":
-        passed, lines = replicate_oracle_sweep(args.seed or 0, args.count)
     else:
-        print(f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)}", file=sys.stderr)
-        return 2
+        passed, lines = replicate_oracle_sweep(args.seed or 0, args.count)
     print("\n".join(lines))
     return 0 if passed else 1
 
@@ -869,7 +787,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, FeasibilityError) as exc:
+    except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except LisnetError as exc:

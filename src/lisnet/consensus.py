@@ -7,10 +7,6 @@ flight still deposits exactly the mass it left with; total mass (held plus
 in flight) is conserved. With column-stochastic weights on a connected
 graph, every node's quotient r/s converges to the ratio of the initial
 sums, and that limit does not depend on the delay realization.
-
-An optional third state ``t`` runs the same iteration from all-ones initial
-conditions. It is never needed by the protocol itself and exists purely so
-diagnostics can split the converged quotient into its two per-capita parts.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ class ConsensusState:
     r: float
     s: float
     k: int = 0
-    t: float | None = None
 
     def ratio(self) -> float:
         if self.s == 0.0:
@@ -56,14 +51,6 @@ class Envelope:
     payload_s: float
     payload_z: float = 0.0
     payload_y: float = 0.0
-    payload_t: float = 0.0
-
-
-@dataclass(frozen=True)
-class RatioView:
-    """The quotient a node would act on right now."""
-
-    mu: float
 
 
 def emit(
@@ -91,7 +78,6 @@ def emit(
                 payload_s=w * state.s,
                 payload_z=z,
                 payload_y=y,
-                payload_t=0.0 if state.t is None else w * state.t,
             )
         )
     return out
@@ -111,7 +97,6 @@ def absorb(
     p_self = weights.self_weight(state.node)
     r = p_self * state.r
     s = p_self * state.s
-    t = None if state.t is None else p_self * state.t
     for env in delivered:
         if env.dst != state.node:
             raise ProtocolError(
@@ -119,19 +104,13 @@ def absorb(
             )
         r += env.payload_r
         s += env.payload_s
-        if t is not None:
-            t += env.payload_t
     if not (math.isfinite(r) and math.isfinite(s)):
         raise InvariantError(f"node {state.node}: non-finite state at k={state.k + 1}")
     if s <= 0.0:
         raise InvariantError(
             f"node {state.node}: denominator state {s} not positive at k={state.k + 1}"
         )
-    return ConsensusState(node=state.node, r=r, s=s, k=state.k + 1, t=t)
-
-
-def ratio(state: ConsensusState) -> RatioView:
-    return RatioView(mu=state.ratio())
+    return ConsensusState(node=state.node, r=r, s=s, k=state.k + 1)
 
 
 def global_extremes_oracle(

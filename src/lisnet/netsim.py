@@ -14,6 +14,7 @@ run bit for bit.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -70,8 +71,9 @@ class DelayModel:
                     f"need {self.tau_bar + 1} delay probabilities, "
                     f"got {len(self.probabilities)}"
                 )
-            if any(p < 0 for p in self.probabilities) or sum(self.probabilities) <= 0:
-                raise ConfigurationError("delay probabilities must be non-negative")
+            probs = self.probabilities
+            if not (all(0 <= p < math.inf for p in probs) and sum(probs) > 0):
+                raise ConfigurationError("delay probabilities must be finite and non-negative")
 
     @classmethod
     def fixed(
@@ -79,14 +81,6 @@ class DelayModel:
     ) -> "DelayModel":
         bound = max(delays.values(), default=0) if tau_bar is None else tau_bar
         return cls(kind=FIXED, tau_bar=bound, fixed_delays=dict(delays))
-
-    @classmethod
-    def fixed_uniform(cls, graph: Graph, delay: int) -> "DelayModel":
-        delays = {}
-        for a, b in graph.edges:
-            delays[(a, b)] = delay
-            delays[(b, a)] = delay
-        return cls(kind=FIXED, tau_bar=delay, fixed_delays=delays)
 
     @classmethod
     def fixed_random(cls, graph: Graph, tau_bar: int, seed: int) -> "DelayModel":
@@ -197,7 +191,6 @@ class Simulation:
         *,
         seed: int = 0,
         record: str = RECORD_NONE,
-        conservation_tol: float = CONSERVATION_TOL,
     ):
         if set(machines) != set(graph.nodes):
             raise ConfigurationError("machines must cover exactly the graph's nodes")
@@ -211,7 +204,6 @@ class Simulation:
         self.mailbox = Mailbox()
         self.step_index = 0
         self.record = record
-        self.conservation_tol = conservation_tol
         self._caps = {}
         for a, b in graph.edges:
             cap = graph.delay_bounds.get((a, b) if a < b else (b, a))
@@ -239,9 +231,6 @@ class Simulation:
 
     def ratios(self) -> dict[int, float]:
         return {i: m.state.ratio() for i, m in self.machines.items()}
-
-    def states(self) -> dict[int, ConsensusState]:
-        return {i: m.state for i, m in self.machines.items()}
 
     @property
     def all_frozen(self) -> bool:
@@ -271,7 +260,7 @@ class Simulation:
             rel = abs(total - target) / max(1.0, abs(target))
             if rel > self.max_conservation_error:
                 self.max_conservation_error = rel
-            if rel > self.conservation_tol:
+            if rel > CONSERVATION_TOL:
                 raise InvariantError(
                     f"mass leak at step {report.step}: total {total} vs "
                     f"initial {target} (relative {rel:.3e})"
@@ -356,7 +345,6 @@ class CycleResult:
     commands: ReferenceCommand
     theta: int
     steps: int
-    ratios: dict[int, float]
     r_star: dict[int, float]
     s_star: dict[int, float]
     checkpoint_events: list[CheckpointEvent]
@@ -397,15 +385,14 @@ def run_cycle(
     *,
     seed: int = 0,
     max_steps: int | None = None,
-    with_t: bool = False,
     record: str = RECORD_NONE,
 ) -> CycleResult:
     """Run one dispatch cycle to unanimous freeze and read off the commands."""
     if set(problem.bounds) != set(graph.nodes):
         raise ConfigurationError("problem nodes must match the graph's nodes")
-    if rho is None or rho <= 0.0:
+    if rho is None or not rho > 0.0:
         raise ConfigurationError("a terminating cycle needs a positive threshold")
-    states = init_states(problem, with_t=with_t)
+    states = init_states(problem)
     machines = {
         i: NodeMachine(states[i], weights, graph.neighbors(i), schedule, rho)
         for i in graph.nodes
@@ -426,7 +413,6 @@ def run_cycle(
         commands=commands,
         theta=thetas.pop(),
         steps=sim.step_index,
-        ratios=sim.ratios(),
         r_star={i: m.term.r_star for i, m in machines.items()},
         s_star={i: m.term.s_star for i, m in machines.items()},
         checkpoint_events=sim.checkpoint_events,

@@ -2,10 +2,12 @@
 
 A fleet mixes renewable units, whose capacity window is pinned to the power
 their tracker currently extracts (so the network must absorb everything
-they have), and dispatchable units with static windows. The day runner
-rebuilds the apportioning problem at every dispatch instant from the
-windows in force, runs one consensus-and-terminate cycle, and pushes the
-resulting commands through each unit's tracking model.
+they have), and dispatchable units with static windows. ``plan_instant``
+turns the fleet at one dispatch instant into an apportioning problem on the
+participants' subgraph, or says why the instant is infeasible;
+``run_instant`` solves such a problem with one consensus-and-terminate
+cycle. The day runner does both at every instant and pushes the resulting
+commands through each unit's tracking model.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Iterable, Sequence
 
-from .apportioning import ApportionProblem, closed_form_oracle
+from .apportioning import ApportionProblem
 from .errors import ConfigurationError
 from .netsim import CycleResult, DelayModel, run_cycle
 from .termination import CheckpointSchedule
@@ -37,6 +40,8 @@ class PowerProfile:
     def __post_init__(self):
         if len(self.points) < 2:
             raise ConfigurationError("profile needs at least two points")
+        if not all(math.isfinite(t) and math.isfinite(w) for t, w in self.points):
+            raise ConfigurationError("profile points must be finite")
         hours = [t for t, _ in self.points]
         if any(b <= a for a, b in zip(hours, hours[1:])):
             raise ConfigurationError("profile hours must strictly increase")
@@ -84,7 +89,7 @@ class LisUnit:
         if self.kind == NON_RES:
             if self.pi_min is None or self.pi_max is None:
                 raise ConfigurationError(f"unit {self.uid}: static bounds required")
-            if not 0 <= self.pi_min < self.pi_max:
+            if not 0 <= self.pi_min < self.pi_max < math.inf:
                 raise ConfigurationError(
                     f"unit {self.uid}: bounds [{self.pi_min}, {self.pi_max}] invalid"
                 )
@@ -94,9 +99,9 @@ class LisUnit:
         else:
             raise ConfigurationError(f"unit {self.uid}: unknown kind {self.kind!r}")
         if self.tracking == TRACK_LAG:
-            if self.lag_seconds is None or self.lag_seconds <= 0:
+            if self.lag_seconds is None or not 0 < self.lag_seconds < math.inf:
                 raise ConfigurationError(
-                    f"unit {self.uid}: lag tracking needs a positive time constant"
+                    f"unit {self.uid}: lag tracking needs a finite positive time constant"
                 )
         elif self.tracking != TRACK_INSTANT:
             raise ConfigurationError(
@@ -152,14 +157,15 @@ class DispatchSchedule:
     epsilon: float = 1.0
 
     def __post_init__(self):
-        if self.consensus_period <= 0 or self.dispatch_period <= 0:
-            raise ConfigurationError("periods must be positive")
+        for name in ("consensus_period", "dispatch_period", "epsilon"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be finite and positive")
         if self.dispatch_period < self.consensus_period:
             raise ConfigurationError(
                 "dispatch period must cover at least one consensus iteration"
             )
-        if self.epsilon <= 0:
-            raise ConfigurationError("epsilon must be positive")
+        if not isinstance(self.demand, PowerProfile) and not math.isfinite(self.demand):
+            raise ConfigurationError("demand must be finite")
 
     def demand_at(self, t_hours: float) -> float:
         if isinstance(self.demand, PowerProfile):
@@ -187,7 +193,6 @@ class DispatchRecord:
     theta: int | None
     iterations: int | None
     budget_exceeded: bool
-    oracle: dict[int, float] | None
 
 
 @dataclass
@@ -199,6 +204,112 @@ class DayResult:
     budget_exceeded_count: int
     max_conservation_error: float
     trace_rows: list[dict]
+
+
+@dataclass(frozen=True)
+class InstantPlan:
+    """A feasible dispatch instant: its apportioning problem and subgraph."""
+
+    t_hours: float
+    demand: float
+    participants: tuple[int, ...]
+    problem: ApportionProblem
+    graph: Graph
+
+
+@dataclass(frozen=True)
+class Infeasible:
+    """A dispatch instant no cycle can serve, with the collective range."""
+
+    t_hours: float
+    demand: float
+    participants: tuple[int, ...]
+    lo: float
+    hi: float
+    reason: str
+
+
+def plan_instant(
+    fleet: Sequence[LisUnit],
+    graph: Graph,
+    dispatch: DispatchSchedule,
+    t_hours: float,
+    circulation: Iterable[int] | None,
+) -> InstantPlan | Infeasible:
+    """The consensus instance for one dispatch instant, or why there is none.
+
+    Participants are the units whose window is open at ``t_hours``. The
+    instant is infeasible when nobody participates, when the demand lies
+    outside the participants' collective range, or when the participants do
+    not form a connected subgraph. Demand circulates at the requested nodes
+    that participate, or at the lowest participant when none does.
+    """
+    window = {}
+    for unit in sorted(fleet, key=lambda u: u.uid):
+        b = bounds_at(unit, t_hours, dispatch.epsilon)
+        if b is not None:
+            window[unit.uid] = b
+    participants = tuple(window)
+    demand = dispatch.demand_at(t_hours)
+    lo = sum(b[0] for b in window.values())
+    hi = sum(b[1] for b in window.values())
+    infeasible = partial(Infeasible, t_hours, demand, participants, lo, hi)
+    if not participants:
+        return infeasible("no unit offers capacity")
+    if not lo <= demand <= hi:
+        return infeasible(f"demand {demand:g} W outside [{lo:g}, {hi:g}] W")
+    subgraph = graph.induced(participants)
+    if not subgraph.is_connected():
+        return infeasible(f"participants {list(participants)} are not connected")
+    circulating = set(circulation or ()) & set(participants) or {participants[0]}
+    problem = ApportionProblem(demand, window, frozenset(circulating))
+    return InstantPlan(t_hours, demand, participants, problem, subgraph)
+
+
+def run_instant(
+    graph: Graph,
+    problem: ApportionProblem,
+    delay_model: DelayModel,
+    rho: float,
+    *,
+    diameter_bound: int | None = None,
+    seed: int = 0,
+    record: str = "none",
+) -> CycleResult:
+    """One cycle on ``graph``: equal-split weights, schedule from the diameter.
+
+    The diameter is raised to ``diameter_bound`` when one is configured.
+    """
+    d_bound = diameter(graph)
+    if diameter_bound is not None:
+        d_bound = max(d_bound, diameter_bound)
+    schedule = CheckpointSchedule(max(1, d_bound), delay_model.tau_bar)
+    weights = build_weights(graph)
+    return run_cycle(
+        graph, weights, problem, delay_model, schedule, rho, seed=seed, record=record
+    )
+
+
+def day_instants(
+    fleet: Sequence[LisUnit],
+    dispatch: DispatchSchedule,
+    start_hours: float | None = None,
+    end_hours: float | None = None,
+) -> list[float]:
+    """Dispatch instants of a day, both ends included.
+
+    The day defaults to the span every renewable profile covers.
+    """
+    profiles = [u.profile for u in fleet if u.kind == RES]
+    if start_hours is None:
+        start_hours = max(p.start for p in profiles) if profiles else 0.0
+    if end_hours is None:
+        end_hours = min(p.end for p in profiles) if profiles else start_hours
+    if not -math.inf < start_hours <= end_hours < math.inf:
+        raise ConfigurationError("day must be finite and end at or after its start")
+    step_hours = dispatch.dispatch_period / 3600.0
+    count = int(round((end_hours - start_hours) / step_hours)) + 1
+    return [start_hours + index * step_hours for index in range(count)]
 
 
 def run_day(
@@ -214,9 +325,8 @@ def run_day(
     end_hours: float | None = None,
     diameter_bound: int | None = None,
     record: str = "none",
-    with_oracle: bool = False,
 ) -> DayResult:
-    """Repeated dispatch over a day: rebuild, solve, and track at each instant.
+    """Repeated dispatch over a day: plan, solve, and track at each instant.
 
     Infeasible instants are flagged and the previous commands held. A cycle
     that needs more iterations than the dispatch period covers still runs
@@ -227,106 +337,57 @@ def run_day(
     units = {u.uid: u for u in fleet}
     if set(units) != set(graph.nodes):
         raise ConfigurationError("fleet ids must match the graph's nodes")
-    profiles = [u.profile for u in fleet if u.kind == RES]
-    if start_hours is None:
-        start_hours = max(p.start for p in profiles) if profiles else 0.0
-    if end_hours is None:
-        end_hours = min(p.end for p in profiles) if profiles else start_hours
-    if end_hours < start_hours:
-        raise ConfigurationError("day must end at or after its start")
     rng = random.Random(seed)
     trackers = {uid: Tracker(unit) for uid, unit in units.items()}
     records: list[DispatchRecord] = []
     trace_rows: list[dict] = []
     prev_commands = {uid: 0.0 for uid in units}
-    infeasible = 0
-    overruns = 0
     worst_leak = 0.0
-    step_hours = schedule.dispatch_period / 3600.0
-    n_instants = int(round((end_hours - start_hours) / step_hours)) + 1
-    for index in range(n_instants):
-        t = start_hours + index * step_hours
+    for index, t in enumerate(day_instants(fleet, schedule, start_hours, end_hours)):
         cycle_seed = rng.randrange(2**32)
-        window = {}
-        for uid, unit in sorted(units.items()):
-            b = bounds_at(unit, t, schedule.epsilon)
-            if b is not None:
-                window[uid] = b
-        participants = tuple(sorted(window))
-        demand = schedule.demand_at(t)
+        plan = plan_instant(fleet, graph, schedule, t, demand_nodes)
         result: CycleResult | None = None
-        feasible = bool(participants)
-        if feasible:
-            total_min = sum(lo for lo, _ in window.values())
-            total_max = sum(hi for _, hi in window.values())
-            feasible = total_min <= demand <= total_max
-        subgraph = graph.induced(participants) if participants else None
-        if feasible and not subgraph.is_connected():
-            feasible = False
-        if feasible:
-            circulating = sorted(set(demand_nodes or ()) & set(participants))
-            if not circulating:
-                circulating = [participants[0]]
-            problem = ApportionProblem(demand, window, frozenset(circulating))
-            weights = build_weights(subgraph)
-            d_bound = diameter(subgraph)
-            if diameter_bound is not None:
-                d_bound = max(d_bound, diameter_bound)
-            cycle_schedule = CheckpointSchedule(max(1, d_bound), delay_model.tau_bar)
-            result = run_cycle(
-                subgraph,
-                weights,
-                problem,
+        if isinstance(plan, InstantPlan):
+            result = run_instant(
+                plan.graph,
+                plan.problem,
                 delay_model,
-                cycle_schedule,
                 rho,
+                diameter_bound=diameter_bound,
                 seed=cycle_seed,
                 record=record,
             )
-            budget_exceeded = result.steps > schedule.iteration_budget
-            if budget_exceeded:
-                overruns += 1
-            commands = {uid: 0.0 for uid in units}
-            commands.update(result.commands.commands)
+            commands = {uid: 0.0 for uid in units} | result.commands.commands
             worst_leak = max(worst_leak, result.max_conservation_error)
+            trace_rows.extend({**row, "cycle": index} for row in result.trace_rows)
         else:
-            infeasible += 1
-            budget_exceeded = False
             commands = dict(prev_commands)
+        overrun = result is not None and result.steps > schedule.iteration_budget
         delivered = {
             uid: trackers[uid].step(commands[uid], schedule.dispatch_period)
             for uid in sorted(units)
         }
-        oracle = None
-        if with_oracle and result is not None:
-            oracle = dict(closed_form_oracle(problem).commands)
         records.append(
             DispatchRecord(
                 index=index,
                 t_hours=t,
-                feasible=feasible,
-                participants=participants,
-                demand=demand,
+                feasible=result is not None,
+                participants=plan.participants,
+                demand=plan.demand,
                 commands=commands,
                 delivered=delivered,
                 total_command=sum(commands.values()),
                 total_delivered=sum(delivered.values()),
                 theta=result.theta if result else None,
                 iterations=result.steps if result else None,
-                budget_exceeded=budget_exceeded,
-                oracle=oracle,
+                budget_exceeded=overrun,
             )
         )
-        if result is not None and record != "none":
-            for row in result.trace_rows:
-                row = dict(row)
-                row["cycle"] = index
-                trace_rows.append(row)
         prev_commands = commands
     return DayResult(
         records=records,
-        infeasible_count=infeasible,
-        budget_exceeded_count=overruns,
+        infeasible_count=sum(not rec.feasible for rec in records),
+        budget_exceeded_count=sum(rec.budget_exceeded for rec in records),
         max_conservation_error=worst_leak,
         trace_rows=trace_rows,
     )

@@ -153,7 +153,7 @@ class NodeMachine:
         schedule: CheckpointSchedule | None = None,
         rho: float | None = None,
     ):
-        if rho is not None and rho <= 0.0:
+        if rho is not None and not rho > 0.0:
             raise ConfigurationError("stopping threshold must be positive")
         self.state = state
         self.weights = weights
@@ -166,7 +166,6 @@ class NodeMachine:
             self.term = TerminationState(z=q, y=q)
         self._buf_z = -math.inf
         self._buf_y = math.inf
-        self.last_event: CheckpointEvent | None = None
 
     @property
     def node(self) -> int:
@@ -193,7 +192,6 @@ class NodeMachine:
         index lands on their boundaries. Returns the checkpoint event when
         one fired.
         """
-        self.last_event = None
         if self.frozen:
             if inbox:
                 raise ProtocolError(f"frozen node {self.node} received traffic")
@@ -234,21 +232,6 @@ class NodeMachine:
             else:
                 self._buf_z = -math.inf
                 self._buf_y = math.inf
-            self.last_event = event
             return event
         return None
 
-
-def run_node_step(
-    machine: NodeMachine, inbox: Sequence[Envelope]
-) -> tuple[NodeMachine, list[Envelope]]:
-    """One full round for one node: emit shares, then absorb what is due.
-
-    The caller must collect every node's emissions for the round before
-    assembling inboxes, otherwise zero-delay envelopes would be missed. Any
-    checkpoint decision taken during the round is left on
-    ``machine.last_event``.
-    """
-    outbox = machine.emit()
-    machine.advance(inbox)
-    return machine, outbox

@@ -9,6 +9,7 @@ are expected to be configured with a known upper bound instead.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -72,6 +73,15 @@ class Graph:
         return cls(tuple(sorted(set(nodes))), norm, bounds)
 
     @classmethod
+    def random_connected(cls, rng: random.Random, n: int) -> "Graph":
+        """Nodes 1..n: a random recursive spanning tree plus up to n - 1 extra edges."""
+        edges = {(rng.randrange(1, i), i) for i in range(2, n + 1)}
+        for _ in range(rng.randrange(0, n)):
+            a, b = rng.sample(range(1, n + 1), 2)
+            edges.add(edge_key(a, b))
+        return cls.from_edges(range(1, n + 1), edges)
+
+    @classmethod
     def cycle(cls, n: int, first: int = 1) -> "Graph":
         ids = list(range(first, first + n))
         if n == 1:
@@ -105,9 +115,6 @@ class Graph:
     def degree(self, i: int) -> int:
         return len(self._adj[i])
 
-    def has_node(self, i: int) -> bool:
-        return i in self._adj
-
     def is_connected(self) -> bool:
         seen = {self.nodes[0]}
         frontier = deque(seen)
@@ -140,12 +147,6 @@ class WeightMatrix:
 
     def self_weight(self, i: int) -> float:
         return self.entries.get((i, i), 0.0)
-
-    def column(self, j: int) -> dict[int, float]:
-        return {i: w for (i, jj), w in self.entries.items() if jj == j}
-
-    def column_sum(self, j: int) -> float:
-        return sum(self.column(j).values())
 
 
 def build_weights(g: Graph) -> WeightMatrix:

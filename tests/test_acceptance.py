@@ -12,10 +12,10 @@ from contextlib import contextmanager
 
 import pytest
 
-from lisnet.apportioning import ApportionProblem, closed_form_oracle
-from lisnet.cli import default_config, main
+from lisnet.apportioning import ApportionProblem
+from lisnet.cli import default_config, main, replicate_fig1, replicate_oracle_sweep
 from lisnet.consensus import ConsensusState
-from lisnet.netsim import DelayModel, Simulation, run_cycle, run_naive_averaging, simulate_averaging
+from lisnet.netsim import DelayModel, Simulation, run_cycle, simulate_averaging
 from lisnet.scenario import PowerProfile, run_day
 from lisnet.termination import CheckpointSchedule, NodeMachine
 from lisnet.topology import Graph, build_weights, diameter
@@ -32,14 +32,6 @@ def criterion(number, name):
         print(f"\nACCEPTANCE {number} {name}: FAIL")
         raise
     print(f"\nACCEPTANCE {number} {name}: PASS")
-
-
-def random_connected_graph(rng, n):
-    edges = {(rng.randrange(1, i), i) for i in range(2, n + 1)}
-    for _ in range(rng.randrange(0, n)):
-        a, b = rng.sample(range(1, n + 1), 2)
-        edges.add((min(a, b), max(a, b)))
-    return Graph.from_edges(range(1, n + 1), edges)
 
 
 @pytest.fixture(scope="module")
@@ -65,26 +57,8 @@ def day_outcome():
 def test_criterion_1_averaging_correct_under_delays():
     with criterion(1, "averaging correctness under delays"):
         started = time.perf_counter()
-        graph = Graph.cycle(5)
-        weights = build_weights(graph)
-        initial = {1: 100.0, 2: 200.0, 3: 300.0, 4: 600.0, 5: 800.0}
-        ones = {i: 1.0 for i in graph.nodes}
-        assert sum(initial.values()) == 2000.0
-        for model in (
-            DelayModel.fixed_random(graph, TAU_BAR, seed=0),
-            DelayModel.stochastic(TAU_BAR),
-        ):
-            sim = simulate_averaging(graph, weights, initial, ones, model, seed=0)
-            sim.run(600)
-            for node, mu in sim.ratios().items():
-                assert abs(mu - 400.0) <= 1e-6, (node, mu)
-        naive_errors = []
-        for seed in range(5):
-            final = run_naive_averaging(
-                graph, initial, DelayModel.stochastic(TAU_BAR), steps=400, seed=seed
-            )
-            naive_errors.append(max(abs(v - 400.0) / 400.0 for v in final.values()))
-        assert max(naive_errors) > 0.01, naive_errors
+        passed, lines = replicate_fig1(seed=0)
+        assert passed, lines
         assert time.perf_counter() - started < 1.0
 
 
@@ -122,7 +96,7 @@ def test_criterion_4_extremes_exact_after_one_period():
     with criterion(4, "propagated extremes exact within one checkpoint period"):
         rng = random.Random(404)
         for _ in range(20):
-            graph = random_connected_graph(rng, rng.randint(2, 10))
+            graph = Graph.random_connected(rng, rng.randint(2, 10))
             weights = build_weights(graph)
             tau = rng.randint(0, TAU_BAR)
             schedule = CheckpointSchedule(max(1, diameter(graph)), tau)
@@ -158,39 +132,8 @@ def test_criterion_4_extremes_exact_after_one_period():
 def test_criterion_5_oracle_equivalence_sweep():
     with criterion(5, "consensus commands match the closed form on 200 instances"):
         started = time.perf_counter()
-        rng = random.Random(505)
-        for case in range(200):
-            graph = random_connected_graph(rng, rng.randint(2, 8))
-            tau = rng.randint(0, TAU_BAR)
-            if case % 2 == 0:
-                model = DelayModel.fixed_random(graph, tau, rng.randrange(10**6))
-            else:
-                model = DelayModel.stochastic(tau)
-            bounds = {}
-            for i in graph.nodes:
-                lo = rng.uniform(0.0, 500.0)
-                bounds[i] = (lo, lo + rng.uniform(50.0, 2000.0))
-            total_min = sum(b[0] for b in bounds.values())
-            total_max = sum(b[1] for b in bounds.values())
-            problem = ApportionProblem(
-                rng.uniform(total_min, total_max),
-                bounds,
-                frozenset(rng.sample(sorted(graph.nodes), rng.randint(1, graph.n))),
-            )
-            schedule = CheckpointSchedule(max(1, diameter(graph)), tau)
-            result = run_cycle(
-                graph,
-                build_weights(graph),
-                problem,
-                model,
-                schedule,
-                RHO,
-                seed=rng.randrange(10**6),
-            )
-            oracle = closed_form_oracle(problem)
-            for i in graph.nodes:
-                assert abs(result.commands[i] - oracle[i]) <= RHO * problem.span(i)
-            assert abs(result.commands.total - problem.rho_d) <= RHO * problem.total_span
+        passed, lines = replicate_oracle_sweep(seed=505, count=200)
+        assert passed, lines
         assert time.perf_counter() - started < 30.0
 
 

@@ -6,7 +6,6 @@ from lisnet.apportioning import (
     ApportionProblem,
     closed_form_oracle,
     init_states,
-    net_reserve,
     reference_command,
 )
 from lisnet.errors import FeasibilityError, InvariantError
@@ -76,11 +75,6 @@ class TestInitStates:
         assert states[2].r == 0.0
         assert sum(s.r for s in states.values()) == pytest.approx(12.0)
 
-    def test_optional_third_state(self):
-        p = ApportionProblem(10.0, {1: (0.0, 20.0)}, frozenset({1}))
-        assert init_states(p)[1].t is None
-        assert init_states(p, with_t=True)[1].t == 1.0
-
 
 class TestReferenceCommand:
     def test_endpoints(self):
@@ -147,14 +141,3 @@ class TestClosedFormOracle:
         for pick in [{2}, {4}, {1, 5}, set(bounds)]:
             other = closed_form_oracle(ApportionProblem(demand, bounds, frozenset(pick)))
             assert all(other[i] == pytest.approx(base[i]) for i in bounds)
-
-
-class TestNetReserve:
-    def test_surplus(self):
-        assert net_reserve([1000.0, 500.0], [300.0]) == 1200.0
-
-    def test_balanced(self):
-        assert net_reserve([400.0], [400.0]) == 0.0
-
-    def test_pure_load(self):
-        assert net_reserve([], [400.0]) == -400.0

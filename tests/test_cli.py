@@ -72,7 +72,7 @@ class TestConfigDocument:
         doc["demand"] = {"shape": [[0, 6000], [8, 8000]], "circulation": [2]}
         config_path.write_text(yaml.safe_dump(doc))
         config = ScenarioConfig.load(config_path)
-        assert isinstance(config.demand, PowerProfile)
+        assert isinstance(config.dispatch.demand, PowerProfile)
         assert config.dispatch.demand_at(4.0) == pytest.approx(7000.0)
 
     def test_fixed_delay_edges_parse(self, config_path):
@@ -157,6 +157,36 @@ class TestRunCommand:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_cycle_only_excess_demand_is_infeasible_not_malformed(
+        self, tmp_path, config_path, capsys
+    ):
+        code = main([
+            "run", "--config", str(config_path), "--cycle-only", "--demand", "99999",
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert "outside" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, flags",
+        [
+            (lambda doc: doc["fleet"][1]["profile"].__setitem__(1, [3.0, float("nan")]), []),
+            (lambda doc: doc["demand"].__setitem__("watts", float("nan")), []),
+            (lambda doc: doc["dispatch"].__setitem__("dispatch_period", float("nan")), []),
+            (lambda doc: None, ["--rho", "nan"]),
+        ],
+        ids=["profile-point", "demand-watts", "dispatch-period", "rho-flag"],
+    )
+    def test_non_finite_input_is_a_configuration_error(
+        self, tmp_path, config_path, capsys, edit, flags
+    ):
+        doc = yaml.safe_load(config_path.read_text())
+        edit(doc)
+        config_path.write_text(yaml.safe_dump(doc))
+        code = main(["run", "--config", str(config_path), "--out-dir", str(tmp_path), *flags])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path, config_path):
         outs = []
         for name in ("a", "b"):
@@ -178,6 +208,55 @@ class TestRunCommand:
         ])
         assert code == 0
         assert (target / "trace.csv").exists()
+
+
+class TestEntryPointsAgree:
+    """A 3-node path whose middle unit is renewable splits when it sits out."""
+
+    @pytest.fixture
+    def path_config(self, tmp_path):
+        config = default_config()
+        doc = config.to_dict()
+        doc["graph"] = {"nodes": [1, 2, 3], "edges": [[1, 2], [2, 3]]}
+        doc.pop("diameter")
+        doc["fleet"] = [u for u in doc["fleet"] if u["id"] in (1, 2, 3)]
+        doc["demand"] = {"watts": 2000.0, "circulation": [2]}
+        path = tmp_path / "path.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        return path
+
+    def test_check_feasibility_names_the_split_instants(self, path_config, capsys):
+        code = main(["run", "--config", str(path_config), "--check-feasibility"])
+        out = capsys.readouterr().out
+        assert code == 1
+        flagged = [line for line in out.splitlines() if line.startswith("infeasible")]
+        assert [line.split(":")[0] for line in flagged] == [
+            "infeasible at t=0 h", "infeasible at t=8 h",
+        ]
+        assert all("not connected" in line for line in flagged)
+
+    def test_day_flags_the_same_instants(self, tmp_path, path_config):
+        code = main(["run", "--config", str(path_config), "--out-dir", str(tmp_path)])
+        assert code == 0
+        results = json.loads((tmp_path / "results.json").read_text())
+        flagged = [c["t_hours"] for c in results["per_cycle"] if not c["feasible"]]
+        assert results["infeasible_cycles"] == 2
+        assert flagged == [0.0, pytest.approx(8.0)]
+
+    def test_cycle_only_at_a_split_instant_exits_one(self, tmp_path, path_config, capsys):
+        code = main([
+            "run", "--config", str(path_config), "--cycle-only", "--at-hours", "0",
+            "--out-dir", str(tmp_path),
+        ])
+        assert code == 1
+        assert "not connected" in capsys.readouterr().err
+
+    def test_cycle_only_at_a_connected_instant_runs(self, tmp_path, path_config):
+        code = main([
+            "run", "--config", str(path_config), "--cycle-only", "--at-hours", "4",
+            "--out-dir", str(tmp_path),
+        ])
+        assert code == 0
 
 
 class TestReplicateCommand:

@@ -8,13 +8,10 @@ from lisnet.consensus import (
     absorb,
     emit,
     global_extremes_oracle,
-    ratio,
 )
 from lisnet.errors import InvariantError, ProtocolError
 from lisnet.netsim import DelayModel, simulate_averaging
 from lisnet.topology import Graph, build_weights
-
-from test_topology import random_connected_graph
 
 
 class TestEmit:
@@ -101,14 +98,14 @@ class TestAbsorb:
 
 class TestRatio:
     def test_simple_quotient(self):
-        assert ratio(ConsensusState(node=1, r=7.0, s=2.0)).mu == 3.5
+        assert ConsensusState(node=1, r=7.0, s=2.0).ratio() == 3.5
 
     def test_zero_numerator(self):
-        assert ratio(ConsensusState(node=1, r=0.0, s=1.0)).mu == 0.0
+        assert ConsensusState(node=1, r=0.0, s=1.0).ratio() == 0.0
 
     def test_zero_denominator_faults(self):
         with pytest.raises(InvariantError):
-            ratio(ConsensusState(node=1, r=1.0, s=0.0))
+            ConsensusState(node=1, r=1.0, s=0.0).ratio()
 
 
 class TestGlobalExtremesOracle:
@@ -134,7 +131,7 @@ class TestAsymptotics:
         # long horizon on random graphs with random fixed delays
         rng = random.Random(11)
         for _ in range(3):
-            g = random_connected_graph(rng, rng.randint(2, 8))
+            g = Graph.random_connected(rng, rng.randint(2, 8))
             w = build_weights(g)
             r0 = {i: rng.uniform(-100.0, 100.0) for i in g.nodes}
             s0 = {i: rng.uniform(0.5, 3.0) for i in g.nodes}
@@ -165,7 +162,7 @@ class TestAsymptotics:
 
     def test_denominator_stays_positive(self):
         rng = random.Random(23)
-        g = random_connected_graph(rng, 6)
+        g = Graph.random_connected(rng, 6)
         w = build_weights(g)
         sim = simulate_averaging(
             g,

@@ -15,8 +15,6 @@ from lisnet.netsim import (
 from lisnet.termination import CheckpointSchedule
 from lisnet.topology import Graph, build_weights
 
-from test_topology import random_connected_graph
-
 TABLE_BOUNDS = {
     1: (0.0, 1500.0),
     2: (999.0, 1000.0),
@@ -83,7 +81,7 @@ class TestConservationAndDelivery:
             lambda g: DelayModel.fixed_random(g, 3, 5),
             lambda g: DelayModel.stochastic(3),
         ):
-            g = random_connected_graph(rng, 7)
+            g = Graph.random_connected(rng, 7)
             w = build_weights(g)
             r0 = {i: rng.uniform(-50, 50) for i in g.nodes}
             s0 = {i: rng.uniform(0.5, 2) for i in g.nodes}
@@ -221,30 +219,6 @@ class TestRunCycle:
         for earlier, later in zip(sampled, sampled[1:]):
             assert later.window_max <= earlier.window_max + 1e-12
             assert later.window_min >= earlier.window_min - 1e-12
-
-    def test_optional_third_state_splits_the_quotient(self):
-        # with the all-ones companion iteration enabled, r/t approaches the
-        # per-node demand overshoot and s/t the per-node span
-        from lisnet.apportioning import init_states
-        from lisnet.termination import NodeMachine
-        from lisnet.netsim import Simulation
-
-        g = Graph.cycle(6)
-        w = build_weights(g)
-        problem = table_problem()
-        states = init_states(problem, with_t=True)
-        machines = {
-            i: NodeMachine(states[i], w, g.neighbors(i)) for i in g.nodes
-        }
-        sim = Simulation(g, w, machines, DelayModel.stochastic(3), seed=6)
-        sim.run(2000)
-        n = g.n
-        overshoot = (problem.rho_d - problem.total_min) / n
-        span_share = problem.total_span / n
-        for machine in machines.values():
-            state = machine.state
-            assert state.r / state.t == pytest.approx(overshoot, rel=1e-9)
-            assert state.s / state.t == pytest.approx(span_share, rel=1e-9)
 
     def test_command_invariant_to_circulation_placement(self):
         g = Graph.cycle(6)

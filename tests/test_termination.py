@@ -13,11 +13,8 @@ from lisnet.termination import (
     TerminationState,
     checkpoint,
     epoch_update,
-    run_node_step,
 )
 from lisnet.topology import Graph, build_weights, diameter
-
-from test_topology import random_connected_graph
 
 
 class TestCheckpointSchedule:
@@ -125,8 +122,8 @@ class TestNodeMachine:
         state = init_states(problem)[1]
         sched = CheckpointSchedule(diameter=1, tau_bar=0)
         machine = NodeMachine(state, w, g.neighbors(1), sched, rho=1e-6)
-        machine, outbox = run_node_step(machine, [])
-        assert outbox == []
+        assert machine.emit() == []
+        machine.advance([])
         assert machine.frozen
         assert machine.term.theta == 1
         assert machine.state.ratio() == pytest.approx(0.5)
@@ -146,7 +143,8 @@ class TestNodeMachine:
             CheckpointSchedule(1, 0),
             rho=math.inf,
         )
-        run_node_step(machine, [])
+        assert machine.emit() == []
+        machine.advance([])
         assert machine.frozen
         assert machine.emit() == []
         stray = Envelope(src=2, dst=1, send_step=0, payload_r=0.0, payload_s=0.1)
@@ -195,7 +193,7 @@ class TestTerminationProperties:
         # node's z equals the exact global max of the seed quotients
         rng = random.Random(42)
         for _ in range(15):
-            g = random_connected_graph(rng, rng.randint(2, 10))
+            g = Graph.random_connected(rng, rng.randint(2, 10))
             w = build_weights(g)
             tau = rng.randint(0, 3)
             sched = CheckpointSchedule(max(1, diameter(g)), tau)
@@ -237,7 +235,7 @@ class TestTerminationProperties:
     def test_all_nodes_freeze_together_and_accurately(self):
         rng = random.Random(31)
         for _ in range(10):
-            g = random_connected_graph(rng, rng.randint(2, 8))
+            g = Graph.random_connected(rng, rng.randint(2, 8))
             w = build_weights(g)
             bounds = {}
             for i in g.nodes:
