@@ -118,17 +118,17 @@ class ScenarioConfig:
         for key in ("graph", "demand", "fleet"):
             if key not in doc:
                 raise ConfigurationError(f"scenario is missing required section {key!r}")
-        tau_bar = int(doc.get("tau_bar", 3))
+        tau_bar = _as_int(doc.get("tau_bar", 3), "tau_bar")
 
         gsec = doc["graph"]
         _require_keys(gsec, {"nodes", "edges", "delay_bounds"}, "graph")
         bounds = {}
         for key, cap in (gsec.get("delay_bounds") or {}).items():
             a, b = _parse_edge(key)
-            bounds[(a, b)] = int(cap)
+            bounds[(a, b)] = _as_int(cap, f"delay bound on {key}")
         graph = Graph.from_edges(
-            [int(i) for i in gsec["nodes"]],
-            [(int(a), int(b)) for a, b in gsec["edges"]],
+            [_as_int(i, "node id") for i in gsec["nodes"]],
+            [(_as_int(a, "edge end"), _as_int(b, "edge end")) for a, b in gsec["edges"]],
             bounds,
         )
 
@@ -139,7 +139,7 @@ class ScenarioConfig:
             fixed = {}
             for key, d in (dsec.get("fixed_delays") or {}).items():
                 a, b = _parse_edge(key, directed=True)
-                fixed[(a, b)] = int(d)
+                fixed[(a, b)] = _as_int(d, f"fixed delay on {key}")
             delay = DelayModel.fixed(fixed, tau_bar=tau_bar)
         elif model == "stochastic":
             if dsec.get("fixed_delays"):
@@ -157,7 +157,7 @@ class ScenarioConfig:
             demand = float(dem["watts"])
         else:
             demand = PowerProfile(tuple((float(t), float(w)) for t, w in dem["shape"]))
-        circulation = frozenset(int(i) for i in dem.get("circulation", []))
+        circulation = frozenset(_as_int(i, "node id") for i in dem.get("circulation", []))
         if not circulation:
             raise ConfigurationError("demand.circulation must name at least one node")
         missing = circulation - set(graph.nodes)
@@ -194,9 +194,9 @@ class ScenarioConfig:
 
         return cls(
             name=str(doc.get("name", "scenario")),
-            seed=int(doc.get("seed", 0)),
+            seed=_as_int(doc.get("seed", 0), "seed"),
             rho=float(doc.get("rho", 0.02)),
-            diameter_bound=int(doc["diameter"]) if "diameter" in doc else None,
+            diameter_bound=_as_int(doc["diameter"], "diameter") if "diameter" in doc else None,
             graph=graph,
             delay=delay,
             circulation=circulation,
@@ -257,8 +257,9 @@ class ScenarioConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "ScenarioConfig":
+        loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml when built with it
         try:
-            doc = yaml.safe_load(Path(path).read_text())
+            doc = yaml.load(Path(path).read_text(), Loader=loader)
         except yaml.YAMLError as exc:
             raise ConfigurationError(f"{path}: {exc}") from exc
         if not isinstance(doc, dict):
@@ -277,7 +278,17 @@ def _parse_edge(key: str, directed: bool = False) -> tuple[int, int]:
     parts = str(key).replace(" ", "").split(sep)
     if len(parts) != 2:
         raise ConfigurationError(f"cannot parse edge {key!r} (expected 'a{sep}b')")
-    return int(parts[0]), int(parts[1])
+    return _as_int(parts[0], "edge end"), _as_int(parts[1], "edge end")
+
+
+def _as_int(value: Any, what: str) -> int:
+    """An integer field; a non-integral number is malformed, never truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}") from exc
 
 
 def _parse_unit(doc: Mapping[str, Any]) -> LisUnit:
@@ -291,7 +302,7 @@ def _parse_unit(doc: Mapping[str, Any]) -> LisUnit:
     if doc.get("profile") is not None:
         profile = PowerProfile(tuple((float(t), float(w)) for t, w in doc["profile"]))
     return LisUnit(
-        uid=int(doc["id"]),
+        uid=_as_int(doc["id"], "fleet id"),
         kind=str(kind),
         pi_min=float(doc["pi_min"]) if "pi_min" in doc else None,
         pi_max=float(doc["pi_max"]) if "pi_max" in doc else None,
@@ -412,7 +423,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.tau_bar is not None or args.delay_model is not None:
         tau_bar = config.delay.tau_bar if args.tau_bar is None else args.tau_bar
         if (args.delay_model or config.delay.kind) == "stochastic":
-            delay = DelayModel.stochastic(tau_bar)
+            # a new bound must still match the scenario's probabilities, if any
+            delay = DelayModel.stochastic(tau_bar, config.delay.probabilities)
         else:
             delay = DelayModel.fixed(dict(config.delay.fixed_delays or {}), tau_bar)
         config = replace(config, delay=delay)

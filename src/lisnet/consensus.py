@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvariantError, ProtocolError
-from .topology import WeightMatrix
 
 
 @dataclass(slots=True)
@@ -55,62 +54,49 @@ class Envelope:
 
 def emit(
     state: ConsensusState,
-    weights: WeightMatrix,
-    neighbors: Iterable[int],
+    shares: Iterable[tuple[int, float]],
     *,
     z: float = 0.0,
     y: float = 0.0,
 ) -> list[Envelope]:
     """Weighted shares of ``state`` for every out-neighbor.
 
-    The share retained locally is the diagonal weight times the state; it is
-    applied by :func:`absorb`, not here, so emit stays a pure read.
+    ``shares`` holds ``(j, weights.weight(j, node))`` for each out-neighbor
+    j, in sending order (see :meth:`WeightMatrix.shares`). The share
+    retained locally is the diagonal weight times the state; it is applied
+    by :func:`absorb`, not here, so emit stays a pure read.
     """
-    out = []
-    for j in neighbors:
-        w = weights.weight(j, state.node)
-        out.append(
-            Envelope(
-                src=state.node,
-                dst=j,
-                send_step=state.k,
-                payload_r=w * state.r,
-                payload_s=w * state.s,
-                payload_z=z,
-                payload_y=y,
-            )
-        )
-    return out
+    node, k, r, s = state.node, state.k, state.r, state.s
+    return [Envelope(node, j, k, w * r, w * s, z, y) for j, w in shares]
 
 
 def absorb(
     state: ConsensusState,
     delivered: Iterable[Envelope],
-    weights: WeightMatrix,
+    self_weight: float,
 ) -> ConsensusState:
     """Fold the shares due this round into the retained share; advance ``k``.
 
-    ``delivered`` must hold exactly the envelopes due at this node this
-    round; shares not yet arrived simply contribute nothing, which is what
-    keeps conservation exact through the start-up transient.
+    ``self_weight`` is the node's diagonal weight. ``delivered`` must hold
+    exactly the envelopes due at this node this round; shares not yet
+    arrived simply contribute nothing, which is what keeps conservation
+    exact through the start-up transient.
     """
-    p_self = weights.self_weight(state.node)
-    r = p_self * state.r
-    s = p_self * state.s
+    node = state.node
+    r = self_weight * state.r
+    s = self_weight * state.s
     for env in delivered:
-        if env.dst != state.node:
-            raise ProtocolError(
-                f"node {state.node} received an envelope addressed to {env.dst}"
-            )
+        if env.dst != node:
+            raise ProtocolError(f"node {node} received an envelope addressed to {env.dst}")
         r += env.payload_r
         s += env.payload_s
     if not (math.isfinite(r) and math.isfinite(s)):
-        raise InvariantError(f"node {state.node}: non-finite state at k={state.k + 1}")
+        raise InvariantError(f"node {node}: non-finite state at k={state.k + 1}")
     if s <= 0.0:
         raise InvariantError(
-            f"node {state.node}: denominator state {s} not positive at k={state.k + 1}"
+            f"node {node}: denominator state {s} not positive at k={state.k + 1}"
         )
-    return ConsensusState(node=state.node, r=r, s=s, k=state.k + 1)
+    return ConsensusState(node, r, s, state.k + 1)
 
 
 def global_extremes_oracle(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -74,6 +74,8 @@ class DelayModel:
             probs = self.probabilities
             if not (all(0 <= p < math.inf for p in probs) and sum(probs) > 0):
                 raise ConfigurationError("delay probabilities must be finite and non-negative")
+        uniform = self.kind == STOCHASTIC and self.probabilities is None
+        object.__setattr__(self, "_bits", (self.tau_bar + 1).bit_length() if uniform else 0)
 
     @classmethod
     def fixed(
@@ -106,12 +108,17 @@ class DelayModel:
     def delay_for(
         self, rng: random.Random, src: int, dst: int, cap: int | None = None
     ) -> int:
-        if self.kind == FIXED:
+        bits = self._bits
+        if bits:
+            # rng.randint(0, tau_bar) exactly: the same getrandbits rejection
+            # loop, so the stream is unchanged, without randint's call frames
+            d = rng.getrandbits(bits)
+            while d > self.tau_bar:
+                d = rng.getrandbits(bits)
+        elif self.kind == FIXED:
             d = (self.fixed_delays or {}).get((src, dst), 0)
-        elif self.probabilities is not None:
-            d = rng.choices(range(self.tau_bar + 1), weights=self.probabilities)[0]
         else:
-            d = rng.randint(0, self.tau_bar)
+            d = rng.choices(range(self.tau_bar + 1), weights=self.probabilities)[0]
         if cap is not None and d > cap:
             d = cap
         return d
@@ -130,7 +137,10 @@ class Mailbox:
         self.delivered = 0
 
     def post(self, env: Envelope, deliver_step: int) -> None:
-        self._pending.setdefault(deliver_step, []).append(env)
+        try:
+            self._pending[deliver_step].append(env)
+        except KeyError:
+            self._pending[deliver_step] = [env]
         self.posted += 1
 
     def due(self, step: int) -> list[Envelope]:
@@ -143,6 +153,7 @@ class Mailbox:
         return sum(len(v) for v in self._pending.values())
 
     def pending_mass(self) -> tuple[float, float]:
+        """Summed round by round, each in posting order (the audit's fixed order)."""
         mass_r = 0.0
         mass_s = 0.0
         for batch in self._pending.values():
@@ -153,11 +164,8 @@ class Mailbox:
 
     def oldest_age(self, now: int) -> int:
         """Rounds the longest-pending envelope has been in flight."""
-        age = 0
-        for step, batch in self._pending.items():
-            for env in batch:
-                age = max(age, now - env.send_step)
-        return age
+        sent = [env.send_step for batch in self._pending.values() for env in batch]
+        return max(0, now - min(sent, default=now))
 
 
 @dataclass(frozen=True)
@@ -194,6 +202,9 @@ class Simulation:
     ):
         if set(machines) != set(graph.nodes):
             raise ConfigurationError("machines must cover exactly the graph's nodes")
+        for i, m in machines.items():
+            if m.node != i or not set(m.neighbors) <= set(graph.neighbors(i)):
+                raise ConfigurationError(f"machine {i} must be node {i} on its graph links")
         if record not in (RECORD_NONE, RECORD_CHECKPOINTS, RECORD_STEPS):
             raise ConfigurationError(f"unknown record mode {record!r}")
         self.graph = graph
@@ -204,16 +215,18 @@ class Simulation:
         self.mailbox = Mailbox()
         self.step_index = 0
         self.record = record
-        self._caps = {}
+        # per-link delay caps, _caps[src][dst], looked up once per message
+        self._caps: dict[int, dict[int, int]] = {i: {} for i in graph.nodes}
         for a, b in graph.edges:
             cap = graph.delay_bounds.get((a, b) if a < b else (b, a))
             cap = delay_model.tau_bar if cap is None else min(cap, delay_model.tau_bar)
-            self._caps[(a, b)] = cap
-            self._caps[(b, a)] = cap
-        for edge, d in (delay_model.fixed_delays or {}).items():
-            if edge in self._caps and d > self._caps[edge]:
+            self._caps[a][b] = cap
+            self._caps[b][a] = cap
+        for (a, b), d in (delay_model.fixed_delays or {}).items():
+            cap = self._caps.get(a, {}).get(b)
+            if cap is not None and d > cap:
                 raise ConfigurationError(
-                    f"fixed delay {d} on {edge} exceeds the edge bound {self._caps[edge]}"
+                    f"fixed delay {d} on {(a, b)} exceeds the edge bound {cap}"
                 )
         depth = delay_model.tau_bar + 1
         self._window = {
@@ -237,8 +250,9 @@ class Simulation:
         return all(m.frozen for m in self.machines.values())
 
     def audit(self) -> AuditReport:
-        node_r = sum(m.state.r for m in self.machines.values())
-        node_s = sum(m.state.s for m in self.machines.values())
+        machines = self.machines.values()
+        node_r = sum([m.state.r for m in machines])
+        node_s = sum([m.state.s for m in machines])
         flight_r, flight_s = self.mailbox.pending_mass()
         hi, lo = global_extremes_oracle(self._window)
         return AuditReport(
@@ -286,17 +300,19 @@ class Simulation:
     def step(self) -> None:
         """One lockstep round: emit everywhere, deliver, absorb everywhere."""
         k = self.step_index
+        rng = self.rng
+        delay_for = self.delay_model.delay_for
+        post = self.mailbox.post
         for i, machine in self.machines.items():
+            caps = self._caps[i]
             for env in machine.emit():
-                delay = self.delay_model.delay_for(
-                    self.rng, env.src, env.dst, cap=self._caps.get((env.src, env.dst))
-                )
-                self.mailbox.post(env, k + delay)
-        inboxes: dict[int, list[Envelope]] = {}
+                post(env, k + delay_for(rng, i, env.dst, caps[env.dst]))
+        inboxes: defaultdict[int, list[Envelope]] = defaultdict(list)
         for env in self.mailbox.due(k):
-            inboxes.setdefault(env.dst, []).append(env)
+            inboxes[env.dst].append(env)
         for i, machine in self.machines.items():
-            event = machine.advance(inboxes.get(i, []))
+            event = machine.advance(inboxes[i])
+            self._window[i].append((machine.state.r, machine.state.s))
             if event is not None:
                 self.checkpoint_events.append(event)
                 if self.record == RECORD_CHECKPOINTS:
@@ -314,8 +330,6 @@ class Simulation:
                         }
                     )
         self.step_index += 1
-        for i, machine in self.machines.items():
-            self._window[i].append((machine.state.r, machine.state.s))
         if self.mailbox.oldest_age(self.step_index) > self.delay_model.tau_bar:
             raise InvariantError("an envelope outlived the delay bound")
         report = self.audit()

@@ -21,7 +21,7 @@ checkpoint with no extra signalling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .consensus import ConsensusState, Envelope, absorb, emit
@@ -95,11 +95,13 @@ def epoch_update(
     """
     if term.frozen:
         raise ProtocolError("epoch update on a frozen node")
-    return replace(
-        term,
+    return TerminationState(
         z=max(term.z, *neighbor_z) if neighbor_z else term.z,
         y=min(term.y, *neighbor_y) if neighbor_y else term.y,
         l=term.l + 1,
+        theta=term.theta,
+        r_star=term.r_star,
+        s_star=term.s_star,
     )
 
 
@@ -117,9 +119,13 @@ def checkpoint(
     if term.frozen:
         raise ProtocolError("checkpoint on a frozen node")
     if rho is not None and term.z - term.y < rho:
-        return replace(term, frozen=True, r_star=current_r, s_star=current_s)
+        return TerminationState(
+            term.z, term.y, term.l, term.theta, frozen=True, r_star=current_r, s_star=current_s
+        )
     q = current_r / current_s
-    return replace(term, z=q, y=q, theta=term.theta + 1)
+    return TerminationState(
+        z=q, y=q, l=term.l, theta=term.theta + 1, r_star=term.r_star, s_star=term.s_star
+    )
 
 
 @dataclass(frozen=True)
@@ -156,14 +162,17 @@ class NodeMachine:
         if rho is not None and not rho > 0.0:
             raise ConfigurationError("stopping threshold must be positive")
         self.state = state
-        self.weights = weights
         self.neighbors = tuple(sorted(neighbors))
-        self.schedule = schedule
         self.rho = rho
         self.term: TerminationState | None = None
+        # weights and schedule lengths are resolved once; advance runs per step
+        self._shares = weights.shares(state.node, self.neighbors)
+        self._self_weight = weights.self_weight(state.node)
         if schedule is not None:
             q = state.ratio()
             self.term = TerminationState(z=q, y=q)
+            self._epoch_len = schedule.epoch_len
+            self._checkpoint_len = schedule.checkpoint_len
         self._buf_z = -math.inf
         self._buf_y = math.inf
 
@@ -177,61 +186,65 @@ class NodeMachine:
 
     def emit(self) -> list[Envelope]:
         """Shares of the current state; a frozen node emits nothing."""
-        if self.frozen:
+        term = self.term
+        if term is None:
+            return emit(self.state, self._shares)
+        if term.frozen:
             return []
-        if self.term is None:
-            return emit(self.state, self.weights, self.neighbors)
-        return emit(
-            self.state, self.weights, self.neighbors, z=self.term.z, y=self.term.y
-        )
+        return emit(self.state, self._shares, z=term.z, y=term.y)
 
     def advance(self, inbox: Sequence[Envelope]) -> CheckpointEvent | None:
         """Absorb the envelopes due this round and roll one step forward.
 
         Runs the epoch merge and the checkpoint decision when the new step
-        index lands on their boundaries. Returns the checkpoint event when
-        one fired.
+        index lands on their boundaries (the schedule's ``is_epoch_boundary``
+        and ``is_checkpoint``); only extremes sent in the current checkpoint
+        period (``send_period``) are merged. Returns the checkpoint event
+        when one fired.
         """
-        if self.frozen:
+        term = self.term
+        if term is None:
+            self.state = absorb(self.state, inbox, self._self_weight)
+            return None
+        if term.frozen:
             if inbox:
                 raise ProtocolError(f"frozen node {self.node} received traffic")
             return None
-        if self.term is not None and self.schedule is not None:
-            for env in inbox:
-                if self.schedule.send_period(env.send_step) == self.term.theta:
-                    if env.payload_z > self._buf_z:
-                        self._buf_z = env.payload_z
-                    if env.payload_y < self._buf_y:
-                        self._buf_y = env.payload_y
-        self.state = absorb(self.state, inbox, self.weights)
-        if self.term is None or self.schedule is None:
-            return None
-        step = self.state.k
-        if self.schedule.is_epoch_boundary(step):
-            nz = [] if self._buf_z == -math.inf else [self._buf_z]
-            ny = [] if self._buf_y == math.inf else [self._buf_y]
-            self.term = epoch_update(self.term, nz, ny)
-            self._buf_z = -math.inf
-            self._buf_y = math.inf
-        if self.schedule.is_checkpoint(step):
-            tested_theta = self.term.theta
-            gap = self.term.z - self.term.y
+        period_len = self._checkpoint_len
+        period = term.theta - 1
+        buf_z = self._buf_z
+        buf_y = self._buf_y
+        for env in inbox:
+            if env.send_step // period_len == period:
+                if env.payload_z > buf_z:
+                    buf_z = env.payload_z
+                if env.payload_y < buf_y:
+                    buf_y = env.payload_y
+        state = self.state = absorb(self.state, inbox, self._self_weight)
+        step = state.k
+        event = None
+        if step % self._epoch_len == 0:
+            nz = [] if buf_z == -math.inf else [buf_z]
+            ny = [] if buf_y == math.inf else [buf_y]
+            term = self.term = epoch_update(term, nz, ny)
+            buf_z = -math.inf
+            buf_y = math.inf
+        if step % period_len == 0:
+            tested = term
+            term = self.term = checkpoint(tested, state.r, state.s, self.rho)
             event = CheckpointEvent(
                 step=step,
-                node=self.node,
-                theta=tested_theta,
-                z=self.term.z,
-                y=self.term.y,
-                gap=gap,
-                frozen=False,
-                ratio=self.state.ratio(),
+                node=state.node,
+                theta=tested.theta,
+                z=tested.z,
+                y=tested.y,
+                gap=tested.z - tested.y,
+                frozen=term.frozen,
+                ratio=state.ratio(),
             )
-            self.term = checkpoint(self.term, self.state.r, self.state.s, self.rho)
-            if self.term.frozen:
-                event = replace(event, frozen=True)
-            else:
-                self._buf_z = -math.inf
-                self._buf_y = math.inf
-            return event
-        return None
-
+            if not term.frozen:
+                buf_z = -math.inf
+                buf_y = math.inf
+        self._buf_z = buf_z
+        self._buf_y = buf_y
+        return event

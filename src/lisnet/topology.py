@@ -148,6 +148,10 @@ class WeightMatrix:
     def self_weight(self, i: int) -> float:
         return self.entries.get((i, i), 0.0)
 
+    def shares(self, j: int, neighbors: Iterable[int]) -> tuple[tuple[int, float], ...]:
+        """``(i, weight(i, j))`` for each out-neighbor i: node j's sending weights."""
+        return tuple((i, self.weight(i, j)) for i in neighbors)
+
 
 def build_weights(g: Graph) -> WeightMatrix:
     """Equal-split weights: every share leaving node j weighs 1/(deg(j) + 1).
@@ -170,15 +174,17 @@ def diameter(g: Graph) -> int:
     """Longest shortest-path hop count over all node pairs."""
     if not g.is_connected():
         raise ConfigurationError("diameter is undefined for a disconnected graph")
+    index = {v: k for k, v in enumerate(g.nodes)}
+    adj = [[index[v] for v in g.neighbors(u)] for u in g.nodes]
     best = 0
-    for src in g.nodes:
-        dist = {src: 0}
-        frontier = deque([src])
-        while frontier:
-            u = frontier.popleft()
-            for v in g.neighbors(u):
-                if v not in dist:
+    for src in range(len(adj)):
+        dist = [-1] * len(adj)
+        dist[src] = 0
+        frontier = [src]
+        for u in frontier:
+            for v in adj[u]:
+                if dist[v] < 0:
                     dist[v] = dist[u] + 1
                     frontier.append(v)
-        best = max(best, max(dist.values()))
+        best = max(best, dist[frontier[-1]])  # breadth-first: the last is farthest
     return best

@@ -187,6 +187,58 @@ class TestRunCommand:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc.__setitem__("seed", 1.7),
+            lambda doc: doc.__setitem__("tau_bar", 2.9),
+            lambda doc: doc.__setitem__("diameter", 3.5),
+            lambda doc: doc["graph"].__setitem__("delay_bounds", {"1-2": 1.5}),
+            lambda doc: doc.__setitem__(
+                "delay", {"model": "fixed", "fixed_delays": {"1->2": 0.5}}
+            ),
+            lambda doc: doc["graph"]["nodes"].__setitem__(0, 1.5),
+            lambda doc: doc["graph"]["edges"][0].__setitem__(1, 2.5),
+        ],
+        ids=["seed", "tau-bar", "diameter", "delay-bound", "fixed-delay", "node-id", "edge-end"],
+    )
+    def test_non_integral_integer_field_is_a_configuration_error(
+        self, tmp_path, config_path, capsys, edit
+    ):
+        doc = yaml.safe_load(config_path.read_text())
+        doc["tau_bar"] = 3.0  # an integral float is still an integer
+        assert ScenarioConfig.from_dict(doc).delay.tau_bar == 3
+        edit(doc)
+        config_path.write_text(yaml.safe_dump(doc))
+        code = main(["run", "--config", str(config_path), "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "must be an integer" in capsys.readouterr().err
+
+    def test_delay_override_keeps_the_delay_probabilities(
+        self, tmp_path, config_path, capsys
+    ):
+        doc = yaml.safe_load(config_path.read_text())
+        doc["delay"] = {"model": "stochastic", "probabilities": [0, 0, 0, 1]}
+        config_path.write_text(yaml.safe_dump(doc))
+        runs = []
+        for name, flags in (("plain", []), ("same-bound", ["--tau-bar", "3"])):
+            out = tmp_path / name
+            code = main([
+                "run", "--config", str(config_path), "--cycle-only", "--at-hours", "4",
+                "--out-dir", str(out), *flags,
+            ])
+            assert code == 0
+            runs.append(json.loads((out / "results.json").read_text()))
+        assert runs[0]["iterations"] == runs[1]["iterations"]
+        assert runs[1]["scenario"]["delay"]["probabilities"] == [0, 0, 0, 1]
+        capsys.readouterr()
+        code = main([
+            "run", "--config", str(config_path), "--cycle-only", "--at-hours", "4",
+            "--out-dir", str(tmp_path / "new-bound"), "--tau-bar", "2",
+        ])
+        assert code == 2
+        assert "delay probabilities" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path, config_path):
         outs = []
         for name in ("a", "b"):

@@ -19,7 +19,7 @@ class TestEmit:
         g = Graph.cycle(3)
         w = build_weights(g)
         state = ConsensusState(node=1, r=3.0, s=0.6)
-        out = emit(state, w, g.neighbors(1))
+        out = emit(state, w.shares(1, g.neighbors(1)))
         assert [e.dst for e in out] == [2, 3]
         for e in out:
             assert e.src == 1
@@ -30,12 +30,12 @@ class TestEmit:
     def test_isolated_node_emits_nothing(self):
         g = Graph.from_edges([1], [])
         w = build_weights(g)
-        assert emit(ConsensusState(node=1, r=5.0, s=1.0), w, g.neighbors(1)) == []
+        assert emit(ConsensusState(node=1, r=5.0, s=1.0), w.shares(1, g.neighbors(1))) == []
 
     def test_zero_numerator(self):
         g = Graph.cycle(3)
         w = build_weights(g)
-        out = emit(ConsensusState(node=2, r=0.0, s=0.5), w, g.neighbors(2))
+        out = emit(ConsensusState(node=2, r=0.0, s=0.5), w.shares(2, g.neighbors(2)))
         for e in out:
             assert e.payload_r == 0.0
             assert e.payload_s == pytest.approx(0.5 / 3.0)
@@ -43,7 +43,9 @@ class TestEmit:
     def test_piggybacked_extremes(self):
         g = Graph.cycle(3)
         w = build_weights(g)
-        out = emit(ConsensusState(node=1, r=1.0, s=1.0), w, g.neighbors(1), z=4.0, y=-2.0)
+        out = emit(
+            ConsensusState(node=1, r=1.0, s=1.0), w.shares(1, g.neighbors(1)), z=4.0, y=-2.0
+        )
         assert all(e.payload_z == 4.0 and e.payload_y == -2.0 for e in out)
 
 
@@ -52,7 +54,7 @@ class TestAbsorb:
         g = Graph.cycle(3)
         w = build_weights(g)
         state = ConsensusState(node=1, r=3.0, s=0.9)
-        nxt = absorb(state, [], w)
+        nxt = absorb(state, [], w.self_weight(1))
         assert nxt.r == pytest.approx(1.0)
         assert nxt.s == pytest.approx(0.3)
         assert nxt.k == 1
@@ -66,10 +68,10 @@ class TestAbsorb:
             2: ConsensusState(node=2, r=0.0, s=1.0),
         }
         for _ in range(3):
-            outbound = {i: emit(states[i], w, g.neighbors(i)) for i in states}
+            outbound = {i: emit(states[i], w.shares(i, g.neighbors(i))) for i in states}
             states = {
-                1: absorb(states[1], [e for e in outbound[2] if e.dst == 1], w),
-                2: absorb(states[2], [e for e in outbound[1] if e.dst == 2], w),
+                1: absorb(states[1], [e for e in outbound[2] if e.dst == 1], w.self_weight(1)),
+                2: absorb(states[2], [e for e in outbound[1] if e.dst == 2], w.self_weight(2)),
             }
         assert states[1].r == pytest.approx(2.0)
         assert states[2].r == pytest.approx(2.0)
@@ -81,7 +83,7 @@ class TestAbsorb:
         w = build_weights(g)
         stray = Envelope(src=2, dst=3, send_step=0, payload_r=0.1, payload_s=0.1)
         with pytest.raises(ProtocolError):
-            absorb(ConsensusState(node=1, r=1.0, s=1.0), [stray], w)
+            absorb(ConsensusState(node=1, r=1.0, s=1.0), [stray], w.self_weight(1))
 
     def test_five_node_average_reaches_400(self):
         # initial values summing to 2000 average to 400 at every node

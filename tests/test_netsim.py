@@ -3,17 +3,18 @@ import random
 import pytest
 
 from lisnet.apportioning import ApportionProblem, closed_form_oracle
-from lisnet.consensus import Envelope
+from lisnet.consensus import ConsensusState, Envelope
 from lisnet.errors import ConfigurationError, NonTerminationError
 from lisnet.netsim import (
     DelayModel,
     Mailbox,
+    Simulation,
     run_cycle,
     run_naive_averaging,
     simulate_averaging,
 )
-from lisnet.termination import CheckpointSchedule
-from lisnet.topology import Graph, build_weights
+from lisnet.termination import CheckpointSchedule, NodeMachine
+from lisnet.topology import Graph, build_weights, diameter
 
 TABLE_BOUNDS = {
     1: (0.0, 1500.0),
@@ -27,6 +28,30 @@ TABLE_BOUNDS = {
 
 def table_problem(demand=7000.0):
     return ApportionProblem(demand, TABLE_BOUNDS, frozenset({2}))
+
+
+# The seeded 50-node cycle of ``test_seeded_cycle_is_pinned_to_the_last_bit``,
+# recorded with repr precision under CPython 3.11 from the plain-loop simulator:
+# any change to the delay stream, the message order or a summation order moves
+# these floats.
+PINNED_STEPS = 387
+PINNED_THETA = 9
+PINNED_CONSERVATION_ERROR = 7.078948880169004e-14
+PINNED_COMMANDS = [
+    289.2358047645232, 48.673405124712076, 258.53127240971327, 6.148983879303509,
+    211.28331590979818, 425.1313867198086, 402.8886422422309, 363.9082374547616,
+    68.42846146278497, 123.11760639946122, 258.9358242122503, 40.760808134662796,
+    465.942497812725, 232.5336656627921, 410.4866809799432, 203.83709583747606,
+    387.8805331706608, 221.77470724251265, 7.221190421453437, 177.77599481743474,
+    262.8798379145438, 150.7471135257365, 464.23408493954395, 45.07279338601015,
+    25.08137740989841, 160.22563259233036, 479.3729717252511, 251.97649313995504,
+    457.57222389956934, 349.01628168925873, 249.2171145901985, 269.9124446256533,
+    18.254791106862854, 415.87540177310115, 189.0623080685591, 266.5980265819017,
+    240.17680169853716, 64.03079920836265, 357.54102580487313, 257.7084338326387,
+    280.2709698354517, 150.172649423642, 235.65740541459772, 332.91625390009324,
+    391.1822448073208, 286.745129742649, 126.49808523344502, 24.636361467265388,
+    92.37938464307594, 141.83944802492692,
+]
 
 
 class TestDelayModel:
@@ -53,6 +78,16 @@ class TestDelayModel:
         model = DelayModel.stochastic(3)
         rng = random.Random(0)
         assert all(model.delay_for(rng, 1, 2, cap=1) <= 1 for _ in range(100))
+
+    @pytest.mark.parametrize("tau_bar", range(6))
+    def test_uniform_draws_are_the_randint_stream(self, tau_bar):
+        model = DelayModel.stochastic(tau_bar)
+        rng, reference = random.Random(tau_bar), random.Random(tau_bar)
+        cap = tau_bar // 2
+        for _ in range(1000):
+            assert model.delay_for(rng, 1, 2) == reference.randint(0, tau_bar)
+            assert model.delay_for(rng, 1, 2, cap) == min(reference.randint(0, tau_bar), cap)
+        assert rng.getstate() == reference.getstate()  # same bits consumed, even at 0
 
 
 class TestMailbox:
@@ -121,6 +156,18 @@ class TestConservationAndDelivery:
         assert first.step == 0
         assert first.inflight_mass_r == 0.0
         assert first.node_mass_r == 40.0
+
+
+    def test_machine_off_the_graph_links_rejected(self):
+        g = Graph.path(3)
+        w = build_weights(g)
+        machines = {
+            i: NodeMachine(ConsensusState(node=i, r=1.0, s=1.0), w, g.neighbors(i))
+            for i in g.nodes
+        }
+        machines[1] = NodeMachine(ConsensusState(node=1, r=1.0, s=1.0), w, (2, 3))
+        with pytest.raises(ConfigurationError):
+            Simulation(g, w, machines, DelayModel.zero())
 
 
 class TestDeterminism:
@@ -237,6 +284,25 @@ class TestRunCycle:
             totals[frozenset(pick)] = result.commands.total
         spread = max(totals.values()) - min(totals.values())
         assert spread <= 2 * rho * (8200.0 - 999.0)
+
+    def test_seeded_cycle_is_pinned_to_the_last_bit(self):
+        rng = random.Random(50)
+        g = Graph.random_connected(rng, 50)
+        bounds = {}
+        for i in g.nodes:
+            lo = rng.uniform(0.0, 500.0)
+            bounds[i] = (lo, lo + rng.uniform(50.0, 2000.0))
+        demand = rng.uniform(
+            sum(b[0] for b in bounds.values()), sum(b[1] for b in bounds.values())
+        )
+        problem = ApportionProblem(demand, bounds, frozenset({1}))
+        result = run_cycle(
+            g, build_weights(g), problem, DelayModel.stochastic(3),
+            CheckpointSchedule(max(1, diameter(g)), 3), 0.02, seed=50,
+        )
+        assert (result.steps, result.theta) == (PINNED_STEPS, PINNED_THETA)
+        assert result.max_conservation_error == PINNED_CONSERVATION_ERROR
+        assert [result.commands[i] for i in g.nodes] == PINNED_COMMANDS
 
 
 class TestNaiveBaseline:
