@@ -67,8 +67,8 @@ SUITES = ("fig1-misconvergence", "six-lis-day", "oracle-sweep")
 # configuration document
 
 
-def _require_keys(section: Mapping[str, Any], allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
+def _require_keys(section: Any, allowed: set[str], where: str) -> None:
+    unknown = set(_as_mapping(section, where)) - allowed
     if unknown:
         raise ConfigurationError(
             f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}"
@@ -123,12 +123,16 @@ class ScenarioConfig:
         gsec = doc["graph"]
         _require_keys(gsec, {"nodes", "edges", "delay_bounds"}, "graph")
         bounds = {}
-        for key, cap in (gsec.get("delay_bounds") or {}).items():
+        for key, cap in _as_mapping(gsec.get("delay_bounds") or {}, "delay_bounds").items():
             a, b = _parse_edge(key)
             bounds[(a, b)] = _as_int(cap, f"delay bound on {key}")
+        nodes = [_as_int(i, "node id") for i in _as_list(gsec.get("nodes"), "graph.nodes")]
+        if len(set(nodes)) != len(nodes):
+            raise ConfigurationError(f"graph.nodes lists a node twice: {nodes}")
+        edges = _pairs(gsec.get("edges"), "graph.edges")
         graph = Graph.from_edges(
-            [_as_int(i, "node id") for i in gsec["nodes"]],
-            [(_as_int(a, "edge end"), _as_int(b, "edge end")) for a, b in gsec["edges"]],
+            nodes,
+            [(_as_int(a, "edge end"), _as_int(b, "edge end")) for a, b in edges],
             bounds,
         )
 
@@ -137,14 +141,20 @@ class ScenarioConfig:
         model = dsec.get("model", "stochastic")
         if model == "fixed":
             fixed = {}
-            for key, d in (dsec.get("fixed_delays") or {}).items():
+            for key, d in _as_mapping(dsec.get("fixed_delays") or {}, "fixed_delays").items():
                 a, b = _parse_edge(key, directed=True)
                 fixed[(a, b)] = _as_int(d, f"fixed delay on {key}")
             delay = DelayModel.fixed(fixed, tau_bar=tau_bar)
         elif model == "stochastic":
             if dsec.get("fixed_delays"):
                 raise ConfigurationError("fixed_delays requires delay.model: fixed")
-            delay = DelayModel.stochastic(tau_bar, dsec.get("probabilities"))
+            probs = dsec.get("probabilities")
+            if probs is not None:
+                # checked, not converted: an int stays an int in results.json
+                for p in _as_list(probs, "probabilities"):
+                    if isinstance(p, bool) or not isinstance(p, (int, float)):
+                        raise ConfigurationError(f"delay probabilities must be numbers: {p!r}")
+            delay = DelayModel.stochastic(tau_bar, probs)
         else:
             raise ConfigurationError(f"unknown delay model {model!r}")
 
@@ -154,10 +164,12 @@ class ScenarioConfig:
             raise ConfigurationError("demand needs exactly one of 'watts' or 'shape'")
         demand: float | PowerProfile
         if "watts" in dem:
-            demand = float(dem["watts"])
+            demand = _as_float(dem["watts"], "demand.watts")
         else:
-            demand = PowerProfile(tuple((float(t), float(w)) for t, w in dem["shape"]))
-        circulation = frozenset(_as_int(i, "node id") for i in dem.get("circulation", []))
+            demand = PowerProfile(_points(dem["shape"], "demand.shape"))
+        circulation = frozenset(
+            _as_int(i, "node id") for i in _as_list(dem.get("circulation", []), "circulation")
+        )
         if not circulation:
             raise ConfigurationError("demand.circulation must name at least one node")
         missing = circulation - set(graph.nodes)
@@ -166,7 +178,7 @@ class ScenarioConfig:
                 f"demand.circulation nodes {sorted(missing)} are not in the graph"
             )
 
-        fleet = tuple(_parse_unit(u) for u in doc["fleet"])
+        fleet = tuple(_parse_unit(u) for u in _as_list(doc["fleet"], "fleet"))
         if sorted(u.uid for u in fleet) != sorted(graph.nodes):
             raise ConfigurationError("fleet ids must match graph nodes exactly")
 
@@ -184,27 +196,30 @@ class ScenarioConfig:
         )
         dispatch = DispatchSchedule(
             demand=demand,
-            consensus_period=float(dis.get("consensus_period", 1.0)),
-            dispatch_period=float(dis.get("dispatch_period", 60.0)),
-            epsilon=float(dis.get("epsilon", 1.0)),
+            consensus_period=_as_float(dis.get("consensus_period", 1.0), "consensus_period"),
+            dispatch_period=_as_float(dis.get("dispatch_period", 60.0), "dispatch_period"),
+            epsilon=_as_float(dis.get("epsilon", 1.0), "epsilon"),
         )
 
         osec = doc.get("output") or {}
         _require_keys(osec, {"directory"}, "output")
+        out_dir = osec.get("directory")
+        if out_dir is not None and not isinstance(out_dir, str):
+            raise ConfigurationError(f"output.directory must be a path, got {out_dir!r}")
 
         return cls(
             name=str(doc.get("name", "scenario")),
             seed=_as_int(doc.get("seed", 0), "seed"),
-            rho=float(doc.get("rho", 0.02)),
+            rho=_as_float(doc.get("rho", 0.02), "rho"),
             diameter_bound=_as_int(doc["diameter"], "diameter") if "diameter" in doc else None,
             graph=graph,
             delay=delay,
             circulation=circulation,
             fleet=fleet,
             dispatch=dispatch,
-            start_hours=float(dis["start_hours"]) if "start_hours" in dis else None,
-            end_hours=float(dis["end_hours"]) if "end_hours" in dis else None,
-            out_dir=osec.get("directory"),
+            start_hours=_optional_float(dis, "start_hours", "dispatch"),
+            end_hours=_optional_float(dis, "end_hours", "dispatch"),
+            out_dir=out_dir,
         )
 
     def to_dict(self) -> dict[str, Any]:
@@ -283,7 +298,7 @@ def _parse_edge(key: str, directed: bool = False) -> tuple[int, int]:
 
 def _as_int(value: Any, what: str) -> int:
     """An integer field; a non-integral number is malformed, never truncated."""
-    if isinstance(value, float) and not value.is_integer():
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ConfigurationError(f"{what} must be an integer, got {value!r}")
     try:
         return int(value)
@@ -291,24 +306,63 @@ def _as_int(value: Any, what: str) -> int:
         raise ConfigurationError(f"{what} must be an integer, got {value!r}") from exc
 
 
-def _parse_unit(doc: Mapping[str, Any]) -> LisUnit:
+def _as_float(value: Any, what: str) -> float:
+    """A number field; finiteness is left to the object that takes it."""
+    if isinstance(value, bool):
+        raise ConfigurationError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{what} must be a number, got {value!r}") from exc
+
+
+def _optional_float(section: Mapping[str, Any], key: str, where: str) -> float | None:
+    return _as_float(section[key], f"{where} {key}") if key in section else None
+
+
+def _as_mapping(value: Any, where: str) -> Mapping[str, Any]:
+    if not isinstance(value, Mapping):
+        raise ConfigurationError(f"{where} must be a mapping, got {value!r}")
+    return value
+
+
+def _as_list(value: Any, what: str) -> Sequence[Any]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _pairs(value: Any, what: str) -> Sequence[Any]:
+    """A list of two-element lists: edges and profile points."""
+    items = _as_list(value, what)
+    for item in items:
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise ConfigurationError(f"{what} entries must be pairs, got {item!r}")
+    return items
+
+
+def _points(value: Any, what: str) -> tuple[tuple[float, float], ...]:
+    return tuple((_as_float(t, what), _as_float(w, what)) for t, w in _pairs(value, what))
+
+
+def _parse_unit(doc: Any) -> LisUnit:
+    where = f"fleet entry {_as_mapping(doc, 'fleet entry').get('id', '?')}"
     _require_keys(
-        doc,
-        {"id", "kind", "pi_min", "pi_max", "profile", "tracking", "lag_seconds"},
-        f"fleet entry {doc.get('id', '?')}",
+        doc, {"id", "kind", "pi_min", "pi_max", "profile", "tracking", "lag_seconds"}, where
     )
-    kind = doc.get("kind")
+    if "id" not in doc:
+        raise ConfigurationError(f"fleet entry {dict(doc)!r} has no id")
     profile = None
     if doc.get("profile") is not None:
-        profile = PowerProfile(tuple((float(t), float(w)) for t, w in doc["profile"]))
+        profile = PowerProfile(_points(doc["profile"], f"{where} profile"))
     return LisUnit(
         uid=_as_int(doc["id"], "fleet id"),
-        kind=str(kind),
-        pi_min=float(doc["pi_min"]) if "pi_min" in doc else None,
-        pi_max=float(doc["pi_max"]) if "pi_max" in doc else None,
+        kind=str(doc.get("kind")),
+        pi_min=_optional_float(doc, "pi_min", where),
+        pi_max=_optional_float(doc, "pi_max", where),
         profile=profile,
         tracking=str(doc.get("tracking", "instant")),
-        lag_seconds=float(doc["lag_seconds"]) if "lag_seconds" in doc else None,
+        lag_seconds=_optional_float(doc, "lag_seconds", where),
     )
 
 
@@ -362,11 +416,32 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def write_trace_csv(path: Path, rows: Sequence[Mapping[str, Any]]) -> None:
-    lines = [TRACE_HEADER, ",".join(TRACE_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(col)) for col in TRACE_COLUMNS))
-    path.write_text("\n".join(lines) + "\n")
+# One "%" per row. "%.17g" and "%d" print a float and an int as _fmt does;
+# "%.0s" consumes the frozen flag and prints nothing before its literal.
+_FROZEN_ROW = "%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%.0strue,%.17g,%.17g\n"
+_LIVE_ROW = "%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%.0sfalse,,\n"
+_TRACE_CHUNK_ROWS = 4096
+
+
+def _trace_line(row: Sequence[Any]) -> str:
+    try:
+        return (_FROZEN_ROW if row[9] is True else _LIVE_ROW) % row
+    except TypeError:  # a None cell, or a frozen row without its command
+        cells = [_fmt(value) for value in row]
+        return ",".join(cells + [""] * (len(TRACE_COLUMNS) - len(cells))) + "\n"
+
+
+def write_trace_csv(path: Path, rows: Sequence[Sequence[Any]]) -> None:
+    """Write ``rows``, tuples in ``TRACE_COLUMNS`` order, as the trace file.
+
+    A live row stops after ``frozen``; a frozen row adds ``pi_star`` and
+    ``delivered_power``. Cells are ints (cycle, step, node, theta), floats,
+    the bool ``frozen`` or None, which prints as an empty cell.
+    """
+    with open(path, "w") as out:
+        out.write(f"{TRACE_HEADER}\n{','.join(TRACE_COLUMNS)}\n")
+        for start in range(0, len(rows), _TRACE_CHUNK_ROWS):
+            out.write("".join(map(_trace_line, rows[start : start + _TRACE_CHUNK_ROWS])))
 
 
 def read_trace_csv(path: Path) -> list[dict[str, str]]:
@@ -400,15 +475,15 @@ def _resolve_out_dir(flag: str | None, config: ScenarioConfig) -> Path:
 # run command
 
 
-def _assemble_day_rows(day) -> list[dict[str, Any]]:
+def _assemble_day_rows(day) -> list[tuple]:
+    """The day's trace rows, each frozen one extended by its command and power."""
+    records = day.records
     rows = []
     for row in day.trace_rows:
-        rec = day.records[row["cycle"]]
-        out = dict(row)
-        if row.get("frozen"):
-            out["pi_star"] = rec.commands.get(row["node"])
-            out["delivered_power"] = rec.delivered.get(row["node"])
-        rows.append(out)
+        if row[9]:  # frozen; row[0] is the cycle and row[2] the node
+            rec = records[row[0]]
+            row = (*row, rec.commands.get(row[2]), rec.delivered.get(row[2]))
+        rows.append(row)
     return rows
 
 
@@ -485,11 +560,11 @@ def _run_single_cycle(config, args, out_dir: Path, record: str) -> int:
     oracle = closed_form_oracle(plan.problem)
     rows = []
     for row in result.trace_rows:
-        out = {"cycle": 0, **row}
-        if row.get("frozen"):
-            out["pi_star"] = result.commands[row["node"]]
-            out["delivered_power"] = result.commands[row["node"]]
-        rows.append(out)
+        if row[8]:  # frozen; a cycle's rows have no cycle index, row[1] is the node
+            command = result.commands[row[1]]
+            rows.append((0, *row, command, command))
+        else:
+            rows.append((0, *row))
     write_trace_csv(out_dir / "trace.csv", rows)
     summary = [
         f"scenario: {config.name} (single cycle at t={t:g} h, seed {config.seed})",

@@ -193,7 +193,6 @@ class Simulation:
     def __init__(
         self,
         graph: Graph,
-        weights: WeightMatrix,
         machines: Mapping[int, NodeMachine],
         delay_model: DelayModel,
         *,
@@ -208,7 +207,6 @@ class Simulation:
         if record not in (RECORD_NONE, RECORD_CHECKPOINTS, RECORD_STEPS):
             raise ConfigurationError(f"unknown record mode {record!r}")
         self.graph = graph
-        self.weights = weights
         self.machines = dict(sorted(machines.items()))
         self.delay_model = delay_model
         self.rng = random.Random(seed)
@@ -238,7 +236,8 @@ class Simulation:
         self.max_conservation_error = 0.0
         self.audits: list[AuditReport] = [self.audit()]
         self.checkpoint_events: list[CheckpointEvent] = []
-        self.trace_rows: list[dict] = []
+        # (step, node, r, s, ratio, z, y, theta, frozen) tuples, see CycleResult
+        self.trace_rows: list[tuple] = []
         if record == RECORD_STEPS:
             self._record_step_rows()
 
@@ -281,21 +280,16 @@ class Simulation:
                 )
 
     def _record_step_rows(self) -> None:
+        k = self.step_index
+        append = self.trace_rows.append
         for i, m in self.machines.items():
+            state = m.state
             term = m.term
-            self.trace_rows.append(
-                {
-                    "step": self.step_index,
-                    "node": i,
-                    "r": m.state.r,
-                    "s": m.state.s,
-                    "ratio": m.state.ratio(),
-                    "z": term.z if term else None,
-                    "y": term.y if term else None,
-                    "theta": term.theta if term else None,
-                    "frozen": m.frozen,
-                }
-            )
+            if term is None:
+                append((k, i, state.r, state.s, state.ratio(), None, None, None, False))
+            else:
+                append((k, i, state.r, state.s, state.ratio(),
+                        term.z, term.y, term.theta, term.frozen))
 
     def step(self) -> None:
         """One lockstep round: emit everywhere, deliver, absorb everywhere."""
@@ -316,18 +310,10 @@ class Simulation:
             if event is not None:
                 self.checkpoint_events.append(event)
                 if self.record == RECORD_CHECKPOINTS:
+                    state = machine.state
                     self.trace_rows.append(
-                        {
-                            "step": event.step,
-                            "node": event.node,
-                            "r": machine.state.r,
-                            "s": machine.state.s,
-                            "ratio": event.ratio,
-                            "z": event.z,
-                            "y": event.y,
-                            "theta": event.theta,
-                            "frozen": event.frozen,
-                        }
+                        (event.step, event.node, state.r, state.s, event.ratio,
+                         event.z, event.y, event.theta, event.frozen)
                     )
         self.step_index += 1
         if self.mailbox.oldest_age(self.step_index) > self.delay_model.tau_bar:
@@ -354,7 +340,14 @@ class Simulation:
 
 @dataclass
 class CycleResult:
-    """Outcome of one full consensus-and-terminate cycle."""
+    """Outcome of one full consensus-and-terminate cycle.
+
+    ``trace_rows`` holds one ``(step, node, r, s, ratio, z, y, theta,
+    frozen)`` tuple per recorded node state: the ``cli.TRACE_COLUMNS``
+    order without the leading ``cycle`` and the frozen-only ``pi_star`` and
+    ``delivered_power``. ``z``, ``y`` and ``theta`` are None on a node
+    with no stopping logic.
+    """
 
     commands: ReferenceCommand
     theta: int
@@ -363,7 +356,7 @@ class CycleResult:
     s_star: dict[int, float]
     checkpoint_events: list[CheckpointEvent]
     audits: list[AuditReport]
-    trace_rows: list[dict]
+    trace_rows: list[tuple]
     max_conservation_error: float
 
 
@@ -386,7 +379,7 @@ def simulate_averaging(
         )
         for i in graph.nodes
     }
-    return Simulation(graph, weights, machines, delay_model, seed=seed, record=record)
+    return Simulation(graph, machines, delay_model, seed=seed, record=record)
 
 
 def run_cycle(
@@ -411,7 +404,7 @@ def run_cycle(
         i: NodeMachine(states[i], weights, graph.neighbors(i), schedule, rho)
         for i in graph.nodes
     }
-    sim = Simulation(graph, weights, machines, delay_model, seed=seed, record=record)
+    sim = Simulation(graph, machines, delay_model, seed=seed, record=record)
     ceiling = 1000 * schedule.checkpoint_len if max_steps is None else max_steps
     sim.run_until_frozen(ceiling)
     thetas = {m.term.theta for m in machines.values()}

@@ -197,13 +197,19 @@ class DispatchRecord:
 
 @dataclass
 class DayResult:
-    """Full-day dispatch trace plus run-wide audit summaries."""
+    """Full-day dispatch trace plus run-wide audit summaries.
+
+    ``trace_rows`` are the cycles' ``CycleResult.trace_rows`` with the
+    instant's index in front: ``(cycle, step, node, r, s, ratio, z, y,
+    theta, frozen)`` tuples, the ``cli.TRACE_COLUMNS`` order without the
+    frozen-only ``pi_star`` and ``delivered_power``.
+    """
 
     records: list[DispatchRecord]
     infeasible_count: int
     budget_exceeded_count: int
     max_conservation_error: float
-    trace_rows: list[dict]
+    trace_rows: list[tuple]
 
 
 @dataclass(frozen=True)
@@ -340,7 +346,7 @@ def run_day(
     rng = random.Random(seed)
     trackers = {uid: Tracker(unit) for uid, unit in units.items()}
     records: list[DispatchRecord] = []
-    trace_rows: list[dict] = []
+    trace_rows: list[tuple] = []
     prev_commands = {uid: 0.0 for uid in units}
     worst_leak = 0.0
     for index, t in enumerate(day_instants(fleet, schedule, start_hours, end_hours)):
@@ -359,7 +365,7 @@ def run_day(
             )
             commands = {uid: 0.0 for uid in units} | result.commands.commands
             worst_leak = max(worst_leak, result.max_conservation_error)
-            trace_rows.extend({**row, "cycle": index} for row in result.trace_rows)
+            trace_rows.extend((index, *row) for row in result.trace_rows)
         else:
             commands = dict(prev_commands)
         overrun = result is not None and result.steps > schedule.iteration_budget

@@ -115,7 +115,6 @@ def test_criterion_4_extremes_exact_after_one_period():
             }
             sim = Simulation(
                 graph,
-                weights,
                 machines,
                 DelayModel.fixed_random(graph, tau, rng.randrange(10**6)),
             )

@@ -1,9 +1,13 @@
+import copy
+import hashlib
 import json
 
 import pytest
 import yaml
 
 from lisnet.cli import (
+    TRACE_COLUMNS,
+    TRACE_HEADER,
     ScenarioConfig,
     default_config,
     main,
@@ -83,6 +87,43 @@ class TestConfigDocument:
         assert config.delay.fixed_delays[(1, 2)] == 2
         assert config.delay.fixed_delays[(2, 1)] == 3
 
+    def test_every_malformed_node_is_a_configuration_error(self):
+        # each section, entry and field of a scenario using every optional
+        # key, replaced by values of the wrong type or shape, or deleted
+        base = default_config().to_dict()
+        base["graph"]["delay_bounds"] = {"1-2": 2}
+        base["delay"] = {"model": "stochastic", "probabilities": [0.1, 0.3, 0.3, 0.3]}
+        base["dispatch"].update(start_hours=3.0, end_hours=3.1)
+        base["fleet"][0].update(tracking="lag", lag_seconds=10.0)
+        base["output"] = {"directory": "out"}
+        bad = ["abc", [1], 5, None, {}, [], True, -1, 1.5, [[1]], {"a": 1}, [[1, 2, 3]]]
+        delete = object()
+
+        def nodes(node, path=()):
+            children = node.items() if isinstance(node, dict) else enumerate(node[:2])
+            for key, child in children:
+                yield path + (key,)
+                if isinstance(child, (dict, list)):
+                    yield from nodes(child, path + (key,))
+
+        checked = 0
+        for path in nodes(base):
+            for value in [*bad, delete]:
+                doc = copy.deepcopy(base)
+                parent = doc
+                for key in path[:-1]:
+                    parent = parent[key]
+                if value is delete:
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = value
+                try:
+                    ScenarioConfig.from_dict(doc)
+                except ConfigurationError:
+                    pass
+                checked += 1
+        assert checked > 500
+
     def test_malformed_yaml_reported_with_path(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("graph: [unclosed")
@@ -92,11 +133,7 @@ class TestConfigDocument:
 
 class TestTraceFormat:
     def test_write_and_strict_read(self, tmp_path):
-        rows = [
-            {"cycle": 0, "step": 15, "node": 1, "r": 1.5, "s": 0.5, "ratio": 3.0,
-             "z": 3.25, "y": 2.75, "theta": 1, "frozen": True, "pi_star": 10.0,
-             "delivered_power": 10.0},
-        ]
+        rows = [(0, 15, 1, 1.5, 0.5, 3.0, 3.25, 2.75, 1, True, 10.0, 10.0)]
         path = tmp_path / "trace.csv"
         write_trace_csv(path, rows)
         parsed = read_trace_csv(path)
@@ -104,11 +141,57 @@ class TestTraceFormat:
         assert parsed[0]["ratio"] == "3"
         assert parsed[0]["frozen"] == "true"
 
+    def test_rows_are_written_byte_for_byte(self, tmp_path):
+        nan, inf = float("nan"), float("inf")
+        rows = [
+            (0, 15, 1, 1.5, 0.5, 3.0, 3.25, 2.75, 1, True, 10.0, 9.5),
+            (2, 7, 3, -0.0, 1e-300, 1 / 3, 1e22, nan, 4, False),
+            (1, 0, 2, 1.0, 2.0, 0.5, None, None, None, False),
+            (3, 4, 5, 1e22, -0.0, nan, 1 / 3, 1e-300, 2, True, -inf, inf),
+            (4, 9, 6, 1.0, 1.0, 1.0, 1.0, 1.0, 3, True, None, None),
+        ]
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, rows)
+        assert path.read_text().splitlines() == [
+            TRACE_HEADER,
+            ",".join(TRACE_COLUMNS),
+            "0,15,1,1.5,0.5,3,3.25,2.75,1,true,10,9.5",
+            "2,7,3,-0,1e-300,0.33333333333333331,1e+22,nan,4,false,,",
+            "1,0,2,1,2,0.5,,,,false,,",
+            "3,4,5,1e+22,-0,nan,0.33333333333333331,1e-300,2,true,-inf,inf",
+            "4,9,6,1,1,1,1,1,3,true,,",
+        ]
+
     def test_reader_rejects_missing_header(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("cycle,step\n0,1\n")
         with pytest.raises(ConfigurationError):
             read_trace_csv(path)
+
+
+class TestTraceDigests:
+    """trace.csv of short runs, pinned byte for byte by its sha256."""
+
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            (["--verbose-trace"],
+             "64967b3a3812734a7c7d750b3b461721f114e733a40d6b26229e16d05663c158"),
+            ([],
+             "f7ef53c2f19e9d6ced1f7d72a9c1153cf4d99e3b5c62926e9b8ef7c9a6e5e8a5"),
+            (["--cycle-only", "--at-hours", "4", "--verbose-trace"],
+             "11fdbb577f237d4eb459c3c834b3ef29b1b296355cb70e6a156e018f7e2e84ea"),
+        ],
+        ids=["verbose-day", "checkpoint-day", "verbose-cycle"],
+    )
+    def test_trace_digest(self, tmp_path, config_path, flags, digest):
+        doc = yaml.safe_load(config_path.read_text())
+        doc["dispatch"].update(start_hours=4.0, end_hours=4.05)  # four instants
+        config_path.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(config_path), "--out-dir", str(out), *flags])
+        assert code == 0
+        assert hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest() == digest
 
 
 class TestRunCommand:
@@ -213,6 +296,41 @@ class TestRunCommand:
         code = main(["run", "--config", str(config_path), "--out-dir", str(tmp_path)])
         assert code == 2
         assert "must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc.__setitem__("rho", "abc"),
+            lambda doc: doc["demand"].__setitem__("watts", "lots"),
+            lambda doc: doc["dispatch"].__setitem__("epsilon", "x"),
+            lambda doc: doc["graph"]["edges"].__setitem__(0, [1]),
+            lambda doc: doc["fleet"][0].pop("id"),
+            lambda doc: doc.__setitem__("fleet", 5),
+            lambda doc: doc.__setitem__("graph", 5),
+            lambda doc: doc["graph"].pop("nodes"),
+            lambda doc: doc["graph"]["nodes"].append(1),
+            lambda doc: doc["fleet"][1].__setitem__("profile", [[0, 0], [3]]),
+            lambda doc: doc.__setitem__(
+                "delay", {"model": "stochastic", "probabilities": ["a", 1, 1, 1]}
+            ),
+            lambda doc: doc.__setitem__("output", {"directory": 5}),
+            lambda doc: doc.__setitem__("seed", True),
+        ],
+        ids=[
+            "rho", "demand-watts", "epsilon", "short-edge", "fleet-id-missing", "fleet-scalar",
+            "graph-scalar", "graph-nodes-missing", "duplicate-node", "profile-point",
+            "delay-probability", "output-directory", "seed-bool",
+        ],
+    )
+    def test_malformed_value_or_shape_is_a_configuration_error(
+        self, config_path, capsys, edit
+    ):
+        doc = yaml.safe_load(config_path.read_text())
+        edit(doc)
+        config_path.write_text(yaml.safe_dump(doc))
+        code = main(["run", "--config", str(config_path), "--check-feasibility"])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_delay_override_keeps_the_delay_probabilities(
         self, tmp_path, config_path, capsys

@@ -167,7 +167,7 @@ class TestConservationAndDelivery:
         }
         machines[1] = NodeMachine(ConsensusState(node=1, r=1.0, s=1.0), w, (2, 3))
         with pytest.raises(ConfigurationError):
-            Simulation(g, w, machines, DelayModel.zero())
+            Simulation(g, machines, DelayModel.zero())
 
 
 class TestDeterminism:

@@ -202,7 +202,7 @@ class TestTerminationProperties:
             seeds = [r0[i] / s0[i] for i in g.nodes]
             machines = self._probe_machines(g, w, r0, s0, sched)
             sim = Simulation(
-                g, w, machines, DelayModel.fixed_random(g, tau, rng.randrange(999))
+                g, machines, DelayModel.fixed_random(g, tau, rng.randrange(999))
             )
             sim.run(sched.checkpoint_len)
             events = [e for e in sim.checkpoint_events if e.step == sched.checkpoint_len]
@@ -219,7 +219,7 @@ class TestTerminationProperties:
         s0 = {i: rng.uniform(1, 5) for i in g.nodes}
         sched = CheckpointSchedule(3, 3)
         machines = self._probe_machines(g, w, r0, s0, sched)
-        sim = Simulation(g, w, machines, DelayModel.stochastic(3), seed=2)
+        sim = Simulation(g, machines, DelayModel.stochastic(3), seed=2)
         sim.run(4 * sched.checkpoint_len)
         by_step = {}
         for event in sim.checkpoint_events:
