@@ -406,37 +406,26 @@ def default_config() -> ScenarioConfig:
 # output writers
 
 
-def _fmt(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
-# One "%" per row. "%.17g" and "%d" print a float and an int as _fmt does;
-# "%.0s" consumes the frozen flag and prints nothing before its literal.
+# One "%" per row. "%.17g" prints a float with the 17 significant digits
+# that round-trip it; "%.0s" consumes the frozen flag and prints nothing
+# before its literal.
 _FROZEN_ROW = "%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%.0strue,%.17g,%.17g\n"
 _LIVE_ROW = "%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%.0sfalse,,\n"
 _TRACE_CHUNK_ROWS = 4096
 
 
 def _trace_line(row: Sequence[Any]) -> str:
-    try:
-        return (_FROZEN_ROW if row[9] is True else _LIVE_ROW) % row
-    except TypeError:  # a None cell, or a frozen row without its command
-        cells = [_fmt(value) for value in row]
-        return ",".join(cells + [""] * (len(TRACE_COLUMNS) - len(cells))) + "\n"
+    return (_FROZEN_ROW if row[9] is True else _LIVE_ROW) % row
 
 
 def write_trace_csv(path: Path, rows: Sequence[Sequence[Any]]) -> None:
     """Write ``rows``, tuples in ``TRACE_COLUMNS`` order, as the trace file.
 
     A live row stops after ``frozen``; a frozen row adds ``pi_star`` and
-    ``delivered_power``. Cells are ints (cycle, step, node, theta), floats,
-    the bool ``frozen`` or None, which prints as an empty cell.
+    ``delivered_power``. Cells are ints (cycle, step, node, theta), floats
+    and the bool ``frozen``. Every node runs the stopping machine, so ``z``,
+    ``y`` and ``theta`` are never empty; without ``--verbose-trace`` the
+    rows are the cycles' checkpoint events.
     """
     with open(path, "w") as out:
         out.write(f"{TRACE_HEADER}\n{','.join(TRACE_COLUMNS)}\n")
@@ -482,12 +471,18 @@ def _assemble_day_rows(day) -> list[tuple]:
     for row in day.trace_rows:
         if row[9]:  # frozen; row[0] is the cycle and row[2] the node
             rec = records[row[0]]
-            row = (*row, rec.commands.get(row[2]), rec.delivered.get(row[2]))
+            row = (*row, rec.commands[row[2]], rec.delivered[row[2]])
         rows.append(row)
     return rows
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.at_hours is None:
+        args.at_hours = 0.0
+    elif not args.cycle_only:
+        raise ConfigurationError("--at-hours needs --cycle-only")
+    elif not math.isfinite(args.at_hours):
+        raise ConfigurationError(f"--at-hours must be finite, got {args.at_hours}")
     config = (
         ScenarioConfig.load(args.config) if args.config else default_config()
     )
@@ -596,7 +591,7 @@ def _run_single_cycle(config, args, out_dir: Path, record: str) -> int:
     return 0
 
 
-def _run_config_day(config: ScenarioConfig, record: str = "none"):
+def _run_config_day(config: ScenarioConfig, record: str = "checkpoints"):
     return run_day(
         list(config.fleet),
         config.graph,
@@ -741,6 +736,8 @@ def replicate_six_lis_day(seed: int = 0) -> tuple[bool, list[str]]:
 
 def replicate_oracle_sweep(seed: int = 0, count: int = 200) -> tuple[bool, list[str]]:
     """Random feasible problems: the distributed answer matches the closed form."""
+    if count < 1:
+        raise ConfigurationError(f"oracle-sweep needs at least 1 instance, got {count}")
     rng = random.Random(seed)
     rho = 0.02
     worst_node = 0.0
@@ -843,8 +840,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--at-hours",
         type=float,
         dest="at_hours",
-        default=0.0,
-        help="instant for --cycle-only and --check-feasibility (default 0)",
+        help="instant in hours for --cycle-only, also when checked with "
+        "--check-feasibility (default 0)",
     )
     run.add_argument(
         "--check-feasibility",

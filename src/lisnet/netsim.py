@@ -29,7 +29,7 @@ from .apportioning import (
 from .consensus import ConsensusState, Envelope, global_extremes_oracle
 from .errors import ConfigurationError, InvariantError, NonTerminationError
 from .termination import CheckpointEvent, CheckpointSchedule, NodeMachine
-from .topology import Graph, WeightMatrix
+from .topology import Graph, WeightMatrix, diameter
 
 CONSERVATION_TOL = 1e-9
 
@@ -182,7 +182,6 @@ class AuditReport:
     max_gap: float
 
 
-RECORD_NONE = "none"
 RECORD_CHECKPOINTS = "checkpoints"
 RECORD_STEPS = "steps"
 
@@ -197,14 +196,14 @@ class Simulation:
         delay_model: DelayModel,
         *,
         seed: int = 0,
-        record: str = RECORD_NONE,
+        record: str = RECORD_CHECKPOINTS,
     ):
         if set(machines) != set(graph.nodes):
             raise ConfigurationError("machines must cover exactly the graph's nodes")
         for i, m in machines.items():
             if m.node != i or not set(m.neighbors) <= set(graph.neighbors(i)):
                 raise ConfigurationError(f"machine {i} must be node {i} on its graph links")
-        if record not in (RECORD_NONE, RECORD_CHECKPOINTS, RECORD_STEPS):
+        if record not in (RECORD_CHECKPOINTS, RECORD_STEPS):
             raise ConfigurationError(f"unknown record mode {record!r}")
         self.graph = graph
         self.machines = dict(sorted(machines.items()))
@@ -237,7 +236,7 @@ class Simulation:
         self.audits: list[AuditReport] = [self.audit()]
         self.checkpoint_events: list[CheckpointEvent] = []
         # (step, node, r, s, ratio, z, y, theta, frozen) tuples, see CycleResult
-        self.trace_rows: list[tuple] = []
+        self.trace_rows: list[tuple] = [] if record == RECORD_STEPS else self.checkpoint_events
         if record == RECORD_STEPS:
             self._record_step_rows()
 
@@ -285,11 +284,8 @@ class Simulation:
         for i, m in self.machines.items():
             state = m.state
             term = m.term
-            if term is None:
-                append((k, i, state.r, state.s, state.ratio(), None, None, None, False))
-            else:
-                append((k, i, state.r, state.s, state.ratio(),
-                        term.z, term.y, term.theta, term.frozen))
+            append((k, i, state.r, state.s, state.ratio(),
+                    term.z, term.y, term.theta, term.frozen))
 
     def step(self) -> None:
         """One lockstep round: emit everywhere, deliver, absorb everywhere."""
@@ -309,12 +305,6 @@ class Simulation:
             self._window[i].append((machine.state.r, machine.state.s))
             if event is not None:
                 self.checkpoint_events.append(event)
-                if self.record == RECORD_CHECKPOINTS:
-                    state = machine.state
-                    self.trace_rows.append(
-                        (event.step, event.node, state.r, state.s, event.ratio,
-                         event.z, event.y, event.theta, event.frozen)
-                    )
         self.step_index += 1
         if self.mailbox.oldest_age(self.step_index) > self.delay_model.tau_bar:
             raise InvariantError("an envelope outlived the delay bound")
@@ -345,8 +335,10 @@ class CycleResult:
     ``trace_rows`` holds one ``(step, node, r, s, ratio, z, y, theta,
     frozen)`` tuple per recorded node state: the ``cli.TRACE_COLUMNS``
     order without the leading ``cycle`` and the frozen-only ``pi_star`` and
-    ``delivered_power``. ``z``, ``y`` and ``theta`` are None on a node
-    with no stopping logic.
+    ``delivered_power``. With ``record="checkpoints"`` the rows are the
+    ``checkpoint_events`` themselves; with ``record="steps"`` there is one
+    row per node per step. Every node runs the stopping machine, so no
+    cell is None.
     """
 
     commands: ReferenceCommand
@@ -368,14 +360,21 @@ def simulate_averaging(
     delay_model: DelayModel,
     *,
     seed: int = 0,
-    record: str = RECORD_NONE,
+    record: str = RECORD_CHECKPOINTS,
 ) -> Simulation:
-    """Plain ratio consensus with no stopping logic; caller decides how long."""
+    """Ratio consensus that never stops; the caller decides how long.
+
+    Every node runs the stopping machine in probe mode (``rho=None``) on the
+    graph's own schedule: the extremes propagate and reseed at each
+    checkpoint, and no node freezes.
+    """
+    schedule = CheckpointSchedule(max(1, diameter(graph)), delay_model.tau_bar)
     machines = {
         i: NodeMachine(
             ConsensusState(node=i, r=r0[i], s=s0[i]),
             weights,
             graph.neighbors(i),
+            schedule,
         )
         for i in graph.nodes
     }
@@ -392,7 +391,7 @@ def run_cycle(
     *,
     seed: int = 0,
     max_steps: int | None = None,
-    record: str = RECORD_NONE,
+    record: str = RECORD_CHECKPOINTS,
 ) -> CycleResult:
     """Run one dispatch cycle to unanimous freeze and read off the commands."""
     if set(problem.bounds) != set(graph.nodes):

@@ -280,7 +280,7 @@ def run_instant(
     *,
     diameter_bound: int | None = None,
     seed: int = 0,
-    record: str = "none",
+    record: str = "checkpoints",
 ) -> CycleResult:
     """One cycle on ``graph``: equal-split weights, schedule from the diameter.
 
@@ -330,7 +330,7 @@ def run_day(
     start_hours: float | None = None,
     end_hours: float | None = None,
     diameter_bound: int | None = None,
-    record: str = "none",
+    record: str = "checkpoints",
 ) -> DayResult:
     """Repeated dispatch over a day: plan, solve, and track at each instant.
 

@@ -16,13 +16,18 @@ next round of epochs begins.
 Because every node evaluates the same propagated extremes on the same
 schedule, the freeze decision is unanimous: all nodes stop at the same
 checkpoint with no extra signalling.
+
+Every simulated node runs this one machine, ``NodeMachine``. Plain ratio
+consensus (the Fig. 1 averaging demo) is the same machine in probe mode,
+``rho=None``: the extremes still propagate and reseed at every checkpoint,
+but no node ever freezes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .consensus import ConsensusState, Envelope, absorb, emit
 from .errors import ConfigurationError, ProtocolError
@@ -55,20 +60,6 @@ class CheckpointSchedule:
     def checkpoint_len(self) -> int:
         return self.diameter * (1 + self.tau_bar) + self.tau_bar
 
-    def is_epoch_boundary(self, step: int) -> bool:
-        return step > 0 and step % self.epoch_len == 0
-
-    def is_checkpoint(self, step: int) -> bool:
-        return step > 0 and step % self.checkpoint_len == 0
-
-    def send_period(self, send_step: int) -> int:
-        """Which checkpoint period a value emitted at ``send_step`` belongs to.
-
-        Extremes reseed at every checkpoint, so values from earlier periods
-        are stale and must not leak into the current merge window.
-        """
-        return send_step // self.checkpoint_len + 1
-
 
 @dataclass(slots=True)
 class TerminationState:
@@ -76,7 +67,6 @@ class TerminationState:
 
     z: float
     y: float
-    l: int = 1
     theta: int = 1
     frozen: bool = False
     r_star: float | None = None
@@ -98,7 +88,6 @@ def epoch_update(
     return TerminationState(
         z=max(term.z, *neighbor_z) if neighbor_z else term.z,
         y=min(term.y, *neighbor_y) if neighbor_y else term.y,
-        l=term.l + 1,
         theta=term.theta,
         r_star=term.r_star,
         s_star=term.s_star,
@@ -120,26 +109,33 @@ def checkpoint(
         raise ProtocolError("checkpoint on a frozen node")
     if rho is not None and term.z - term.y < rho:
         return TerminationState(
-            term.z, term.y, term.l, term.theta, frozen=True, r_star=current_r, s_star=current_s
+            term.z, term.y, term.theta, frozen=True, r_star=current_r, s_star=current_s
         )
     q = current_r / current_s
     return TerminationState(
-        z=q, y=q, l=term.l, theta=term.theta + 1, r_star=term.r_star, s_star=term.s_star
+        z=q, y=q, theta=term.theta + 1, r_star=term.r_star, s_star=term.s_star
     )
 
 
-@dataclass(frozen=True)
-class CheckpointEvent:
-    """What a node saw and decided at one checkpoint instant."""
+class CheckpointEvent(NamedTuple):
+    """What a node held and decided at one checkpoint instant.
+
+    The fields are the checkpoint trace row: ``cli.TRACE_COLUMNS`` order
+    without the leading ``cycle`` and the frozen-only ``pi_star`` and
+    ``delivered_power``. ``r``, ``s`` and ``ratio`` are the node's state
+    after the step's absorb; ``z``, ``y`` and ``theta`` are the extremes
+    and the checkpoint index it tested; ``frozen`` is the decision.
+    """
 
     step: int
     node: int
-    theta: int
+    r: float
+    s: float
+    ratio: float
     z: float
     y: float
-    gap: float
+    theta: int
     frozen: bool
-    ratio: float
 
 
 class NodeMachine:
@@ -147,8 +143,9 @@ class NodeMachine:
 
     The machine is driven in lockstep rounds by a simulator: every round it
     first emits the weighted shares of its current state, then absorbs the
-    envelopes due this round. Pass ``schedule=None`` to run plain ratio
-    consensus with no stopping logic at all.
+    envelopes due this round. Every node runs the stopping rule on
+    ``schedule``; ``rho=None`` is probe mode, which propagates and reseeds
+    the extremes but never freezes.
     """
 
     def __init__(
@@ -156,7 +153,7 @@ class NodeMachine:
         state: ConsensusState,
         weights: WeightMatrix,
         neighbors: Iterable[int],
-        schedule: CheckpointSchedule | None = None,
+        schedule: CheckpointSchedule,
         rho: float | None = None,
     ):
         if rho is not None and not rho > 0.0:
@@ -164,15 +161,13 @@ class NodeMachine:
         self.state = state
         self.neighbors = tuple(sorted(neighbors))
         self.rho = rho
-        self.term: TerminationState | None = None
+        q = state.ratio()
+        self.term = TerminationState(z=q, y=q)
         # weights and schedule lengths are resolved once; advance runs per step
         self._shares = weights.shares(state.node, self.neighbors)
         self._self_weight = weights.self_weight(state.node)
-        if schedule is not None:
-            q = state.ratio()
-            self.term = TerminationState(z=q, y=q)
-            self._epoch_len = schedule.epoch_len
-            self._checkpoint_len = schedule.checkpoint_len
+        self._epoch_len = schedule.epoch_len
+        self._checkpoint_len = schedule.checkpoint_len
         self._buf_z = -math.inf
         self._buf_y = math.inf
 
@@ -182,13 +177,11 @@ class NodeMachine:
 
     @property
     def frozen(self) -> bool:
-        return self.term is not None and self.term.frozen
+        return self.term.frozen
 
     def emit(self) -> list[Envelope]:
         """Shares of the current state; a frozen node emits nothing."""
         term = self.term
-        if term is None:
-            return emit(self.state, self._shares)
         if term.frozen:
             return []
         return emit(self.state, self._shares, z=term.z, y=term.y)
@@ -196,16 +189,14 @@ class NodeMachine:
     def advance(self, inbox: Sequence[Envelope]) -> CheckpointEvent | None:
         """Absorb the envelopes due this round and roll one step forward.
 
-        Runs the epoch merge and the checkpoint decision when the new step
-        index lands on their boundaries (the schedule's ``is_epoch_boundary``
-        and ``is_checkpoint``); only extremes sent in the current checkpoint
-        period (``send_period``) are merged. Returns the checkpoint event
-        when one fired.
+        Runs the epoch merge when the new step index is a multiple of the
+        epoch length and the checkpoint decision when it is a multiple of
+        the checkpoint length. Extremes reseed at every checkpoint, so only
+        those sent in the current checkpoint period (send step // checkpoint
+        length == theta - 1) are merged; older ones are stale. Returns the
+        checkpoint event when one fired.
         """
         term = self.term
-        if term is None:
-            self.state = absorb(self.state, inbox, self._self_weight)
-            return None
         if term.frozen:
             if inbox:
                 raise ProtocolError(f"frozen node {self.node} received traffic")
@@ -233,14 +224,8 @@ class NodeMachine:
             tested = term
             term = self.term = checkpoint(tested, state.r, state.s, self.rho)
             event = CheckpointEvent(
-                step=step,
-                node=state.node,
-                theta=tested.theta,
-                z=tested.z,
-                y=tested.y,
-                gap=tested.z - tested.y,
-                frozen=term.frozen,
-                ratio=state.ratio(),
+                step, state.node, state.r, state.s, state.ratio(),
+                tested.z, tested.y, tested.theta, term.frozen,
             )
             if not term.frozen:
                 buf_z = -math.inf

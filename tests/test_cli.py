@@ -146,9 +146,7 @@ class TestTraceFormat:
         rows = [
             (0, 15, 1, 1.5, 0.5, 3.0, 3.25, 2.75, 1, True, 10.0, 9.5),
             (2, 7, 3, -0.0, 1e-300, 1 / 3, 1e22, nan, 4, False),
-            (1, 0, 2, 1.0, 2.0, 0.5, None, None, None, False),
             (3, 4, 5, 1e22, -0.0, nan, 1 / 3, 1e-300, 2, True, -inf, inf),
-            (4, 9, 6, 1.0, 1.0, 1.0, 1.0, 1.0, 3, True, None, None),
         ]
         path = tmp_path / "trace.csv"
         write_trace_csv(path, rows)
@@ -157,9 +155,7 @@ class TestTraceFormat:
             ",".join(TRACE_COLUMNS),
             "0,15,1,1.5,0.5,3,3.25,2.75,1,true,10,9.5",
             "2,7,3,-0,1e-300,0.33333333333333331,1e+22,nan,4,false,,",
-            "1,0,2,1,2,0.5,,,,false,,",
             "3,4,5,1e+22,-0,nan,0.33333333333333331,1e-300,2,true,-inf,inf",
-            "4,9,6,1,1,1,1,1,3,true,,",
         ]
 
     def test_reader_rejects_missing_header(self, tmp_path):
@@ -232,6 +228,53 @@ class TestRunCommand:
         assert code == 1
         out = capsys.readouterr().out
         assert "infeasible" in out
+
+    @pytest.fixture
+    def static_config(self, tmp_path):
+        """Two dispatchable units: every instant is feasible, even a non-finite one."""
+        doc = default_config().to_dict()
+        doc["graph"] = {"nodes": [1, 3], "edges": [[1, 3]]}
+        doc.pop("diameter")
+        doc["fleet"] = [u for u in doc["fleet"] if u["id"] in (1, 3)]
+        doc["demand"] = {"watts": 1000.0, "circulation": [1]}
+        path = tmp_path / "static.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        return path
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flags", [[], ["--check-feasibility"]], ids=["run", "check"])
+    def test_non_finite_at_hours_exits_two(
+        self, tmp_path, static_config, capsys, value, flags
+    ):
+        out = tmp_path / "out"
+        code = main([
+            "run", "--config", str(static_config), "--cycle-only", f"--at-hours={value}",
+            "--out-dir", str(out), *flags,
+        ])
+        assert code == 2
+        assert "--at-hours must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--check-feasibility"]], ids=["run", "check"])
+    def test_at_hours_without_cycle_only_exits_two(self, tmp_path, config_path, capsys, flags):
+        out = tmp_path / "out"
+        code = main([
+            "run", "--config", str(config_path), "--at-hours", "4", "--out-dir", str(out),
+            *flags,
+        ])
+        assert code == 2
+        assert "--at-hours needs --cycle-only" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cycle_only_defaults_to_hour_zero(self, tmp_path, static_config, capsys):
+        code = main(["run", "--config", str(static_config), "--cycle-only", "--check-feasibility"])
+        assert code == 0
+        assert "feasible at all 1 instants" in capsys.readouterr().out
+        code = main([
+            "run", "--config", str(static_config), "--cycle-only", "--out-dir", str(tmp_path),
+        ])
+        assert code == 0
+        assert json.loads((tmp_path / "results.json").read_text())["at_hours"] == 0.0
 
     def test_invalid_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
@@ -443,6 +486,12 @@ class TestReplicateCommand:
         code = main(["replicate", "fig1-misconvergence"])
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_oracle_sweep_without_instances_exits_two(self, count, capsys):
+        code = main(["replicate", "oracle-sweep", "--count", count])
+        assert code == 2
+        assert "at least 1 instance" in capsys.readouterr().err
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):

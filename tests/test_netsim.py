@@ -53,6 +53,26 @@ PINNED_COMMANDS = [
     92.37938464307594, 141.83944802492692,
 ]
 
+# ``test_seeded_averaging_is_pinned_to_the_last_bit``: a seeded 9-node graph,
+# 300 averaging steps per delay model, recorded with repr precision under
+# CPython 3.11 while averaging nodes still ran without any stopping logic.
+# Equal floats show that the probe-mode stopping machine leaves the r/s
+# stream and the delay draws untouched.
+PINNED_AVERAGING = {
+    "stochastic": (
+        {1: 0.05346888369046068, 2: 0.053468883690460836, 3: 0.053468883690460996,
+         4: 0.05346888369046124, 5: 0.053468883690460885, 6: 0.05346888369046074,
+         7: 0.053468883690460677, 8: 0.05346888369046142, 9: 0.05346888369046097},
+        5.329070518200751e-15,
+    ),
+    "fixed_random": (
+        {1: 0.05346888369046052, 2: 0.05346888369046052, 3: 0.05346888369046052,
+         4: 0.05346888369046052, 5: 0.05346888369046052, 6: 0.053468883690460524,
+         7: 0.053468883690460524, 8: 0.05346888369046052, 9: 0.05346888369046052},
+        6.217248937900877e-15,
+    ),
+}
+
 
 class TestDelayModel:
     def test_fixed_respects_bound(self):
@@ -161,11 +181,12 @@ class TestConservationAndDelivery:
     def test_machine_off_the_graph_links_rejected(self):
         g = Graph.path(3)
         w = build_weights(g)
+        sched = CheckpointSchedule(2, 0)
         machines = {
-            i: NodeMachine(ConsensusState(node=i, r=1.0, s=1.0), w, g.neighbors(i))
+            i: NodeMachine(ConsensusState(node=i, r=1.0, s=1.0), w, g.neighbors(i), sched)
             for i in g.nodes
         }
-        machines[1] = NodeMachine(ConsensusState(node=1, r=1.0, s=1.0), w, (2, 3))
+        machines[1] = NodeMachine(ConsensusState(node=1, r=1.0, s=1.0), w, (2, 3), sched)
         with pytest.raises(ConfigurationError):
             Simulation(g, machines, DelayModel.zero())
 
@@ -303,6 +324,22 @@ class TestRunCycle:
         assert (result.steps, result.theta) == (PINNED_STEPS, PINNED_THETA)
         assert result.max_conservation_error == PINNED_CONSERVATION_ERROR
         assert [result.commands[i] for i in g.nodes] == PINNED_COMMANDS
+
+    @pytest.mark.parametrize("kind", sorted(PINNED_AVERAGING))
+    def test_seeded_averaging_is_pinned_to_the_last_bit(self, kind):
+        rng = random.Random(2024)
+        g = Graph.random_connected(rng, 9)
+        r0 = {i: rng.uniform(-50, 50) for i in g.nodes}
+        s0 = {i: rng.uniform(0.5, 2) for i in g.nodes}
+        if kind == "stochastic":
+            model = DelayModel.stochastic(3)
+        else:
+            model = DelayModel.fixed_random(g, 3, 17)
+        sim = simulate_averaging(g, build_weights(g), r0, s0, model, seed=5)
+        sim.run(300)
+        ratios, conservation_error = PINNED_AVERAGING[kind]
+        assert sim.ratios() == ratios
+        assert sim.max_conservation_error == conservation_error
 
 
 class TestNaiveBaseline:

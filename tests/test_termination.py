@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from lisnet import termination
 from lisnet.apportioning import ApportionProblem, init_states, reference_command
 from lisnet.consensus import ConsensusState, Envelope
 from lisnet.errors import ConfigurationError, ProtocolError
@@ -17,23 +18,51 @@ from lisnet.termination import (
 from lisnet.topology import Graph, build_weights, diameter
 
 
+def probe_machine(neighbors=()):
+    """Node 1 in probe mode on the paper's schedule: quotient 0.5, never freezes."""
+    g = Graph.path(2) if neighbors else Graph.from_edges([1], [])
+    return NodeMachine(
+        ConsensusState(node=1, r=1.0, s=2.0),
+        build_weights(g),
+        neighbors,
+        CheckpointSchedule(diameter=3, tau_bar=3),
+        rho=None,
+    )
+
+
 class TestCheckpointSchedule:
-    def test_paper_setting(self):
+    def test_paper_setting(self, monkeypatch):
         sched = CheckpointSchedule(diameter=3, tau_bar=3)
         assert sched.epoch_len == 4
         assert sched.checkpoint_len == 15
-        assert [k for k in range(1, 35) if sched.is_epoch_boundary(k)] == [
-            4, 8, 12, 16, 20, 24, 28, 32,
-        ]
-        assert [k for k in range(1, 35) if sched.is_checkpoint(k)] == [15, 30]
+        machine = probe_machine()
+        merges = []
+        real_update = termination.epoch_update
+
+        def counted(term, neighbor_z, neighbor_y):
+            merges.append(machine.state.k)
+            return real_update(term, neighbor_z, neighbor_y)
+
+        monkeypatch.setattr(termination, "epoch_update", counted)
+        events = [machine.advance([]) for _ in range(34)]
+        assert [e.step for e in events if e is not None] == [15, 30]
+        assert merges == [4, 8, 12, 16, 20, 24, 28, 32]
 
     def test_send_period_flips_after_each_checkpoint(self):
-        sched = CheckpointSchedule(diameter=3, tau_bar=3)
-        assert sched.send_period(0) == 1
-        assert sched.send_period(14) == 1
-        assert sched.send_period(15) == 2
-        assert sched.send_period(29) == 2
-        assert sched.send_period(30) == 3
+        # extremes sent before the step-15 checkpoint are stale at the
+        # step-20 merge; those sent at or after it are merged
+        for send_step, merged in ((14, (0.5, 0.5)), (15, (9.0, -9.0))):
+            machine = probe_machine(neighbors=(2,))
+            for _ in range(16):
+                machine.advance([])
+            assert (machine.term.theta, machine.term.z, machine.term.y) == (2, 0.5, 0.5)
+            envelope = Envelope(2, 1, send_step, 0.0, 0.0, payload_z=9.0, payload_y=-9.0)
+            machine.advance([envelope])  # absorbed at step 17, merged at 20
+            for _ in range(3):
+                assert (machine.term.z, machine.term.y) == (0.5, 0.5)
+                machine.advance([])
+            assert machine.state.k == 20
+            assert (machine.term.z, machine.term.y) == merged
 
     def test_rejects_degenerate(self):
         with pytest.raises(ConfigurationError):
@@ -48,7 +77,6 @@ class TestEpochUpdate:
         nxt = epoch_update(term, [1.0, 5.0], [1.0, 5.0])
         assert nxt.z == 5.0
         assert nxt.y == 1.0
-        assert nxt.l == 2
 
     def test_no_neighbors_keeps_values(self):
         term = TerminationState(z=2.0, y=-1.0)
@@ -226,7 +254,7 @@ class TestTerminationProperties:
             by_step.setdefault(event.step, []).append(event)
         assert len(by_step) == 4
         for step, events in by_step.items():
-            gaps = [e.gap for e in events]
+            gaps = [e.z - e.y for e in events]
             assert max(gaps) - min(gaps) <= 1e-12
             # the true quotient envelope sandwiches every node's quotient
             for e in events:
