@@ -12,13 +12,7 @@ from .apportioning import (
     init_states,
     reference_command,
 )
-from .consensus import (
-    ConsensusState,
-    Envelope,
-    absorb,
-    emit,
-    global_extremes_oracle,
-)
+from .consensus import ConsensusState, Envelope, absorb, emit
 from .errors import (
     ConfigurationError,
     FeasibilityError,
@@ -101,7 +95,6 @@ __all__ = [
     "diameter",
     "emit",
     "epoch_update",
-    "global_extremes_oracle",
     "init_states",
     "plan_instant",
     "reference_command",

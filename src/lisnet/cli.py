@@ -790,12 +790,15 @@ def replicate_oracle_sweep(seed: int = 0, count: int = 200) -> tuple[bool, list[
 
 
 def cmd_replicate(args: argparse.Namespace) -> int:
+    if args.count is not None and args.suite != "oracle-sweep":
+        raise ConfigurationError(f"--count applies to oracle-sweep only, not {args.suite}")
     if args.suite == "fig1-misconvergence":
         passed, lines = replicate_fig1(args.seed or 0)
     elif args.suite == "six-lis-day":
         passed, lines = replicate_six_lis_day(args.seed or 0)
     else:
-        passed, lines = replicate_oracle_sweep(args.seed or 0, args.count)
+        count = 200 if args.count is None else args.count
+        passed, lines = replicate_oracle_sweep(args.seed or 0, count)
     print("\n".join(lines))
     return 0 if passed else 1
 
@@ -861,7 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("replicate", help="run a built-in validation suite")
     rep.add_argument("suite", choices=SUITES)
     rep.add_argument("--seed", type=int, default=0)
-    rep.add_argument("--count", type=int, default=200, help="instances for oracle-sweep")
+    rep.add_argument("--count", type=int, help="instances for oracle-sweep (default 200)")
     rep.set_defaults(func=cmd_replicate)
     return parser
 

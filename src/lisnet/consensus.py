@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import InvariantError, ProtocolError
 
@@ -33,14 +33,15 @@ class ConsensusState:
         return self.r / self.s
 
 
-@dataclass(slots=True)
-class Envelope:
+class Envelope(NamedTuple):
     """One weighted share in flight from ``src`` to ``dst``.
 
-    ``payload_r``/``payload_s`` are the sender-weighted shares of the
-    consensus states at ``send_step``; ``payload_z``/``payload_y`` piggyback
-    the sender's running extremes so the stopping logic rides on the same
-    links, and the same delays, as the consensus traffic.
+    The simulator moves envelopes as plain 7-tuples in this field order;
+    this class documents the order and builds one by name where that reads
+    better. ``payload_r``/``payload_s`` are the sender-weighted shares of
+    the consensus states at ``send_step``; ``payload_z``/``payload_y``
+    piggyback the sender's running extremes so the stopping logic rides on
+    the same links, and the same delays, as the consensus traffic.
     """
 
     src: int
@@ -58,8 +59,8 @@ def emit(
     *,
     z: float = 0.0,
     y: float = 0.0,
-) -> list[Envelope]:
-    """Weighted shares of ``state`` for every out-neighbor.
+) -> list[tuple]:
+    """Weighted shares of ``state`` for every out-neighbor, as envelope tuples.
 
     ``shares`` holds ``(j, weights.weight(j, node))`` for each out-neighbor
     j, in sending order (see :meth:`WeightMatrix.shares`). The share
@@ -67,12 +68,12 @@ def emit(
     by :func:`absorb`, not here, so emit stays a pure read.
     """
     node, k, r, s = state.node, state.k, state.r, state.s
-    return [Envelope(node, j, k, w * r, w * s, z, y) for j, w in shares]
+    return [(node, j, k, w * r, w * s, z, y) for j, w in shares]
 
 
 def absorb(
     state: ConsensusState,
-    delivered: Iterable[Envelope],
+    delivered: Iterable[tuple],
     self_weight: float,
 ) -> ConsensusState:
     """Fold the shares due this round into the retained share; advance ``k``.
@@ -85,11 +86,11 @@ def absorb(
     node = state.node
     r = self_weight * state.r
     s = self_weight * state.s
-    for env in delivered:
-        if env.dst != node:
-            raise ProtocolError(f"node {node} received an envelope addressed to {env.dst}")
-        r += env.payload_r
-        s += env.payload_s
+    for _, dst, _, share_r, share_s, _, _ in delivered:
+        if dst != node:
+            raise ProtocolError(f"node {node} received an envelope addressed to {dst}")
+        r += share_r
+        s += share_s
     if not (math.isfinite(r) and math.isfinite(s)):
         raise InvariantError(f"node {node}: non-finite state at k={state.k + 1}")
     if s <= 0.0:
@@ -98,28 +99,3 @@ def absorb(
         )
     return ConsensusState(node, r, s, state.k + 1)
 
-
-def global_extremes_oracle(
-    windows: Mapping[int, Sequence[tuple[float, float]]],
-) -> tuple[float, float]:
-    """Exact max and min of r/s over all nodes across a recent-history window.
-
-    ``windows`` maps node id to its latest (r, s) pairs, oldest first, at
-    most the delay bound plus one entries deep. Entries with a zero
-    denominator are skipped. This is an omniscient simulator-side quantity;
-    nodes themselves only ever approximate it through the stopping protocol.
-    """
-    hi = -math.inf
-    lo = math.inf
-    for pairs in windows.values():
-        for r, s in pairs:
-            if s == 0.0:
-                continue
-            mu = r / s
-            if mu > hi:
-                hi = mu
-            if mu < lo:
-                lo = mu
-    if hi < lo:
-        raise InvariantError("window holds no usable ratio samples")
-    return hi, lo

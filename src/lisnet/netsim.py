@@ -26,7 +26,7 @@ from .apportioning import (
     init_states,
     reference_command,
 )
-from .consensus import ConsensusState, Envelope, global_extremes_oracle
+from .consensus import ConsensusState
 from .errors import ConfigurationError, InvariantError, NonTerminationError
 from .termination import CheckpointEvent, CheckpointSchedule, NodeMachine
 from .topology import Graph, WeightMatrix, diameter
@@ -101,10 +101,6 @@ class DelayModel:
         probs = None if probabilities is None else tuple(probabilities)
         return cls(kind=STOCHASTIC, tau_bar=tau_bar, probabilities=probs)
 
-    @classmethod
-    def zero(cls) -> "DelayModel":
-        return cls(kind=FIXED, tau_bar=0, fixed_delays={})
-
     def delay_for(
         self, rng: random.Random, src: int, dst: int, cap: int | None = None
     ) -> int:
@@ -125,25 +121,29 @@ class DelayModel:
 
 
 class Mailbox:
-    """Envelopes awaiting delivery, keyed by delivery round.
+    """Envelope tuples awaiting delivery, keyed by delivery round.
 
-    Posting order is preserved within a round, so delivery is deterministic
-    given a deterministic posting sequence.
+    An envelope is a ``consensus.Envelope``-ordered tuple ``(src, dst,
+    send_step, payload_r, payload_s, payload_z, payload_y)``. Posting order
+    is preserved within a round, so delivery is deterministic given a
+    deterministic posting sequence. Envelopes must be posted in
+    non-decreasing send step, as the simulator does, so that the first
+    envelope of each round is its oldest (see :meth:`oldest_age`).
     """
 
     def __init__(self):
-        self._pending: dict[int, list[Envelope]] = {}
+        self._pending: dict[int, list[tuple]] = {}
         self.posted = 0
         self.delivered = 0
 
-    def post(self, env: Envelope, deliver_step: int) -> None:
+    def post(self, env: tuple, deliver_step: int) -> None:
         try:
             self._pending[deliver_step].append(env)
         except KeyError:
             self._pending[deliver_step] = [env]
         self.posted += 1
 
-    def due(self, step: int) -> list[Envelope]:
+    def due(self, step: int) -> list[tuple]:
         """Remove and return everything due at ``step``; each envelope once."""
         out = self._pending.pop(step, [])
         self.delivered += len(out)
@@ -157,15 +157,19 @@ class Mailbox:
         mass_r = 0.0
         mass_s = 0.0
         for batch in self._pending.values():
-            for env in batch:
-                mass_r += env.payload_r
-                mass_s += env.payload_s
+            for _, _, _, r, s, _, _ in batch:
+                mass_r += r
+                mass_s += s
         return mass_r, mass_s
 
     def oldest_age(self, now: int) -> int:
-        """Rounds the longest-pending envelope has been in flight."""
-        sent = [env.send_step for batch in self._pending.values() for env in batch]
-        return max(0, now - min(sent, default=now))
+        """Rounds the longest-pending envelope has been in flight.
+
+        Reads only the first envelope of each pending round, which is the
+        round's oldest because posting is in non-decreasing send step.
+        """
+        oldest = min([batch[0][2] for batch in self._pending.values()], default=now)
+        return max(0, now - oldest)
 
 
 @dataclass(frozen=True)
@@ -225,11 +229,9 @@ class Simulation:
                 raise ConfigurationError(
                     f"fixed delay {d} on {(a, b)} exceeds the edge bound {cap}"
                 )
-        depth = delay_model.tau_bar + 1
-        self._window = {
-            i: deque([(m.state.r, m.state.s)], maxlen=depth)
-            for i, m in self.machines.items()
-        }
+        # (max, min) of the n node ratios at each of the last tau_bar + 1 steps
+        ratios = [m.state.ratio() for m in self.machines.values()]
+        self._window = deque([(max(ratios), min(ratios))], maxlen=delay_model.tau_bar + 1)
         self._target_r = sum(m.state.r for m in self.machines.values())
         self._target_s = sum(m.state.s for m in self.machines.values())
         self.max_conservation_error = 0.0
@@ -252,7 +254,8 @@ class Simulation:
         node_r = sum([m.state.r for m in machines])
         node_s = sum([m.state.s for m in machines])
         flight_r, flight_s = self.mailbox.pending_mass()
-        hi, lo = global_extremes_oracle(self._window)
+        hi = max([step_hi for step_hi, _ in self._window])
+        lo = min([step_lo for _, step_lo in self._window])
         return AuditReport(
             step=self.step_index,
             node_mass_r=node_r,
@@ -296,15 +299,24 @@ class Simulation:
         for i, machine in self.machines.items():
             caps = self._caps[i]
             for env in machine.emit():
-                post(env, k + delay_for(rng, i, env.dst, caps[env.dst]))
-        inboxes: defaultdict[int, list[Envelope]] = defaultdict(list)
+                dst = env[1]
+                post(env, k + delay_for(rng, i, dst, caps[dst]))
+        inboxes: defaultdict[int, list[tuple]] = defaultdict(list)
         for env in self.mailbox.due(k):
-            inboxes[env.dst].append(env)
+            inboxes[env[1]].append(env)
+        hi = -math.inf
+        lo = math.inf
         for i, machine in self.machines.items():
             event = machine.advance(inboxes[i])
-            self._window[i].append((machine.state.r, machine.state.s))
+            state = machine.state
+            q = state.r / state.s
+            if q > hi:
+                hi = q
+            if q < lo:
+                lo = q
             if event is not None:
                 self.checkpoint_events.append(event)
+        self._window.append((hi, lo))
         self.step_index += 1
         if self.mailbox.oldest_age(self.step_index) > self.delay_model.tau_bar:
             raise InvariantError("an envelope outlived the delay bound")
@@ -360,7 +372,6 @@ def simulate_averaging(
     delay_model: DelayModel,
     *,
     seed: int = 0,
-    record: str = RECORD_CHECKPOINTS,
 ) -> Simulation:
     """Ratio consensus that never stops; the caller decides how long.
 
@@ -378,7 +389,7 @@ def simulate_averaging(
         )
         for i in graph.nodes
     }
-    return Simulation(graph, machines, delay_model, seed=seed, record=record)
+    return Simulation(graph, machines, delay_model, seed=seed)
 
 
 def run_cycle(

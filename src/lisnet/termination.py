@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .consensus import ConsensusState, Envelope, absorb, emit
+from .consensus import ConsensusState, absorb, emit
 from .errors import ConfigurationError, ProtocolError
 from .topology import WeightMatrix
 
@@ -179,14 +179,14 @@ class NodeMachine:
     def frozen(self) -> bool:
         return self.term.frozen
 
-    def emit(self) -> list[Envelope]:
-        """Shares of the current state; a frozen node emits nothing."""
+    def emit(self) -> list[tuple]:
+        """Envelope tuples of the current state; a frozen node emits nothing."""
         term = self.term
         if term.frozen:
             return []
         return emit(self.state, self._shares, z=term.z, y=term.y)
 
-    def advance(self, inbox: Sequence[Envelope]) -> CheckpointEvent | None:
+    def advance(self, inbox: Sequence[tuple]) -> CheckpointEvent | None:
         """Absorb the envelopes due this round and roll one step forward.
 
         Runs the epoch merge when the new step index is a multiple of the
@@ -205,12 +205,12 @@ class NodeMachine:
         period = term.theta - 1
         buf_z = self._buf_z
         buf_y = self._buf_y
-        for env in inbox:
-            if env.send_step // period_len == period:
-                if env.payload_z > buf_z:
-                    buf_z = env.payload_z
-                if env.payload_y < buf_y:
-                    buf_y = env.payload_y
+        for _, _, sent, _, _, z, y in inbox:
+            if sent // period_len == period:
+                if z > buf_z:
+                    buf_z = z
+                if y < buf_y:
+                    buf_y = y
         state = self.state = absorb(self.state, inbox, self._self_weight)
         step = state.k
         event = None

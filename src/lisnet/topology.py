@@ -171,20 +171,67 @@ def build_weights(g: Graph) -> WeightMatrix:
 
 
 def diameter(g: Graph) -> int:
-    """Longest shortest-path hop count over all node pairs."""
-    if not g.is_connected():
-        raise ConfigurationError("diameter is undefined for a disconnected graph")
+    """Longest shortest-path hop count over all node pairs.
+
+    Exact, by bounding diameters (Takes & Kosters, CIKM 2011): each
+    breadth-first search from a node v with eccentricity e bounds every
+    other node w's eccentricity to [max(d(v, w), e - d(v, w)), e + d(v, w)]
+    and the diameter to [e, 2e]. A node leaves the candidates once its
+    eccentricity is known or can neither raise the lower bound nor, as a
+    centre, lower the upper one; searches alternate between the candidate
+    with the largest upper bound and the one with the smallest lower bound.
+    """
     index = {v: k for k, v in enumerate(g.nodes)}
     adj = [[index[v] for v in g.neighbors(u)] for u in g.nodes]
-    best = 0
-    for src in range(len(adj)):
-        dist = [-1] * len(adj)
+    n = len(adj)
+    ecc_lo = [0] * n
+    ecc_hi = [n] * n
+    lo, hi = 0, n
+    candidates = list(range(n))
+    periphery = True
+    while candidates and lo < hi:
+        src = candidates[0]
+        if periphery:
+            for w in candidates:
+                if ecc_hi[w] > ecc_hi[src] or (
+                    ecc_hi[w] == ecc_hi[src] and len(adj[w]) > len(adj[src])
+                ):
+                    src = w
+        else:
+            for w in candidates:
+                if ecc_lo[w] < ecc_lo[src] or (
+                    ecc_lo[w] == ecc_lo[src] and len(adj[w]) > len(adj[src])
+                ):
+                    src = w
+        periphery = not periphery
+        dist = [-1] * n
         dist[src] = 0
         frontier = [src]
         for u in frontier:
+            du = dist[u] + 1
             for v in adj[u]:
                 if dist[v] < 0:
-                    dist[v] = dist[u] + 1
+                    dist[v] = du
                     frontier.append(v)
-        best = max(best, dist[frontier[-1]])  # breadth-first: the last is farthest
-    return best
+        if len(frontier) < n:
+            raise ConfigurationError("diameter is undefined for a disconnected graph")
+        ecc = dist[frontier[-1]]  # breadth-first: the last is farthest
+        if ecc > lo:
+            lo = ecc
+        if 2 * ecc < hi:
+            hi = 2 * ecc
+        kept = []
+        for w in candidates:
+            d = dist[w]
+            w_lo = ecc_lo[w]
+            if d > w_lo:
+                w_lo = ecc_lo[w] = d
+            if ecc - d > w_lo:
+                w_lo = ecc_lo[w] = ecc - d
+            w_hi = ecc_hi[w]
+            if ecc + d < w_hi:
+                w_hi = ecc_hi[w] = ecc + d
+            if w_lo < w_hi and (w_hi > lo or 2 * w_lo < hi):
+                kept.append(w)
+        candidates = kept
+    return lo

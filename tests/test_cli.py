@@ -493,6 +493,13 @@ class TestReplicateCommand:
         assert code == 2
         assert "at least 1 instance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suite", ["fig1-misconvergence", "six-lis-day"])
+    @pytest.mark.parametrize("count", ["-5", "10"])
+    def test_count_on_a_suite_without_instances_exits_two(self, suite, count, capsys):
+        code = main(["replicate", suite, "--count", count])
+        assert code == 2
+        assert "--count applies to oracle-sweep only" in capsys.readouterr().err
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):
             main(["replicate", "not-a-suite"])

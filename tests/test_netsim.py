@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -15,6 +16,7 @@ from lisnet.netsim import (
 )
 from lisnet.termination import CheckpointSchedule, NodeMachine
 from lisnet.topology import Graph, build_weights, diameter
+from reference import global_extremes_oracle, oldest_age_scan
 
 TABLE_BOUNDS = {
     1: (0.0, 1500.0),
@@ -91,7 +93,7 @@ class TestDelayModel:
         assert {model.delay_for(rng, 1, 2) for _ in range(50)} == {2}
 
     def test_zero_model(self):
-        model = DelayModel.zero()
+        model = DelayModel.fixed({})
         assert model.delay_for(random.Random(0), 1, 2) == 0
 
     def test_per_edge_cap_applies(self):
@@ -170,7 +172,7 @@ class TestConservationAndDelivery:
         w = build_weights(g)
         sim = simulate_averaging(
             g, w, {i: 10.0 for i in g.nodes}, {i: 1.0 for i in g.nodes},
-            DelayModel.zero(),
+            DelayModel.fixed({}),
         )
         first = sim.audits[0]
         assert first.step == 0
@@ -188,7 +190,7 @@ class TestConservationAndDelivery:
         }
         machines[1] = NodeMachine(ConsensusState(node=1, r=1.0, s=1.0), w, (2, 3), sched)
         with pytest.raises(ConfigurationError):
-            Simulation(g, machines, DelayModel.zero())
+            Simulation(g, machines, DelayModel.fixed({}))
 
 
 class TestDeterminism:
@@ -216,7 +218,7 @@ class TestDeterminism:
             (DelayModel.stochastic(3), 1),
             (DelayModel.stochastic(3), 2),
             (DelayModel.fixed_random(g, 3, 8), 0),
-            (DelayModel.zero(), 0),
+            (DelayModel.fixed({}), 0),
         ):
             result = run_cycle(
                 g, w, problem, model, CheckpointSchedule(3, 3), rho, seed=seed,
@@ -238,7 +240,7 @@ class TestRunCycle:
             30.0, {1: (0.0, 20.0), 2: (10.0, 40.0)}, frozenset({1})
         )
         result = run_cycle(
-            g, w, problem, DelayModel.zero(), CheckpointSchedule(1, 0), rho=100.0,
+            g, w, problem, DelayModel.fixed({}), CheckpointSchedule(1, 0), rho=100.0,
         )
         assert result.theta == 1
         assert result.steps == 1
@@ -342,11 +344,67 @@ class TestRunCycle:
         assert sim.max_conservation_error == conservation_error
 
 
+def _audit_case(seed: int, kind: str, terminating: bool) -> Simulation:
+    """A seeded simulation on a random connected graph with some edges capped below tau_bar."""
+    rng = random.Random(seed)
+    tau = rng.randint(0, 3)
+    base = Graph.random_connected(rng, rng.randint(2, 12))
+    caps = {e: rng.randint(0, tau - 1) for e in sorted(base.edges) if tau and rng.random() < 0.4}
+    g = Graph.from_edges(base.nodes, base.edges, caps)
+    if kind == "fixed":
+        delays = {}
+        for a, b in sorted(g.edges):
+            cap = caps.get((a, b), tau)
+            delays[(a, b)] = rng.randint(0, cap)
+            delays[(b, a)] = rng.randint(0, cap)
+        model = DelayModel.fixed(delays, tau_bar=tau)
+    elif kind == "weighted":
+        model = DelayModel.stochastic(tau, [rng.random() for _ in range(tau + 1)])
+    else:
+        model = DelayModel.stochastic(tau)
+    w = build_weights(g)
+    schedule = CheckpointSchedule(max(1, diameter(g)), tau)
+    rho = 0.01 if terminating else None
+    machines = {
+        i: NodeMachine(
+            ConsensusState(node=i, r=rng.uniform(-50, 50), s=rng.uniform(0.5, 2)),
+            w, g.neighbors(i), schedule, rho,
+        )
+        for i in g.nodes
+    }
+    return Simulation(g, machines, model, seed=seed)
+
+
+class TestAuditMatchesReference:
+    @pytest.mark.parametrize("kind", ["fixed", "uniform", "weighted"])
+    @pytest.mark.parametrize("terminating", [True, False], ids=["cycle", "averaging"])
+    def test_every_step_matches_the_reference(self, kind, terminating):
+        for seed in range(12):
+            sim = _audit_case(seed, kind, terminating)
+            depth = sim.delay_model.tau_bar + 1
+            windows = {
+                i: deque([(m.state.r, m.state.s)], maxlen=depth)
+                for i, m in sim.machines.items()
+            }
+            for _ in range(150):
+                report = sim.audits[-1]
+                hi, lo = global_extremes_oracle(windows)
+                assert (report.window_max, report.window_min) == (hi, lo)
+                assert report.max_gap == hi - lo
+                now = sim.step_index
+                assert sim.mailbox.oldest_age(now) == oldest_age_scan(sim.mailbox._pending, now)
+                if sim.all_frozen:
+                    break
+                sim.step()
+                for i, m in sim.machines.items():
+                    windows[i].append((m.state.r, m.state.s))
+
+
 class TestNaiveBaseline:
     def test_zero_delays_exact_average(self):
         g = Graph.cycle(5)
         initial = {1: 100.0, 2: 200.0, 3: 300.0, 4: 600.0, 5: 800.0}
-        final = run_naive_averaging(g, initial, DelayModel.zero(), steps=300)
+        final = run_naive_averaging(g, initial, DelayModel.fixed({}), steps=300)
         for v in final.values():
             assert v == pytest.approx(400.0, abs=1e-6)
 

@@ -4,6 +4,7 @@ import pytest
 
 from lisnet.errors import ConfigurationError
 from lisnet.topology import Graph, build_weights, diameter
+from reference import all_pairs_diameter
 
 
 def brute_force_diameter(g: Graph) -> int:
@@ -114,3 +115,17 @@ class TestDiameter:
         for _ in range(30):
             g = Graph.random_connected(rng, rng.randint(2, 12))
             assert diameter(g) == brute_force_diameter(g)
+
+    def test_matches_all_pairs_bfs(self):
+        rng = random.Random(2011)
+        graphs = [Graph.random_connected(rng, rng.randint(1, 80)) for _ in range(400)]
+        for n in range(1, 12):
+            graphs += [Graph.path(n), Graph.cycle(n), Graph.complete(n), Graph.star(n - 1)]
+        # sparse random graphs: long paths with a few chords, where pruning bites
+        for _ in range(50):
+            n = rng.randint(20, 300)
+            edges = [(i, i + 1) for i in range(1, n)]
+            edges += [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(rng.randint(0, 5))]
+            graphs.append(Graph.from_edges(range(1, n + 1), edges))
+        for g in graphs:
+            assert diameter(g) == all_pairs_diameter({u: g.neighbors(u) for u in g.nodes})
