@@ -18,7 +18,7 @@ import math
 import random
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .apportioning import (
     ApportionProblem,
@@ -149,9 +149,6 @@ class Mailbox:
         self.delivered += len(out)
         return out
 
-    def pending_count(self) -> int:
-        return sum(len(v) for v in self._pending.values())
-
     def pending_mass(self) -> tuple[float, float]:
         """Summed round by round, each in posting order (the audit's fixed order)."""
         mass_r = 0.0
@@ -172,8 +169,7 @@ class Mailbox:
         return max(0, now - oldest)
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Global bookkeeping snapshot taken between rounds."""
 
     step: int
@@ -215,7 +211,7 @@ class Simulation:
         self.rng = random.Random(seed)
         self.mailbox = Mailbox()
         self.step_index = 0
-        self.record = record
+        self._record_steps = record == RECORD_STEPS
         # per-link delay caps, _caps[src][dst], looked up once per message
         self._caps: dict[int, dict[int, int]] = {i: {} for i in graph.nodes}
         for a, b in graph.edges:
@@ -232,14 +228,24 @@ class Simulation:
         # (max, min) of the n node ratios at each of the last tau_bar + 1 steps
         ratios = [m.state.ratio() for m in self.machines.values()]
         self._window = deque([(max(ratios), min(ratios))], maxlen=delay_model.tau_bar + 1)
-        self._target_r = sum(m.state.r for m in self.machines.values())
-        self._target_s = sum(m.state.s for m in self.machines.values())
+        # conserved totals, summed in node order like every audit after them
+        target_r = 0.0
+        target_s = 0.0
+        for m in self.machines.values():
+            target_r += m.state.r
+            target_s += m.state.s
+        self._target_r = target_r
+        self._target_s = target_s
+        self._scale_r = max(1.0, abs(target_r))
+        self._scale_s = max(1.0, abs(target_s))
         self.max_conservation_error = 0.0
         self.audits: list[AuditReport] = [self.audit()]
         self.checkpoint_events: list[CheckpointEvent] = []
+        # machines frozen so far, counted from the frozen checkpoint events
+        self._frozen = sum(m.frozen for m in self.machines.values())
         # (step, node, r, s, ratio, z, y, theta, frozen) tuples, see CycleResult
-        self.trace_rows: list[tuple] = [] if record == RECORD_STEPS else self.checkpoint_events
-        if record == RECORD_STEPS:
+        self.trace_rows: list[tuple] = [] if self._record_steps else self.checkpoint_events
+        if self._record_steps:
             self._record_step_rows()
 
     def ratios(self) -> dict[int, float]:
@@ -247,39 +253,47 @@ class Simulation:
 
     @property
     def all_frozen(self) -> bool:
-        return all(m.frozen for m in self.machines.values())
+        return self._frozen == len(self.machines)
 
     def audit(self) -> AuditReport:
-        machines = self.machines.values()
-        node_r = sum([m.state.r for m in machines])
-        node_s = sum([m.state.s for m in machines])
-        flight_r, flight_s = self.mailbox.pending_mass()
-        hi = max([step_hi for step_hi, _ in self._window])
-        lo = min([step_lo for _, step_lo in self._window])
-        return AuditReport(
-            step=self.step_index,
-            node_mass_r=node_r,
-            inflight_mass_r=flight_r,
-            node_mass_s=node_s,
-            inflight_mass_s=flight_s,
-            window_max=hi,
-            window_min=lo,
-            max_gap=hi - lo,
-        )
+        """Snapshot the global bookkeeping and enforce mass conservation.
 
-    def _check_conservation(self, report: AuditReport) -> None:
-        for total, target in (
-            (report.node_mass_r + report.inflight_mass_r, self._target_r),
-            (report.node_mass_s + report.inflight_mass_s, self._target_s),
-        ):
-            rel = abs(total - target) / max(1.0, abs(target))
-            if rel > self.max_conservation_error:
-                self.max_conservation_error = rel
-            if rel > CONSERVATION_TOL:
-                raise InvariantError(
-                    f"mass leak at step {report.step}: total {total} vs "
-                    f"initial {target} (relative {rel:.3e})"
-                )
+        Node mass is summed in node order and in-flight mass round by round,
+        each round in posting order: plain sequential float additions, so
+        the totals do not depend on how the interpreter's ``sum()`` rounds.
+        Raises ``InvariantError`` when r or s mass (held plus in flight)
+        drifts from its initial total by more than ``CONSERVATION_TOL``
+        relative.
+        """
+        k = self.step_index
+        node_r = 0.0
+        node_s = 0.0
+        for m in self.machines.values():
+            state = m.state
+            node_r += state.r
+            node_s += state.s
+        flight_r, flight_s = self.mailbox.pending_mass()
+        total_r = node_r + flight_r
+        total_s = node_s + flight_s
+        rel_r = abs(total_r - self._target_r) / self._scale_r
+        rel_s = abs(total_s - self._target_s) / self._scale_s
+        if rel_r > self.max_conservation_error:
+            self.max_conservation_error = rel_r
+        if rel_s > self.max_conservation_error:
+            self.max_conservation_error = rel_s
+        if rel_r > CONSERVATION_TOL or rel_s > CONSERVATION_TOL:
+            if rel_r > CONSERVATION_TOL:
+                total, target, rel = total_r, self._target_r, rel_r
+            else:
+                total, target, rel = total_s, self._target_s, rel_s
+            raise InvariantError(
+                f"mass leak at step {k}: total {total} vs "
+                f"initial {target} (relative {rel:.3e})"
+            )
+        window = self._window
+        hi = max([step_hi for step_hi, _ in window])
+        lo = min([step_lo for _, step_lo in window])
+        return AuditReport(k, node_r, flight_r, node_s, flight_s, hi, lo, hi - lo)
 
     def _record_step_rows(self) -> None:
         k = self.step_index
@@ -293,21 +307,27 @@ class Simulation:
     def step(self) -> None:
         """One lockstep round: emit everywhere, deliver, absorb everywhere."""
         k = self.step_index
+        machines = self.machines
+        mailbox = self.mailbox
         rng = self.rng
         delay_for = self.delay_model.delay_for
-        post = self.mailbox.post
-        for i, machine in self.machines.items():
-            caps = self._caps[i]
+        post = mailbox.post
+        all_caps = self._caps
+        for i, machine in machines.items():
+            caps = all_caps[i]
             for env in machine.emit():
                 dst = env[1]
                 post(env, k + delay_for(rng, i, dst, caps[dst]))
         inboxes: defaultdict[int, list[tuple]] = defaultdict(list)
-        for env in self.mailbox.due(k):
+        for env in mailbox.due(k):
             inboxes[env[1]].append(env)
+        inbox_of = inboxes.get
+        events = self.checkpoint_events
+        frozen = self._frozen
         hi = -math.inf
         lo = math.inf
-        for i, machine in self.machines.items():
-            event = machine.advance(inboxes[i])
+        for i, machine in machines.items():
+            event = machine.advance(inbox_of(i, ()))
             state = machine.state
             q = state.r / state.s
             if q > hi:
@@ -315,15 +335,16 @@ class Simulation:
             if q < lo:
                 lo = q
             if event is not None:
-                self.checkpoint_events.append(event)
+                events.append(event)
+                if event.frozen:
+                    frozen += 1
+        self._frozen = frozen
         self._window.append((hi, lo))
-        self.step_index += 1
-        if self.mailbox.oldest_age(self.step_index) > self.delay_model.tau_bar:
+        self.step_index = k = k + 1
+        if mailbox.oldest_age(k) > self.delay_model.tau_bar:
             raise InvariantError("an envelope outlived the delay bound")
-        report = self.audit()
-        self.audits.append(report)
-        self._check_conservation(report)
-        if self.record == RECORD_STEPS:
+        self.audits.append(self.audit())
+        if self._record_steps:
             self._record_step_rows()
 
     def run(self, steps: int) -> None:
@@ -331,7 +352,8 @@ class Simulation:
             self.step()
 
     def run_until_frozen(self, max_steps: int) -> None:
-        while not self.all_frozen:
+        n = len(self.machines)
+        while self._frozen != n:
             if self.step_index >= max_steps:
                 raise NonTerminationError(
                     f"no termination within {max_steps} steps "

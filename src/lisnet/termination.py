@@ -213,23 +213,24 @@ class NodeMachine:
                     buf_y = y
         state = self.state = absorb(self.state, inbox, self._self_weight)
         step = state.k
-        event = None
         if step % self._epoch_len == 0:
             nz = [] if buf_z == -math.inf else [buf_z]
             ny = [] if buf_y == math.inf else [buf_y]
             term = self.term = epoch_update(term, nz, ny)
             buf_z = -math.inf
             buf_y = math.inf
-        if step % period_len == 0:
-            tested = term
-            term = self.term = checkpoint(tested, state.r, state.s, self.rho)
-            event = CheckpointEvent(
-                step, state.node, state.r, state.s, state.ratio(),
-                tested.z, tested.y, tested.theta, term.frozen,
-            )
-            if not term.frozen:
-                buf_z = -math.inf
-                buf_y = math.inf
-        self._buf_z = buf_z
-        self._buf_y = buf_y
-        return event
+        # not nested under the epoch test: checkpoint_len is a multiple of
+        # epoch_len only when tau_bar is 0
+        if step % period_len:
+            self._buf_z = buf_z
+            self._buf_y = buf_y
+            return None
+        # the extremes reseed (or the node freezes and never reads them again)
+        self._buf_z = -math.inf
+        self._buf_y = math.inf
+        tested = term
+        term = self.term = checkpoint(tested, state.r, state.s, self.rho)
+        return CheckpointEvent(
+            step, state.node, state.r, state.s, state.ratio(),
+            tested.z, tested.y, tested.theta, term.frozen,
+        )

@@ -44,6 +44,11 @@ def oldest_age_scan(pending: Mapping[int, Sequence[tuple]], now: int) -> int:
     return max(0, now - min(sent, default=now))
 
 
+def pending_count_scan(pending: Mapping[int, Sequence[tuple]]) -> int:
+    """Envelopes still awaiting delivery, counted over every pending round."""
+    return sum(len(batch) for batch in pending.values())
+
+
 def all_pairs_diameter(adjacency: Mapping[int, Sequence[int]]) -> int:
     """Longest shortest-path hop count, by one breadth-first search per node."""
     best = 0

@@ -5,7 +5,7 @@ import pytest
 
 from lisnet.apportioning import ApportionProblem, closed_form_oracle
 from lisnet.consensus import ConsensusState, Envelope
-from lisnet.errors import ConfigurationError, NonTerminationError
+from lisnet.errors import ConfigurationError, InvariantError, NonTerminationError
 from lisnet.netsim import (
     DelayModel,
     Mailbox,
@@ -16,7 +16,7 @@ from lisnet.netsim import (
 )
 from lisnet.termination import CheckpointSchedule, NodeMachine
 from lisnet.topology import Graph, build_weights, diameter
-from reference import global_extremes_oracle, oldest_age_scan
+from reference import global_extremes_oracle, oldest_age_scan, pending_count_scan
 
 TABLE_BOUNDS = {
     1: (0.0, 1500.0),
@@ -164,8 +164,9 @@ class TestConservationAndDelivery:
             seed=9,
         )
         sim.run(100)
-        assert sim.mailbox.posted == sim.mailbox.delivered + sim.mailbox.pending_count()
-        assert sim.mailbox.pending_count() <= 3 * 2 * g.n  # at most tau rounds in flight
+        pending = pending_count_scan(sim.mailbox._pending)
+        assert sim.mailbox.posted == sim.mailbox.delivered + pending
+        assert pending <= 3 * 2 * g.n  # at most tau rounds in flight
 
     def test_audit_step_zero(self):
         g = Graph.cycle(4)
@@ -191,6 +192,66 @@ class TestConservationAndDelivery:
         machines[1] = NodeMachine(ConsensusState(node=1, r=1.0, s=1.0), w, (2, 3), sched)
         with pytest.raises(ConfigurationError):
             Simulation(g, machines, DelayModel.fixed({}))
+
+
+def _in_flight_case(tau_bar: int = 3) -> tuple[Simulation, float, float]:
+    """Averaging on a 6-cycle, five steps in, with envelopes in flight; and its r, s totals."""
+    g = Graph.cycle(6)
+    r0 = {i: 40.0 * i - 100.0 for i in g.nodes}
+    s0 = {i: 0.5 + 0.25 * i for i in g.nodes}
+    sim = simulate_averaging(g, build_weights(g), r0, s0, DelayModel.stochastic(tau_bar), seed=3)
+    sim.run(5)
+    assert pending_count_scan(sim.mailbox._pending) > 0
+    total_r = total_s = 0.0
+    for i in g.nodes:
+        total_r += r0[i]
+        total_s += s0[i]
+    return sim, total_r, total_s
+
+
+def _skew_latest_envelope(sim: Simulation, field: int, delta: float) -> None:
+    """Add ``delta`` to one payload field of the last envelope of the latest round."""
+    batch = sim.mailbox._pending[max(sim.mailbox._pending)]
+    env = list(batch[-1])
+    env[field] += delta
+    batch[-1] = tuple(env)
+
+
+class TestAuditBites:
+    @pytest.mark.parametrize("field", [3, 4], ids=["payload_r", "payload_s"])
+    def test_leak_above_tolerance_fails_at_that_step(self, field):
+        sim, total_r, total_s = _in_flight_case()
+        total = total_r if field == 3 else total_s
+        k = sim.step_index
+        _skew_latest_envelope(sim, field, 2e-9 * max(1.0, abs(total)))
+        with pytest.raises(InvariantError, match=rf"^mass leak at step {k + 1}: "):
+            sim.step()
+
+    @pytest.mark.parametrize("field", [3, 4], ids=["payload_r", "payload_s"])
+    def test_leak_below_tolerance_passes_and_is_reported(self, field):
+        sim, total_r, total_s = _in_flight_case()
+        total = total_r if field == 3 else total_s
+        before = sim.max_conservation_error
+        _skew_latest_envelope(sim, field, 0.5e-9 * max(1.0, abs(total)))
+        sim.run(50)
+        assert before < 1e-14
+        assert sim.max_conservation_error == pytest.approx(0.5e-9, rel=1e-4)
+        assert len(sim.audits) == 56
+
+    def test_envelope_posted_older_than_the_delay_bound(self):
+        sim, _, _ = _in_flight_case(tau_bar=3)
+        k = sim.step_index
+        sim.mailbox.post((1, 2, k - 4, 0.0, 0.0, 0.0, 0.0), k + 4)
+        with pytest.raises(InvariantError, match="outlived the delay bound"):
+            sim.step()
+
+    def test_envelope_held_past_the_delay_bound(self):
+        sim, _, _ = _in_flight_case(tau_bar=3)
+        k = sim.step_index
+        sim.mailbox.post((1, 2, k, 0.0, 0.0, 0.0, 0.0), k + 9)
+        sim.run(3)
+        with pytest.raises(InvariantError, match="outlived the delay bound"):
+            sim.step()
 
 
 class TestDeterminism:
@@ -315,9 +376,12 @@ class TestRunCycle:
         for i in g.nodes:
             lo = rng.uniform(0.0, 500.0)
             bounds[i] = (lo, lo + rng.uniform(50.0, 2000.0))
-        demand = rng.uniform(
-            sum(b[0] for b in bounds.values()), sum(b[1] for b in bounds.values())
-        )
+        # summed in order, not by sum(), which is compensated from Python 3.12
+        floor = ceiling = 0.0
+        for lo, hi in bounds.values():
+            floor += lo
+            ceiling += hi
+        demand = rng.uniform(floor, ceiling)
         problem = ApportionProblem(demand, bounds, frozenset({1}))
         result = run_cycle(
             g, build_weights(g), problem, DelayModel.stochastic(3),
@@ -393,6 +457,7 @@ class TestAuditMatchesReference:
                 assert report.max_gap == hi - lo
                 now = sim.step_index
                 assert sim.mailbox.oldest_age(now) == oldest_age_scan(sim.mailbox._pending, now)
+                assert sim.all_frozen == all(m.frozen for m in sim.machines.values())
                 if sim.all_frozen:
                     break
                 sim.step()
