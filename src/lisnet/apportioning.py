@@ -13,12 +13,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .consensus import ConsensusState
 from .errors import FeasibilityError, InvariantError
 
 Bounds = tuple[float, float]
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Left to right from 0, as ``sum()`` adds up to Python 3.11.
+
+    From 3.12 on ``sum()`` of floats is compensated and can differ in the
+    last bit, so the totals that reach ``results.json`` are summed here.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass(frozen=True)
@@ -60,11 +72,11 @@ class ApportionProblem:
 
     @property
     def total_min(self) -> float:
-        return sum(lo for lo, _ in self.bounds.values())
+        return ordered_sum(lo for lo, _ in self.bounds.values())
 
     @property
     def total_max(self) -> float:
-        return sum(hi for _, hi in self.bounds.values())
+        return ordered_sum(hi for _, hi in self.bounds.values())
 
     def span(self, i: int) -> float:
         lo, hi = self.bounds[i]
@@ -86,7 +98,7 @@ class ReferenceCommand:
 
     @property
     def total(self) -> float:
-        return sum(self.commands.values())
+        return ordered_sum(self.commands.values())
 
 
 def init_states(problem: ApportionProblem) -> dict[int, ConsensusState]:

@@ -18,16 +18,18 @@ import os
 import random
 import sys
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import yaml
 
-from .apportioning import ApportionProblem, closed_form_oracle
+from .apportioning import ApportionProblem, closed_form_oracle, ordered_sum
 from .errors import ConfigurationError, LisnetError
 from .netsim import DelayModel, run_naive_averaging, simulate_averaging
 from .netsim import run_cycle  # noqa: F401  timed here by perfbench/iteration.py
 from .scenario import (
+    TRACK_INSTANT,
     DispatchSchedule,
     Infeasible,
     LisUnit,
@@ -65,14 +67,135 @@ SUITES = ("fig1-misconvergence", "six-lis-day", "oracle-sweep")
 
 # ---------------------------------------------------------------------------
 # configuration document
+#
+# Each section with scalar keys is a table of (key, attribute, reader,
+# default) rows, and the table alone says which keys the section allows,
+# how each is read, which must be present and what ``to_dict`` writes. The
+# attribute is a dotted path from the object the section is written from.
+# A key that is missing or null is absent: it takes its default, and a
+# REQUIRED one is an error. Any other value goes through the reader.
+
+Field = tuple[str, str, Callable[[Any, str], Any], Any]
+REQUIRED = object()
 
 
-def _require_keys(section: Any, allowed: set[str], where: str) -> None:
-    unknown = set(_as_mapping(section, where)) - allowed
+def _as_int(value: Any, what: str) -> int:
+    """An integer field; a non-integral number is malformed, never truncated."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}") from exc
+
+
+def _as_float(value: Any, what: str) -> float:
+    """A number field; finiteness is left to the object that takes it."""
+    if isinstance(value, bool):
+        raise ConfigurationError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"{what} must be a number, got {value!r}") from exc
+
+
+def _of_type(types: type | tuple[type, ...], noun: str) -> Callable[[Any, str], Any]:
+    """A reader that passes a value of ``types`` through unchanged."""
+
+    def reader(value: Any, what: str) -> Any:
+        if not isinstance(value, types):
+            raise ConfigurationError(f"{what} must be {noun}, got {value!r}")
+        return value
+
+    return reader
+
+
+_as_str = _of_type(str, "a string")
+_as_mapping = _of_type(dict, "a mapping")
+_as_list = _of_type((list, tuple), "a list")
+
+
+def _pairs(value: Any, what: str) -> Sequence[Any]:
+    """A list of two-element lists: edges and profile points."""
+    items = _as_list(value, what)
+    for item in items:
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise ConfigurationError(f"{what} entries must be pairs, got {item!r}")
+    return items
+
+
+def _as_profile(value: Any, what: str) -> PowerProfile:
+    points = _pairs(value, what)
+    return PowerProfile(tuple((_as_float(t, what), _as_float(w, what)) for t, w in points))
+
+
+def _parse_edge(key: Any, directed: bool = False) -> tuple[int, int]:
+    sep = "->" if directed else "-"
+    parts = str(key).replace(" ", "").split(sep)
+    if len(parts) != 2:
+        raise ConfigurationError(f"cannot parse edge {key!r} (expected 'a{sep}b')")
+    return _as_int(parts[0], "edge end"), _as_int(parts[1], "edge end")
+
+
+_TOP = (
+    ("name", "name", _as_str, "scenario"),
+    ("seed", "seed", _as_int, 0),
+    ("rho", "rho", _as_float, 0.02),
+    ("tau_bar", "delay.tau_bar", _as_int, 3),
+    ("diameter", "diameter_bound", _as_int, None),
+)
+_DELAY = (("model", "delay.kind", _as_str, "stochastic"),)
+_DISPATCH = (
+    ("consensus_period", "dispatch.consensus_period", _as_float, 1.0),
+    ("dispatch_period", "dispatch.dispatch_period", _as_float, 60.0),
+    ("epsilon", "dispatch.epsilon", _as_float, 1.0),
+    ("start_hours", "start_hours", _as_float, None),
+    ("end_hours", "end_hours", _as_float, None),
+)
+_OUTPUT = (("directory", "out_dir", _as_str, None),)
+_FLEET_ENTRY = (
+    ("id", "uid", _as_int, REQUIRED),
+    ("kind", "kind", _as_str, REQUIRED),
+    ("pi_min", "pi_min", _as_float, None),
+    ("pi_max", "pi_max", _as_float, None),
+    ("profile", "profile", _as_profile, None),
+    ("tracking", "tracking", _as_str, TRACK_INSTANT),
+    ("lag_seconds", "lag_seconds", _as_float, None),
+)
+
+
+def _section(
+    value: Any, where: str, fields: Sequence[Field], others: Sequence[str] = ()
+) -> dict[str, Any]:
+    """Read one mapping: its fields by attribute, its present ``others`` raw by key."""
+    section = _as_mapping(value, where)
+    allowed = {key for key, *_ in fields}.union(others)
+    unknown = section.keys() - allowed
     if unknown:
         raise ConfigurationError(
-            f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}"
+            f"unknown key(s) {sorted(unknown, key=str)} in {where}; allowed: {sorted(allowed)}"
         )
+    values = {key: section[key] for key in others if section.get(key) is not None}
+    for key, attribute, reader, default in fields:
+        if (raw := section.get(key)) is not None:
+            values[attribute] = reader(raw, f"{where} {key}")
+        elif default is REQUIRED:
+            raise ConfigurationError(f"{where} is missing required key {key!r}")
+        else:
+            values[attribute] = default
+    return values
+
+
+def _write(fields: Sequence[Field], obj: Any, omit_defaults: bool = False) -> dict[str, Any]:
+    """``obj``'s fields in document form, leaving out None and, if asked, defaults."""
+    doc = {}
+    for key, attribute, _, default in fields:
+        value = attrgetter(attribute)(obj)
+        if isinstance(value, PowerProfile):
+            value = [list(p) for p in value.points]
+        if value is not None and not (omit_defaults and value == default):
+            doc[key] = value
+    return doc
 
 
 @dataclass(frozen=True)
@@ -97,56 +220,33 @@ class ScenarioConfig:
             raise ConfigurationError("rho must be finite and positive")
 
     @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "ScenarioConfig":
-        _require_keys(
-            doc,
-            {
-                "name",
-                "seed",
-                "rho",
-                "tau_bar",
-                "diameter",
-                "graph",
-                "delay",
-                "demand",
-                "fleet",
-                "dispatch",
-                "output",
-            },
-            "scenario",
+    def from_dict(cls, doc: Any) -> "ScenarioConfig":
+        top = _section(
+            doc, "scenario", _TOP, ("graph", "delay", "demand", "fleet", "dispatch", "output")
         )
-        for key in ("graph", "demand", "fleet"):
-            if key not in doc:
-                raise ConfigurationError(f"scenario is missing required section {key!r}")
-        tau_bar = _as_int(doc.get("tau_bar", 3), "tau_bar")
-
-        gsec = doc["graph"]
-        _require_keys(gsec, {"nodes", "edges", "delay_bounds"}, "graph")
+        gsec = _section(top.get("graph"), "graph", (), ("nodes", "edges", "delay_bounds"))
         bounds = {}
-        for key, cap in _as_mapping(gsec.get("delay_bounds") or {}, "delay_bounds").items():
-            a, b = _parse_edge(key)
-            bounds[(a, b)] = _as_int(cap, f"delay bound on {key}")
-        nodes = [_as_int(i, "node id") for i in _as_list(gsec.get("nodes"), "graph.nodes")]
-        if len(set(nodes)) != len(nodes):
-            raise ConfigurationError(f"graph.nodes lists a node twice: {nodes}")
-        edges = _pairs(gsec.get("edges"), "graph.edges")
+        for key, cap in _as_mapping(gsec.get("delay_bounds", {}), "graph delay_bounds").items():
+            bounds[_parse_edge(key)] = _as_int(cap, f"delay bound on {key}")
+        nodes = [_as_int(i, "node id") for i in _as_list(gsec.get("nodes"), "graph nodes")]
+        edges = _pairs(gsec.get("edges"), "graph edges")
         graph = Graph.from_edges(
             nodes,
             [(_as_int(a, "edge end"), _as_int(b, "edge end")) for a, b in edges],
             bounds,
         )
 
-        dsec = doc.get("delay") or {"model": "stochastic"}
-        _require_keys(dsec, {"model", "fixed_delays", "probabilities"}, "delay")
-        model = dsec.get("model", "stochastic")
+        dsec = _section(top.get("delay", {}), "delay", _DELAY, ("fixed_delays", "probabilities"))
+        model, tau_bar = dsec["delay.kind"], top["delay.tau_bar"]
         if model == "fixed":
+            if "probabilities" in dsec:
+                raise ConfigurationError("delay probabilities require delay.model: stochastic")
             fixed = {}
-            for key, d in _as_mapping(dsec.get("fixed_delays") or {}, "fixed_delays").items():
-                a, b = _parse_edge(key, directed=True)
-                fixed[(a, b)] = _as_int(d, f"fixed delay on {key}")
+            for key, d in _as_mapping(dsec.get("fixed_delays", {}), "fixed_delays").items():
+                fixed[_parse_edge(key, directed=True)] = _as_int(d, f"fixed delay on {key}")
             delay = DelayModel.fixed(fixed, tau_bar=tau_bar)
         elif model == "stochastic":
-            if dsec.get("fixed_delays"):
+            if "fixed_delays" in dsec:
                 raise ConfigurationError("fixed_delays requires delay.model: fixed")
             probs = dsec.get("probabilities")
             if probs is not None:
@@ -158,79 +258,56 @@ class ScenarioConfig:
         else:
             raise ConfigurationError(f"unknown delay model {model!r}")
 
-        dem = doc["demand"]
-        _require_keys(dem, {"watts", "shape", "circulation"}, "demand")
+        dem = _section(top.get("demand"), "demand", (), ("watts", "shape", "circulation"))
         if ("watts" in dem) == ("shape" in dem):
             raise ConfigurationError("demand needs exactly one of 'watts' or 'shape'")
         demand: float | PowerProfile
         if "watts" in dem:
-            demand = _as_float(dem["watts"], "demand.watts")
+            demand = _as_float(dem["watts"], "demand watts")
         else:
-            demand = PowerProfile(_points(dem["shape"], "demand.shape"))
+            demand = _as_profile(dem["shape"], "demand shape")
         circulation = frozenset(
             _as_int(i, "node id") for i in _as_list(dem.get("circulation", []), "circulation")
         )
         if not circulation:
-            raise ConfigurationError("demand.circulation must name at least one node")
+            raise ConfigurationError("demand circulation must name at least one node")
         missing = circulation - set(graph.nodes)
         if missing:
             raise ConfigurationError(
-                f"demand.circulation nodes {sorted(missing)} are not in the graph"
+                f"demand circulation nodes {sorted(missing)} are not in the graph"
             )
 
-        fleet = tuple(_parse_unit(u) for u in _as_list(doc["fleet"], "fleet"))
+        fleet = tuple(
+            LisUnit(**_section(entry, f"fleet[{index}]", _FLEET_ENTRY))
+            for index, entry in enumerate(_as_list(top.get("fleet"), "fleet"))
+        )
         if sorted(u.uid for u in fleet) != sorted(graph.nodes):
             raise ConfigurationError("fleet ids must match graph nodes exactly")
 
-        dis = doc.get("dispatch") or {}
-        _require_keys(
-            dis,
-            {
-                "consensus_period",
-                "dispatch_period",
-                "epsilon",
-                "start_hours",
-                "end_hours",
-            },
-            "dispatch",
-        )
+        dis = _section(top.get("dispatch", {}), "dispatch", _DISPATCH)
         dispatch = DispatchSchedule(
             demand=demand,
-            consensus_period=_as_float(dis.get("consensus_period", 1.0), "consensus_period"),
-            dispatch_period=_as_float(dis.get("dispatch_period", 60.0), "dispatch_period"),
-            epsilon=_as_float(dis.get("epsilon", 1.0), "epsilon"),
+            consensus_period=dis["dispatch.consensus_period"],
+            dispatch_period=dis["dispatch.dispatch_period"],
+            epsilon=dis["dispatch.epsilon"],
         )
-
-        osec = doc.get("output") or {}
-        _require_keys(osec, {"directory"}, "output")
-        out_dir = osec.get("directory")
-        if out_dir is not None and not isinstance(out_dir, str):
-            raise ConfigurationError(f"output.directory must be a path, got {out_dir!r}")
-
         return cls(
-            name=str(doc.get("name", "scenario")),
-            seed=_as_int(doc.get("seed", 0), "seed"),
-            rho=_as_float(doc.get("rho", 0.02), "rho"),
-            diameter_bound=_as_int(doc["diameter"], "diameter") if "diameter" in doc else None,
+            name=top["name"],
+            seed=top["seed"],
+            rho=top["rho"],
+            diameter_bound=top["diameter_bound"],
             graph=graph,
             delay=delay,
             circulation=circulation,
             fleet=fleet,
             dispatch=dispatch,
-            start_hours=_optional_float(dis, "start_hours", "dispatch"),
-            end_hours=_optional_float(dis, "end_hours", "dispatch"),
-            out_dir=out_dir,
+            start_hours=dis["start_hours"],
+            end_hours=dis["end_hours"],
+            out_dir=_section(top.get("output", {}), "output", _OUTPUT)["out_dir"],
         )
 
     def to_dict(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {
-            "name": self.name,
-            "seed": self.seed,
-            "rho": self.rho,
-            "tau_bar": self.delay.tau_bar,
-        }
-        if self.diameter_bound is not None:
-            doc["diameter"] = self.diameter_bound
+        doc = _write(_TOP, self)
         doc["graph"] = {
             "nodes": list(self.graph.nodes),
             "edges": [list(e) for e in sorted(self.graph.edges)],
@@ -239,35 +316,23 @@ class ScenarioConfig:
             doc["graph"]["delay_bounds"] = {
                 f"{a}-{b}": v for (a, b), v in sorted(self.graph.delay_bounds.items())
             }
-        dsec: dict[str, Any] = {"model": self.delay.kind}
+        doc["delay"] = _write(_DELAY, self)
         if self.delay.kind == "fixed":
-            dsec["fixed_delays"] = {
+            doc["delay"]["fixed_delays"] = {
                 f"{a}->{b}": v for (a, b), v in sorted((self.delay.fixed_delays or {}).items())
             }
         elif self.delay.probabilities is not None:
-            dsec["probabilities"] = list(self.delay.probabilities)
-        doc["delay"] = dsec
-        dem: dict[str, Any] = {}
+            doc["delay"]["probabilities"] = list(self.delay.probabilities)
         demand = self.dispatch.demand
         if isinstance(demand, PowerProfile):
-            dem["shape"] = [list(p) for p in demand.points]
+            doc["demand"] = {"shape": [list(p) for p in demand.points]}
         else:
-            dem["watts"] = demand
-        dem["circulation"] = sorted(self.circulation)
-        doc["demand"] = dem
-        doc["fleet"] = [_unit_to_dict(u) for u in self.fleet]
-        dis: dict[str, Any] = {
-            "consensus_period": self.dispatch.consensus_period,
-            "dispatch_period": self.dispatch.dispatch_period,
-            "epsilon": self.dispatch.epsilon,
-        }
-        if self.start_hours is not None:
-            dis["start_hours"] = self.start_hours
-        if self.end_hours is not None:
-            dis["end_hours"] = self.end_hours
-        doc["dispatch"] = dis
+            doc["demand"] = {"watts": demand}
+        doc["demand"]["circulation"] = sorted(self.circulation)
+        doc["fleet"] = [_write(_FLEET_ENTRY, u, omit_defaults=True) for u in self.fleet]
+        doc["dispatch"] = _write(_DISPATCH, self)
         if self.out_dir is not None:
-            doc["output"] = {"directory": self.out_dir}
+            doc["output"] = _write(_OUTPUT, self)
         return doc
 
     @classmethod
@@ -275,129 +340,29 @@ class ScenarioConfig:
         loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml when built with it
         try:
             doc = yaml.load(Path(path).read_text(), Loader=loader)
-        except yaml.YAMLError as exc:
-            raise ConfigurationError(f"{path}: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigurationError(f"{path}: top level must be a mapping")
-        try:
             return cls.from_dict(doc)
-        except ConfigurationError as exc:
+        except (yaml.YAMLError, ConfigurationError) as exc:
             raise ConfigurationError(f"{path}: {exc}") from exc
 
     def dump(self, path: str | Path) -> None:
         Path(path).write_text(yaml.safe_dump(self.to_dict(), sort_keys=False))
 
 
-def _parse_edge(key: str, directed: bool = False) -> tuple[int, int]:
-    sep = "->" if directed else "-"
-    parts = str(key).replace(" ", "").split(sep)
-    if len(parts) != 2:
-        raise ConfigurationError(f"cannot parse edge {key!r} (expected 'a{sep}b')")
-    return _as_int(parts[0], "edge end"), _as_int(parts[1], "edge end")
-
-
-def _as_int(value: Any, what: str) -> int:
-    """An integer field; a non-integral number is malformed, never truncated."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{what} must be an integer, got {value!r}") from exc
-
-
-def _as_float(value: Any, what: str) -> float:
-    """A number field; finiteness is left to the object that takes it."""
-    if isinstance(value, bool):
-        raise ConfigurationError(f"{what} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{what} must be a number, got {value!r}") from exc
-
-
-def _optional_float(section: Mapping[str, Any], key: str, where: str) -> float | None:
-    return _as_float(section[key], f"{where} {key}") if key in section else None
-
-
-def _as_mapping(value: Any, where: str) -> Mapping[str, Any]:
-    if not isinstance(value, Mapping):
-        raise ConfigurationError(f"{where} must be a mapping, got {value!r}")
-    return value
-
-
-def _as_list(value: Any, what: str) -> Sequence[Any]:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigurationError(f"{what} must be a list, got {value!r}")
-    return value
-
-
-def _pairs(value: Any, what: str) -> Sequence[Any]:
-    """A list of two-element lists: edges and profile points."""
-    items = _as_list(value, what)
-    for item in items:
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise ConfigurationError(f"{what} entries must be pairs, got {item!r}")
-    return items
-
-
-def _points(value: Any, what: str) -> tuple[tuple[float, float], ...]:
-    return tuple((_as_float(t, what), _as_float(w, what)) for t, w in _pairs(value, what))
-
-
-def _parse_unit(doc: Any) -> LisUnit:
-    where = f"fleet entry {_as_mapping(doc, 'fleet entry').get('id', '?')}"
-    _require_keys(
-        doc, {"id", "kind", "pi_min", "pi_max", "profile", "tracking", "lag_seconds"}, where
-    )
-    if "id" not in doc:
-        raise ConfigurationError(f"fleet entry {dict(doc)!r} has no id")
-    profile = None
-    if doc.get("profile") is not None:
-        profile = PowerProfile(_points(doc["profile"], f"{where} profile"))
-    return LisUnit(
-        uid=_as_int(doc["id"], "fleet id"),
-        kind=str(doc.get("kind")),
-        pi_min=_optional_float(doc, "pi_min", where),
-        pi_max=_optional_float(doc, "pi_max", where),
-        profile=profile,
-        tracking=str(doc.get("tracking", "instant")),
-        lag_seconds=_optional_float(doc, "lag_seconds", where),
-    )
-
-
-def _unit_to_dict(u: LisUnit) -> dict[str, Any]:
-    doc: dict[str, Any] = {"id": u.uid, "kind": u.kind}
-    if u.pi_min is not None:
-        doc["pi_min"] = u.pi_min
-    if u.pi_max is not None:
-        doc["pi_max"] = u.pi_max
-    if u.profile is not None:
-        doc["profile"] = [list(p) for p in u.profile.points]
-    if u.tracking != "instant":
-        doc["tracking"] = u.tracking
-    if u.lag_seconds is not None:
-        doc["lag_seconds"] = u.lag_seconds
-    return doc
-
-
 def default_config() -> ScenarioConfig:
-    """The built-in six-unit scenario: 6-cycle, 7 kW demand circulated at unit 2."""
+    """The built-in six-unit scenario: 6-cycle, 7 kW demand circulated at unit 2.
+
+    Its seed, rho, tau_bar, delay model and dispatch timing are the table defaults.
+    """
     return ScenarioConfig.from_dict(
         {
             "name": "six-lis-day",
-            "seed": 0,
-            "rho": 0.02,
-            "tau_bar": 3,
             "diameter": 3,
             "graph": {
                 "nodes": [1, 2, 3, 4, 5, 6],
                 "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]],
             },
-            "delay": {"model": "stochastic"},
             "demand": {"watts": 7000.0, "circulation": [2]},
-            "fleet": [_unit_to_dict(u) for u in six_lis_fleet()],
-            "dispatch": {"consensus_period": 1.0, "dispatch_period": 60.0, "epsilon": 1.0},
+            "fleet": [_write(_FLEET_ENTRY, u, omit_defaults=True) for u in six_lis_fleet()],
         }
     )
 
@@ -755,8 +720,8 @@ def replicate_oracle_sweep(seed: int = 0, count: int = 200) -> tuple[bool, list[
         for i in graph.nodes:
             lo = rng.uniform(0.0, 500.0)
             bounds[i] = (lo, lo + rng.uniform(50.0, 2000.0))
-        total_min = sum(b[0] for b in bounds.values())
-        total_max = sum(b[1] for b in bounds.values())
+        total_min = ordered_sum(b[0] for b in bounds.values())
+        total_max = ordered_sum(b[1] for b in bounds.values())
         rho_d = rng.uniform(total_min, total_max)
         picks = rng.randint(1, n)
         demand_set = frozenset(rng.sample(sorted(graph.nodes), picks))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Sequence
 
-from .apportioning import ApportionProblem
+from .apportioning import ApportionProblem, ordered_sum
 from .errors import ConfigurationError
 from .netsim import CycleResult, DelayModel, run_cycle
 from .termination import CheckpointSchedule
@@ -257,8 +257,8 @@ def plan_instant(
             window[unit.uid] = b
     participants = tuple(window)
     demand = dispatch.demand_at(t_hours)
-    lo = sum(b[0] for b in window.values())
-    hi = sum(b[1] for b in window.values())
+    lo = ordered_sum(b[0] for b in window.values())
+    hi = ordered_sum(b[1] for b in window.values())
     infeasible = partial(Infeasible, t_hours, demand, participants, lo, hi)
     if not participants:
         return infeasible("no unit offers capacity")
@@ -382,8 +382,8 @@ def run_day(
                 demand=plan.demand,
                 commands=commands,
                 delivered=delivered,
-                total_command=sum(commands.values()),
-                total_delivered=sum(delivered.values()),
+                total_command=ordered_sum(commands.values()),
+                total_delivered=ordered_sum(delivered.values()),
                 theta=result.theta if result else None,
                 iterations=result.steps if result else None,
                 budget_exceeded=overrun,

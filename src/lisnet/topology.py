@@ -70,7 +70,7 @@ class Graph:
     ) -> "Graph":
         norm = frozenset(edge_key(a, b) for a, b in edges)
         bounds = {edge_key(a, b): v for (a, b), v in (delay_bounds or {}).items()}
-        return cls(tuple(sorted(set(nodes))), norm, bounds)
+        return cls(tuple(sorted(nodes)), norm, bounds)
 
     @classmethod
     def random_connected(cls, rng: random.Random, n: int) -> "Graph":

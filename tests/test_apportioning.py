@@ -6,6 +6,7 @@ from lisnet.apportioning import (
     ApportionProblem,
     closed_form_oracle,
     init_states,
+    ordered_sum,
     reference_command,
 )
 from lisnet.errors import FeasibilityError, InvariantError
@@ -74,6 +75,12 @@ class TestInitStates:
         assert states[3].r == pytest.approx(6.0)
         assert states[2].r == 0.0
         assert sum(s.r for s in states.values()) == pytest.approx(12.0)
+
+
+def test_ordered_sum_adds_left_to_right():
+    # sum() gives 1.0 here from Python 3.12 on, where it compensates
+    assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
+    assert ordered_sum(x for x in (0.1, 0.2, 0.3)) == (0.1 + 0.2) + 0.3
 
 
 class TestReferenceCommand:

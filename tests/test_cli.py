@@ -64,6 +64,35 @@ class TestConfigDocument:
         with pytest.raises(ConfigurationError, match="weights"):
             ScenarioConfig.load(config_path)
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("delay",), 0),
+            (("delay",), []),
+            (("dispatch",), False),
+            (("output",), ""),
+            (("graph", "delay_bounds"), 0),
+            (("delay", "fixed_delays"), []),
+            (("name",), [1, 2]),
+        ],
+        ids=["delay-0", "delay-empty-list", "dispatch-false", "output-empty-string",
+             "delay-bounds-0", "fixed-delays-empty-list", "name-list"],
+    )
+    def test_only_missing_or_null_is_absent(self, config_path, capsys, path, value):
+        doc = yaml.safe_load(config_path.read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent.pop(path[-1], None)
+        missing = ScenarioConfig.from_dict(doc).to_dict()
+        parent[path[-1]] = None
+        assert ScenarioConfig.from_dict(doc).to_dict() == missing
+        parent[path[-1]] = value
+        config_path.write_text(yaml.safe_dump(doc))
+        code = main(["run", "--config", str(config_path), "--check-feasibility"])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_fleet_must_cover_graph(self, config_path):
         doc = yaml.safe_load(config_path.read_text())
         doc["fleet"] = doc["fleet"][:-1]
@@ -165,6 +194,15 @@ class TestTraceFormat:
             read_trace_csv(path)
 
 
+@pytest.fixture
+def four_instant_path(config_path):
+    """The default scenario cut to four dispatch instants from hour 4."""
+    doc = yaml.safe_load(config_path.read_text())
+    doc["dispatch"].update(start_hours=4.0, end_hours=4.05)
+    config_path.write_text(yaml.safe_dump(doc))
+    return config_path
+
+
 class TestTraceDigests:
     """trace.csv of short runs, pinned byte for byte by its sha256."""
 
@@ -180,14 +218,34 @@ class TestTraceDigests:
         ],
         ids=["verbose-day", "checkpoint-day", "verbose-cycle"],
     )
-    def test_trace_digest(self, tmp_path, config_path, flags, digest):
-        doc = yaml.safe_load(config_path.read_text())
-        doc["dispatch"].update(start_hours=4.0, end_hours=4.05)  # four instants
-        config_path.write_text(yaml.safe_dump(doc))
+    def test_trace_digest(self, tmp_path, four_instant_path, flags, digest):
         out = tmp_path / "out"
-        code = main(["run", "--config", str(config_path), "--out-dir", str(out), *flags])
+        code = main(["run", "--config", str(four_instant_path), "--out-dir", str(out), *flags])
         assert code == 0
         assert hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest() == digest
+
+
+class TestResultsDigests:
+    """results.json of short runs, pinned by its sha256 on every interpreter.
+
+    Its totals are left-to-right sums; ``sum()`` of floats rounds
+    differently from Python 3.12 on, which these pins catch in CI.
+    """
+
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            ([], "93b16bbd4aa788b67c048842bec3270f2e3b96828781346d8066dbae9868968d"),
+            (["--cycle-only", "--at-hours", "1"],
+             "4777c21cf8ff11ef744b5acc7b448bd7297cfbc07c0ce26822330e8ae96c7f54"),
+        ],
+        ids=["checkpoint-day", "cycle"],
+    )
+    def test_results_digest(self, tmp_path, four_instant_path, flags, digest):
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(four_instant_path), "--out-dir", str(out), *flags])
+        assert code == 0
+        assert hashlib.sha256((out / "results.json").read_bytes()).hexdigest() == digest
 
 
 class TestRunCommand:
@@ -283,6 +341,20 @@ class TestRunCommand:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_day_without_a_feasible_instant_exits_zero(self, tmp_path, config_path):
+        # every instant is flagged and holds the previous (zero) commands
+        out = tmp_path / "out"
+        code = main([
+            "run", "--config", str(config_path), "--demand", "99999", "--out-dir", str(out),
+        ])
+        assert code == 0
+        results = json.loads((out / "results.json").read_text())
+        assert results["infeasible_cycles"] == results["cycles"] == 481
+        assert results["max_total_deviation"] is None
+        assert {c["total_command"] for c in results["per_cycle"]} == {0.0}
+        assert read_trace_csv(out / "trace.csv") == []
+        assert "no feasible instants" in (out / "summary.txt").read_text()
+
     def test_cycle_only_excess_demand_is_infeasible_not_malformed(
         self, tmp_path, config_path, capsys
     ):
@@ -358,11 +430,14 @@ class TestRunCommand:
             ),
             lambda doc: doc.__setitem__("output", {"directory": 5}),
             lambda doc: doc.__setitem__("seed", True),
+            lambda doc: doc.__setitem__(
+                "delay", {"model": "fixed", "probabilities": [1, 1, 1, 1]}
+            ),
         ],
         ids=[
             "rho", "demand-watts", "epsilon", "short-edge", "fleet-id-missing", "fleet-scalar",
             "graph-scalar", "graph-nodes-missing", "duplicate-node", "profile-point",
-            "delay-probability", "output-directory", "seed-bool",
+            "delay-probability", "output-directory", "seed-bool", "fixed-model-probabilities",
         ],
     )
     def test_malformed_value_or_shape_is_a_configuration_error(

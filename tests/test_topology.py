@@ -42,6 +42,10 @@ class TestGraph:
         with pytest.raises(ConfigurationError):
             Graph.from_edges([1, 2], [(1, 3)])
 
+    def test_rejects_duplicate_node(self):
+        with pytest.raises(ConfigurationError, match="duplicate"):
+            Graph.from_edges([1, 2, 1], [(1, 2)])
+
     def test_rejects_bound_on_missing_edge(self):
         with pytest.raises(ConfigurationError):
             Graph.from_edges([1, 2, 3], [(1, 2)], {(2, 3): 1})
