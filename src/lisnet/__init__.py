@@ -37,7 +37,6 @@ from .scenario import (
     InstantPlan,
     LisUnit,
     PowerProfile,
-    Tracker,
     bounds_at,
     day_instants,
     plan_instant,
@@ -84,7 +83,6 @@ __all__ = [
     "ReferenceCommand",
     "Simulation",
     "TerminationState",
-    "Tracker",
     "WeightMatrix",
     "absorb",
     "bounds_at",

@@ -36,6 +36,7 @@ from .scenario import (
     PowerProfile,
     bounds_at,  # noqa: F401  traced here by perfbench/tracer.py
     day_instants,
+    instant_rows,
     plan_instant,
     run_day,
     run_instant,
@@ -429,18 +430,6 @@ def _resolve_out_dir(flag: str | None, config: ScenarioConfig) -> Path:
 # run command
 
 
-def _assemble_day_rows(day) -> list[tuple]:
-    """The day's trace rows, each frozen one extended by its command and power."""
-    records = day.records
-    rows = []
-    for row in day.trace_rows:
-        if row[9]:  # frozen; row[0] is the cycle and row[2] the node
-            rec = records[row[0]]
-            row = (*row, rec.commands[row[2]], rec.delivered[row[2]])
-        rows.append(row)
-    return rows
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     if args.at_hours is None:
         args.at_hours = 0.0
@@ -474,11 +463,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         return _check_feasibility(config, args)
 
     out_dir = _resolve_out_dir(args.out_dir, config)
-    record = "steps" if args.verbose_trace else "checkpoints"
-
     if args.cycle_only:
-        return _run_single_cycle(config, args, out_dir, record)
-    return _run_full_day(config, out_dir, record)
+        return _run_single_cycle(config, args, out_dir)
+    return _run_full_day(config, out_dir, args.verbose_trace)
 
 
 def _check_feasibility(config: ScenarioConfig, args: argparse.Namespace) -> int:
@@ -502,7 +489,7 @@ def _check_feasibility(config: ScenarioConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_single_cycle(config, args, out_dir: Path, record: str) -> int:
+def _run_single_cycle(config, args, out_dir: Path) -> int:
     t = args.at_hours
     plan = plan_instant(config.fleet, config.graph, config.dispatch, t, config.circulation)
     if isinstance(plan, Infeasible):
@@ -515,16 +502,11 @@ def _run_single_cycle(config, args, out_dir: Path, record: str) -> int:
         config.rho,
         diameter_bound=config.diameter_bound,
         seed=config.seed,
-        record=record,
+        record_steps=args.verbose_trace,
     )
     oracle = closed_form_oracle(plan.problem)
-    rows = []
-    for row in result.trace_rows:
-        if row[8]:  # frozen; a cycle's rows have no cycle index, row[1] is the node
-            command = result.commands[row[1]]
-            rows.append((0, *row, command, command))
-        else:
-            rows.append((0, *row))
+    commands = result.commands.commands
+    rows = instant_rows(0, result.trace_rows, commands, commands)
     write_trace_csv(out_dir / "trace.csv", rows)
     summary = [
         f"scenario: {config.name} (single cycle at t={t:g} h, seed {config.seed})",
@@ -556,7 +538,7 @@ def _run_single_cycle(config, args, out_dir: Path, record: str) -> int:
     return 0
 
 
-def _run_config_day(config: ScenarioConfig, record: str = "checkpoints"):
+def _run_config_day(config: ScenarioConfig, record_steps: bool = False):
     return run_day(
         list(config.fleet),
         config.graph,
@@ -568,13 +550,13 @@ def _run_config_day(config: ScenarioConfig, record: str = "checkpoints"):
         start_hours=config.start_hours,
         end_hours=config.end_hours,
         diameter_bound=config.diameter_bound,
-        record=record,
+        record_steps=record_steps,
     )
 
 
-def _run_full_day(config: ScenarioConfig, out_dir: Path, record: str) -> int:
-    day = _run_config_day(config, record)
-    write_trace_csv(out_dir / "trace.csv", _assemble_day_rows(day))
+def _run_full_day(config: ScenarioConfig, out_dir: Path, record_steps: bool) -> int:
+    day = _run_config_day(config, record_steps)
+    write_trace_csv(out_dir / "trace.csv", day.trace_rows)
     feasible = [r for r in day.records if r.feasible]
     deviations = [abs(r.total_delivered - r.demand) for r in feasible]
     per_cycle = [

@@ -18,6 +18,7 @@ import math
 import random
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, NamedTuple, Sequence
 
 from .apportioning import (
@@ -28,7 +29,7 @@ from .apportioning import (
 )
 from .consensus import ConsensusState
 from .errors import ConfigurationError, InvariantError, NonTerminationError
-from .termination import CheckpointEvent, CheckpointSchedule, NodeMachine
+from .termination import CheckpointSchedule, NodeMachine
 from .topology import Graph, WeightMatrix, diameter
 
 CONSERVATION_TOL = 1e-9
@@ -71,9 +72,19 @@ class DelayModel:
                     f"need {self.tau_bar + 1} delay probabilities, "
                     f"got {len(self.probabilities)}"
                 )
-            probs = self.probabilities
-            if not (all(0 <= p < math.inf for p in probs) and sum(probs) > 0):
+            if not all(0 <= p < math.inf for p in self.probabilities):
                 raise ConfigurationError("delay probabilities must be finite and non-negative")
+            # accumulated once, as rng.choices(weights=...) would on every draw
+            cum_weights = tuple(accumulate(self.probabilities))
+            try:
+                total = float(cum_weights[-1])
+            except OverflowError:
+                total = math.inf
+            if not 0.0 < total < math.inf:
+                raise ConfigurationError(
+                    "delay probabilities must have a positive, finite total"
+                )
+            object.__setattr__(self, "_cum_weights", cum_weights)
         uniform = self.kind == STOCHASTIC and self.probabilities is None
         object.__setattr__(self, "_bits", (self.tau_bar + 1).bit_length() if uniform else 0)
 
@@ -114,7 +125,7 @@ class DelayModel:
         elif self.kind == FIXED:
             d = (self.fixed_delays or {}).get((src, dst), 0)
         else:
-            d = rng.choices(range(self.tau_bar + 1), weights=self.probabilities)[0]
+            d = rng.choices(range(self.tau_bar + 1), cum_weights=self._cum_weights)[0]
         if cap is not None and d > cap:
             d = cap
         return d
@@ -182,36 +193,41 @@ class AuditReport(NamedTuple):
     max_gap: float
 
 
-RECORD_CHECKPOINTS = "checkpoints"
-RECORD_STEPS = "steps"
-
-
 class Simulation:
-    """Drives a set of node machines in lockstep rounds over a delay channel."""
+    """Drives one node machine per graph node in lockstep rounds over a delay channel.
+
+    ``states`` holds each node's initial consensus state, keyed by node.
+    The simulator builds every node's ``NodeMachine`` on ``schedule`` with
+    stopping threshold ``rho`` (``None`` is probe mode: never freeze).
+    ``trace_rows`` are the checkpoint events, or with ``record_steps``
+    every node's state after every step.
+    """
 
     def __init__(
         self,
         graph: Graph,
-        machines: Mapping[int, NodeMachine],
+        weights: WeightMatrix,
+        states: Mapping[int, ConsensusState],
         delay_model: DelayModel,
+        schedule: CheckpointSchedule,
+        rho: float | None = None,
         *,
         seed: int = 0,
-        record: str = RECORD_CHECKPOINTS,
+        record_steps: bool = False,
     ):
-        if set(machines) != set(graph.nodes):
-            raise ConfigurationError("machines must cover exactly the graph's nodes")
-        for i, m in machines.items():
-            if m.node != i or not set(m.neighbors) <= set(graph.neighbors(i)):
-                raise ConfigurationError(f"machine {i} must be node {i} on its graph links")
-        if record not in (RECORD_CHECKPOINTS, RECORD_STEPS):
-            raise ConfigurationError(f"unknown record mode {record!r}")
-        self.graph = graph
-        self.machines = dict(sorted(machines.items()))
+        if set(states) != set(graph.nodes) or any(
+            state.node != i for i, state in states.items()
+        ):
+            raise ConfigurationError("states must be keyed by exactly the graph's nodes")
+        self.machines = {
+            i: NodeMachine(states[i], weights, graph.neighbors(i), schedule, rho)
+            for i in sorted(graph.nodes)
+        }
         self.delay_model = delay_model
         self.rng = random.Random(seed)
         self.mailbox = Mailbox()
         self.step_index = 0
-        self._record_steps = record == RECORD_STEPS
+        self._record_steps = record_steps
         # per-link delay caps, _caps[src][dst], looked up once per message
         self._caps: dict[int, dict[int, int]] = {i: {} for i in graph.nodes}
         for a, b in graph.edges:
@@ -239,13 +255,12 @@ class Simulation:
         self._scale_r = max(1.0, abs(target_r))
         self._scale_s = max(1.0, abs(target_s))
         self.max_conservation_error = 0.0
-        self.audits: list[AuditReport] = [self.audit()]
-        self.checkpoint_events: list[CheckpointEvent] = []
+        self.audit()
         # machines frozen so far, counted from the frozen checkpoint events
-        self._frozen = sum(m.frozen for m in self.machines.values())
+        self._frozen = 0
         # (step, node, r, s, ratio, z, y, theta, frozen) tuples, see CycleResult
-        self.trace_rows: list[tuple] = [] if self._record_steps else self.checkpoint_events
-        if self._record_steps:
+        self.trace_rows: list[tuple] = []
+        if record_steps:
             self._record_step_rows()
 
     def ratios(self) -> dict[int, float]:
@@ -263,7 +278,8 @@ class Simulation:
         the totals do not depend on how the interpreter's ``sum()`` rounds.
         Raises ``InvariantError`` when r or s mass (held plus in flight)
         drifts from its initial total by more than ``CONSERVATION_TOL``
-        relative.
+        relative. Runs at construction and after every step; no snapshot is
+        kept, only the running ``max_conservation_error``.
         """
         k = self.step_index
         node_r = 0.0
@@ -322,7 +338,7 @@ class Simulation:
         for env in mailbox.due(k):
             inboxes[env[1]].append(env)
         inbox_of = inboxes.get
-        events = self.checkpoint_events
+        events = None if self._record_steps else self.trace_rows
         frozen = self._frozen
         hi = -math.inf
         lo = math.inf
@@ -335,7 +351,8 @@ class Simulation:
             if q < lo:
                 lo = q
             if event is not None:
-                events.append(event)
+                if events is not None:
+                    events.append(event)
                 if event.frozen:
                     frozen += 1
         self._frozen = frozen
@@ -343,7 +360,7 @@ class Simulation:
         self.step_index = k = k + 1
         if mailbox.oldest_age(k) > self.delay_model.tau_bar:
             raise InvariantError("an envelope outlived the delay bound")
-        self.audits.append(self.audit())
+        self.audit()
         if self._record_steps:
             self._record_step_rows()
 
@@ -369,19 +386,14 @@ class CycleResult:
     ``trace_rows`` holds one ``(step, node, r, s, ratio, z, y, theta,
     frozen)`` tuple per recorded node state: the ``cli.TRACE_COLUMNS``
     order without the leading ``cycle`` and the frozen-only ``pi_star`` and
-    ``delivered_power``. With ``record="checkpoints"`` the rows are the
-    ``checkpoint_events`` themselves; with ``record="steps"`` there is one
-    row per node per step. Every node runs the stopping machine, so no
-    cell is None.
+    ``delivered_power``. The rows are the ``CheckpointEvent``s, or with
+    ``record_steps`` one row per node per step. Every node runs the
+    stopping machine, so no cell is None.
     """
 
     commands: ReferenceCommand
     theta: int
     steps: int
-    r_star: dict[int, float]
-    s_star: dict[int, float]
-    checkpoint_events: list[CheckpointEvent]
-    audits: list[AuditReport]
     trace_rows: list[tuple]
     max_conservation_error: float
 
@@ -402,16 +414,8 @@ def simulate_averaging(
     checkpoint, and no node freezes.
     """
     schedule = CheckpointSchedule(max(1, diameter(graph)), delay_model.tau_bar)
-    machines = {
-        i: NodeMachine(
-            ConsensusState(node=i, r=r0[i], s=s0[i]),
-            weights,
-            graph.neighbors(i),
-            schedule,
-        )
-        for i in graph.nodes
-    }
-    return Simulation(graph, machines, delay_model, seed=seed)
+    states = {i: ConsensusState(node=i, r=r0[i], s=s0[i]) for i in graph.nodes}
+    return Simulation(graph, weights, states, delay_model, schedule, seed=seed)
 
 
 def run_cycle(
@@ -424,19 +428,16 @@ def run_cycle(
     *,
     seed: int = 0,
     max_steps: int | None = None,
-    record: str = RECORD_CHECKPOINTS,
+    record_steps: bool = False,
 ) -> CycleResult:
     """Run one dispatch cycle to unanimous freeze and read off the commands."""
-    if set(problem.bounds) != set(graph.nodes):
-        raise ConfigurationError("problem nodes must match the graph's nodes")
     if rho is None or not rho > 0.0:
         raise ConfigurationError("a terminating cycle needs a positive threshold")
-    states = init_states(problem)
-    machines = {
-        i: NodeMachine(states[i], weights, graph.neighbors(i), schedule, rho)
-        for i in graph.nodes
-    }
-    sim = Simulation(graph, machines, delay_model, seed=seed, record=record)
+    sim = Simulation(
+        graph, weights, init_states(problem), delay_model, schedule, rho,
+        seed=seed, record_steps=record_steps,
+    )
+    machines = sim.machines
     ceiling = 1000 * schedule.checkpoint_len if max_steps is None else max_steps
     sim.run_until_frozen(ceiling)
     thetas = {m.term.theta for m in machines.values()}
@@ -452,10 +453,6 @@ def run_cycle(
         commands=commands,
         theta=thetas.pop(),
         steps=sim.step_index,
-        r_star={i: m.term.r_star for i, m in machines.items()},
-        s_star={i: m.term.s_star for i, m in machines.items()},
-        checkpoint_events=sim.checkpoint_events,
-        audits=sim.audits,
         trace_rows=sim.trace_rows,
         max_conservation_error=sim.max_conservation_error,
     )

@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .apportioning import ApportionProblem, ordered_sum
 from .errors import ConfigurationError
@@ -135,18 +135,6 @@ def track(unit: LisUnit, command: float, dt_seconds: float, previous: float = 0.
     return previous + (command - previous) * alpha
 
 
-class Tracker:
-    """Holds one unit's delivered output across dispatch intervals."""
-
-    def __init__(self, unit: LisUnit, initial: float = 0.0):
-        self.unit = unit
-        self.output = initial
-
-    def step(self, command: float, dt_seconds: float) -> float:
-        self.output = track(self.unit, command, dt_seconds, self.output)
-        return self.output
-
-
 @dataclass(frozen=True)
 class DispatchSchedule:
     """Demand shape and timing for a day of repeated dispatch cycles."""
@@ -199,10 +187,7 @@ class DispatchRecord:
 class DayResult:
     """Full-day dispatch trace plus run-wide audit summaries.
 
-    ``trace_rows`` are the cycles' ``CycleResult.trace_rows`` with the
-    instant's index in front: ``(cycle, step, node, r, s, ratio, z, y,
-    theta, frozen)`` tuples, the ``cli.TRACE_COLUMNS`` order without the
-    frozen-only ``pi_star`` and ``delivered_power``.
+    ``trace_rows`` are every instant's ``instant_rows``, ready to write.
     """
 
     records: list[DispatchRecord]
@@ -280,7 +265,7 @@ def run_instant(
     *,
     diameter_bound: int | None = None,
     seed: int = 0,
-    record: str = "checkpoints",
+    record_steps: bool = False,
 ) -> CycleResult:
     """One cycle on ``graph``: equal-split weights, schedule from the diameter.
 
@@ -292,8 +277,30 @@ def run_instant(
     schedule = CheckpointSchedule(max(1, d_bound), delay_model.tau_bar)
     weights = build_weights(graph)
     return run_cycle(
-        graph, weights, problem, delay_model, schedule, rho, seed=seed, record=record
+        graph, weights, problem, delay_model, schedule, rho,
+        seed=seed, record_steps=record_steps,
     )
+
+
+def instant_rows(
+    index: int,
+    cycle_rows: Iterable[tuple],
+    commands: Mapping[int, float],
+    delivered: Mapping[int, float],
+) -> list[tuple]:
+    """One instant's trace rows in ``cli.TRACE_COLUMNS`` order.
+
+    Each of the cycle's ``CycleResult.trace_rows`` gets the instant's index
+    in front; a frozen row also gets its node's command and delivered power.
+    """
+    rows = []
+    for row in cycle_rows:
+        if row[8]:  # frozen; row[1] is the node
+            node = row[1]
+            rows.append((index, *row, commands[node], delivered[node]))
+        else:
+            rows.append((index, *row))
+    return rows
 
 
 def day_instants(
@@ -330,7 +337,7 @@ def run_day(
     start_hours: float | None = None,
     end_hours: float | None = None,
     diameter_bound: int | None = None,
-    record: str = "checkpoints",
+    record_steps: bool = False,
 ) -> DayResult:
     """Repeated dispatch over a day: plan, solve, and track at each instant.
 
@@ -344,10 +351,10 @@ def run_day(
     if set(units) != set(graph.nodes):
         raise ConfigurationError("fleet ids must match the graph's nodes")
     rng = random.Random(seed)
-    trackers = {uid: Tracker(unit) for uid, unit in units.items()}
     records: list[DispatchRecord] = []
     trace_rows: list[tuple] = []
     prev_commands = {uid: 0.0 for uid in units}
+    prev_delivered = prev_commands
     worst_leak = 0.0
     for index, t in enumerate(day_instants(fleet, schedule, start_hours, end_hours)):
         cycle_seed = rng.randrange(2**32)
@@ -361,18 +368,21 @@ def run_day(
                 rho,
                 diameter_bound=diameter_bound,
                 seed=cycle_seed,
-                record=record,
+                record_steps=record_steps,
             )
             commands = {uid: 0.0 for uid in units} | result.commands.commands
             worst_leak = max(worst_leak, result.max_conservation_error)
-            trace_rows.extend((index, *row) for row in result.trace_rows)
         else:
             commands = dict(prev_commands)
         overrun = result is not None and result.steps > schedule.iteration_budget
         delivered = {
-            uid: trackers[uid].step(commands[uid], schedule.dispatch_period)
+            uid: track(
+                units[uid], commands[uid], schedule.dispatch_period, prev_delivered[uid]
+            )
             for uid in sorted(units)
         }
+        if result is not None:
+            trace_rows.extend(instant_rows(index, result.trace_rows, commands, delivered))
         records.append(
             DispatchRecord(
                 index=index,
@@ -390,6 +400,7 @@ def run_day(
             )
         )
         prev_commands = commands
+        prev_delivered = delivered
     return DayResult(
         records=records,
         infeasible_count=sum(not rec.feasible for rec in records),

@@ -433,11 +433,18 @@ class TestRunCommand:
             lambda doc: doc.__setitem__(
                 "delay", {"model": "fixed", "probabilities": [1, 1, 1, 1]}
             ),
+            lambda doc: doc.__setitem__(
+                "delay", {"model": "stochastic", "probabilities": [0, 0, 0, 10**400]}
+            ),
+            lambda doc: doc.__setitem__(
+                "delay", {"model": "stochastic", "probabilities": [1e308, 1e308, 0, 0]}
+            ),
         ],
         ids=[
             "rho", "demand-watts", "epsilon", "short-edge", "fleet-id-missing", "fleet-scalar",
             "graph-scalar", "graph-nodes-missing", "duplicate-node", "profile-point",
             "delay-probability", "output-directory", "seed-bool", "fixed-model-probabilities",
+            "probability-beyond-float", "probability-total-infinite",
         ],
     )
     def test_malformed_value_or_shape_is_a_configuration_error(

@@ -14,7 +14,7 @@ from lisnet.netsim import (
     run_naive_averaging,
     simulate_averaging,
 )
-from lisnet.termination import CheckpointSchedule, NodeMachine
+from lisnet.termination import CheckpointSchedule
 from lisnet.topology import Graph, build_weights, diameter
 from reference import global_extremes_oracle, oldest_age_scan, pending_count_scan
 
@@ -30,6 +30,21 @@ TABLE_BOUNDS = {
 
 def table_problem(demand=7000.0):
     return ApportionProblem(demand, TABLE_BOUNDS, frozenset({2}))
+
+
+@pytest.fixture
+def audit_log(monkeypatch):
+    """Every report of the simulator's own audit calls, in call order."""
+    log = []
+    audit = Simulation.audit
+
+    def logged(self):
+        report = audit(self)
+        log.append(report)
+        return report
+
+    monkeypatch.setattr(Simulation, "audit", logged)
+    return log
 
 
 # The seeded 50-node cycle of ``test_seeded_cycle_is_pinned_to_the_last_bit``,
@@ -111,6 +126,23 @@ class TestDelayModel:
             assert model.delay_for(rng, 1, 2, cap) == min(reference.randint(0, tau_bar), cap)
         assert rng.getstate() == reference.getstate()  # same bits consumed, even at 0
 
+    @pytest.mark.parametrize(
+        "probabilities",
+        [[0.1, 0.3, 0.3, 0.3], [0, 0, 0, 1], [1, 2, 3], [0.5, 0.0, 2.5, 1e-3, 7.0, 0.25]],
+    )
+    def test_weighted_draws_are_the_choices_stream(self, probabilities):
+        tau_bar = len(probabilities) - 1
+        model = DelayModel.stochastic(tau_bar, probabilities)
+        rng, reference = random.Random(tau_bar), random.Random(tau_bar)
+        support = range(tau_bar + 1)
+        cap = tau_bar // 2
+        for _ in range(1000):
+            draw = reference.choices(support, weights=probabilities)[0]
+            assert model.delay_for(rng, 1, 2) == draw
+            draw = reference.choices(support, weights=probabilities)[0]
+            assert model.delay_for(rng, 1, 2, cap) == min(draw, cap)
+        assert rng.getstate() == reference.getstate()
+
 
 class TestMailbox:
     def test_delivers_once_in_order(self):
@@ -132,7 +164,7 @@ class TestMailbox:
 
 
 class TestConservationAndDelivery:
-    def test_every_step_conserves_mass(self):
+    def test_every_step_conserves_mass(self, audit_log):
         rng = random.Random(77)
         for model_builder in (
             lambda g: DelayModel.fixed_random(g, 3, 5),
@@ -142,12 +174,13 @@ class TestConservationAndDelivery:
             w = build_weights(g)
             r0 = {i: rng.uniform(-50, 50) for i in g.nodes}
             s0 = {i: rng.uniform(0.5, 2) for i in g.nodes}
+            audit_log.clear()
             sim = simulate_averaging(g, w, r0, s0, model_builder(g), seed=1)
             sim.run(300)
-            # the simulation audits every step internally; confirm the records
-            assert len(sim.audits) == 301
+            # the simulation audits every step internally; confirm the reports
+            assert len(audit_log) == 301
             assert sim.max_conservation_error <= 1e-9
-            for report in sim.audits:
+            for report in audit_log:
                 assert report.node_mass_r + report.inflight_mass_r == pytest.approx(
                     sum(r0.values()), abs=1e-6
                 )
@@ -175,23 +208,24 @@ class TestConservationAndDelivery:
             g, w, {i: 10.0 for i in g.nodes}, {i: 1.0 for i in g.nodes},
             DelayModel.fixed({}),
         )
-        first = sim.audits[0]
+        first = sim.audit()
         assert first.step == 0
         assert first.inflight_mass_r == 0.0
         assert first.node_mass_r == 40.0
 
-
-    def test_machine_off_the_graph_links_rejected(self):
+    def test_states_keyed_off_the_graph_nodes_rejected(self):
         g = Graph.path(3)
         w = build_weights(g)
         sched = CheckpointSchedule(2, 0)
-        machines = {
-            i: NodeMachine(ConsensusState(node=i, r=1.0, s=1.0), w, g.neighbors(i), sched)
-            for i in g.nodes
-        }
-        machines[1] = NodeMachine(ConsensusState(node=1, r=1.0, s=1.0), w, (2, 3), sched)
-        with pytest.raises(ConfigurationError):
-            Simulation(g, machines, DelayModel.fixed({}))
+        states = {i: ConsensusState(node=i, r=1.0, s=1.0) for i in g.nodes}
+        Simulation(g, w, states, DelayModel.fixed({}), sched)
+        for bad in (
+            {i: states[i] for i in (1, 2)},  # node 3 missing
+            {**states, 4: ConsensusState(node=4, r=1.0, s=1.0)},  # not a graph node
+            {**states, 3: ConsensusState(node=1, r=1.0, s=1.0)},  # keyed by the wrong node
+        ):
+            with pytest.raises(ConfigurationError, match="keyed by exactly the graph's nodes"):
+                Simulation(g, w, bad, DelayModel.fixed({}), sched)
 
 
 def _in_flight_case(tau_bar: int = 3) -> tuple[Simulation, float, float]:
@@ -228,7 +262,7 @@ class TestAuditBites:
             sim.step()
 
     @pytest.mark.parametrize("field", [3, 4], ids=["payload_r", "payload_s"])
-    def test_leak_below_tolerance_passes_and_is_reported(self, field):
+    def test_leak_below_tolerance_passes_and_is_reported(self, field, audit_log):
         sim, total_r, total_s = _in_flight_case()
         total = total_r if field == 3 else total_s
         before = sim.max_conservation_error
@@ -236,7 +270,7 @@ class TestAuditBites:
         sim.run(50)
         assert before < 1e-14
         assert sim.max_conservation_error == pytest.approx(0.5e-9, rel=1e-4)
-        assert len(sim.audits) == 56
+        assert len(audit_log) == 56
 
     def test_envelope_posted_older_than_the_delay_bound(self):
         sim, _, _ = _in_flight_case(tau_bar=3)
@@ -262,7 +296,7 @@ class TestDeterminism:
         for _ in range(2):
             result = run_cycle(
                 g, w, table_problem(), DelayModel.stochastic(3),
-                CheckpointSchedule(3, 3), 0.02, seed=123, record="steps",
+                CheckpointSchedule(3, 3), 0.02, seed=123, record_steps=True,
             )
             runs.append(result)
         assert runs[0].trace_rows == runs[1].trace_rows
@@ -325,7 +359,7 @@ class TestRunCycle:
                 CheckpointSchedule(3, 3), rho=1e-15, max_steps=90, seed=0,
             )
 
-    def test_post_freeze_window_gap_below_threshold(self):
+    def test_post_freeze_window_gap_below_threshold(self, audit_log):
         g = Graph.cycle(6)
         w = build_weights(g)
         rho = 0.02
@@ -333,9 +367,10 @@ class TestRunCycle:
             g, w, table_problem(), DelayModel.stochastic(3),
             CheckpointSchedule(3, 3), rho, seed=5,
         )
-        assert result.audits[-1].max_gap <= rho
+        assert audit_log[-1].step == result.steps
+        assert audit_log[-1].max_gap <= rho
 
-    def test_window_extremes_tighten_at_checkpoints(self):
+    def test_window_extremes_tighten_at_checkpoints(self, audit_log):
         # the omniscient windowed max never rises and the min never falls
         # when sampled at the checkpoint instants
         g = Graph.cycle(6)
@@ -344,9 +379,10 @@ class TestRunCycle:
         result = run_cycle(
             g, w, table_problem(), DelayModel.stochastic(3), sched, 0.005, seed=3,
         )
-        instants = sorted({e.step for e in result.checkpoint_events})
+        instants = sorted({e.step for e in result.trace_rows})
         assert len(instants) >= 3
-        sampled = [result.audits[k] for k in instants]
+        assert [report.step for report in audit_log] == list(range(result.steps + 1))
+        sampled = [audit_log[k] for k in instants]
         for earlier, later in zip(sampled, sampled[1:]):
             assert later.window_max <= earlier.window_max + 1e-12
             assert later.window_min >= earlier.window_min - 1e-12
@@ -429,14 +465,11 @@ def _audit_case(seed: int, kind: str, terminating: bool) -> Simulation:
     w = build_weights(g)
     schedule = CheckpointSchedule(max(1, diameter(g)), tau)
     rho = 0.01 if terminating else None
-    machines = {
-        i: NodeMachine(
-            ConsensusState(node=i, r=rng.uniform(-50, 50), s=rng.uniform(0.5, 2)),
-            w, g.neighbors(i), schedule, rho,
-        )
+    states = {
+        i: ConsensusState(node=i, r=rng.uniform(-50, 50), s=rng.uniform(0.5, 2))
         for i in g.nodes
     }
-    return Simulation(g, machines, model, seed=seed)
+    return Simulation(g, w, states, model, schedule, rho, seed=seed)
 
 
 class TestAuditMatchesReference:
@@ -451,7 +484,7 @@ class TestAuditMatchesReference:
                 for i, m in sim.machines.items()
             }
             for _ in range(150):
-                report = sim.audits[-1]
+                report = sim.audit()
                 hi, lo = global_extremes_oracle(windows)
                 assert (report.window_max, report.window_min) == (hi, lo)
                 assert report.max_gap == hi - lo

@@ -9,7 +9,6 @@ from lisnet.scenario import (
     DispatchSchedule,
     LisUnit,
     PowerProfile,
-    Tracker,
     bounds_at,
     run_day,
     six_lis_fleet,
@@ -82,10 +81,10 @@ class TestTrack:
             uid=1, kind="non_res", pi_min=0.0, pi_max=2000.0,
             tracking="lag", lag_seconds=10.0,
         )
-        tracker = Tracker(unit)
+        output = 0.0
         for _ in range(20):
-            tracker.step(1000.0, dt_seconds=10.0)
-        assert tracker.output == pytest.approx(1000.0, rel=1e-6)
+            output = track(unit, 1000.0, dt_seconds=10.0, previous=output)
+        assert output == pytest.approx(1000.0, rel=1e-6)
 
     def test_floor_command_passes_through(self):
         unit = LisUnit(uid=1, kind="non_res", pi_min=100.0, pi_max=2000.0)

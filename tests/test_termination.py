@@ -204,17 +204,8 @@ class TestNodeMachine:
 
 
 class TestTerminationProperties:
-    def _probe_machines(self, g, w, r0, s0, sched):
-        return {
-            i: NodeMachine(
-                ConsensusState(node=i, r=r0[i], s=s0[i]),
-                w,
-                g.neighbors(i),
-                sched,
-                rho=None,
-            )
-            for i in g.nodes
-        }
+    def _states(self, g, r0, s0):
+        return {i: ConsensusState(node=i, r=r0[i], s=s0[i]) for i in g.nodes}
 
     def test_extremes_exact_after_one_checkpoint_period(self):
         # fixed delays, random graphs: after D(1 + tau) + tau steps every
@@ -228,12 +219,12 @@ class TestTerminationProperties:
             r0 = {i: rng.uniform(-10, 10) for i in g.nodes}
             s0 = {i: rng.uniform(0.5, 2.0) for i in g.nodes}
             seeds = [r0[i] / s0[i] for i in g.nodes]
-            machines = self._probe_machines(g, w, r0, s0, sched)
             sim = Simulation(
-                g, machines, DelayModel.fixed_random(g, tau, rng.randrange(999))
+                g, w, self._states(g, r0, s0),
+                DelayModel.fixed_random(g, tau, rng.randrange(999)), sched,
             )
             sim.run(sched.checkpoint_len)
-            events = [e for e in sim.checkpoint_events if e.step == sched.checkpoint_len]
+            events = [e for e in sim.trace_rows if e.step == sched.checkpoint_len]
             assert len(events) == g.n
             for event in events:
                 assert event.z == max(seeds)  # bitwise: propagation copies floats
@@ -246,11 +237,10 @@ class TestTerminationProperties:
         r0 = {i: rng.uniform(0, 100) for i in g.nodes}
         s0 = {i: rng.uniform(1, 5) for i in g.nodes}
         sched = CheckpointSchedule(3, 3)
-        machines = self._probe_machines(g, w, r0, s0, sched)
-        sim = Simulation(g, machines, DelayModel.stochastic(3), seed=2)
+        sim = Simulation(g, w, self._states(g, r0, s0), DelayModel.stochastic(3), sched, seed=2)
         sim.run(4 * sched.checkpoint_len)
         by_step = {}
-        for event in sim.checkpoint_events:
+        for event in sim.trace_rows:
             by_step.setdefault(event.step, []).append(event)
         assert len(by_step) == 4
         for step, events in by_step.items():
@@ -282,8 +272,10 @@ class TestTerminationProperties:
             )
             assert result.theta <= 100
             exact = (problem.rho_d - problem.total_min) / problem.total_span
+            # a frozen event's r and s are the node's frozen r_star and s_star
+            frozen = {e.node: e for e in result.trace_rows if e.frozen}
             for i in g.nodes:
-                quotient = result.r_star[i] / result.s_star[i]
+                quotient = frozen[i].r / frozen[i].s
                 assert abs(quotient - exact) <= rho
                 # any excursion past the feasible band stays within threshold
                 assert -rho <= quotient <= 1.0 + rho
