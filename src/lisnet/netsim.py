@@ -36,6 +36,11 @@ CONSERVATION_TOL = 1e-9
 
 FIXED = "fixed"
 STOCHASTIC = "stochastic"
+# With at most this many delays still to draw, one getrandbits call per delay
+# is cheaper than more bulk passes: each pass costs several calls whatever its
+# size, and randint rejects about half of its words at tau_bar = 3, so a
+# dozen delays (a six-node cycle's step) would take about five passes.
+BULK_MIN = 16
 
 
 @dataclass(frozen=True)
@@ -43,9 +48,14 @@ class DelayModel:
     """Per-message delay assignment, either fixed per directed edge or sampled.
 
     Fixed mode reads ``fixed_delays[(src, dst)]`` (missing entries mean no
-    delay). Stochastic mode draws each message's delay independently and
-    uniformly from {0, ..., tau_bar}, or from ``probabilities`` over the
-    same support when given.
+    delay) and draws nothing. Stochastic mode draws each message's delay
+    independently and uniformly from {0, ..., tau_bar}, or from
+    ``probabilities`` over the same support when given.
+
+    :meth:`delay_for` returns a whole step's delays in one call. It is the
+    per-message stream exactly: the same values, in order, and the same
+    generator state afterwards as one ``rng.randint(0, tau_bar)`` (or one
+    ``rng.choices(..., cum_weights=...)``) per message.
     """
 
     kind: str
@@ -86,7 +96,16 @@ class DelayModel:
                 )
             object.__setattr__(self, "_cum_weights", cum_weights)
         uniform = self.kind == STOCHASTIC and self.probabilities is None
-        object.__setattr__(self, "_bits", (self.tau_bar + 1).bit_length() if uniform else 0)
+        bits = (self.tau_bar + 1).bit_length() if uniform else 0
+        object.__setattr__(self, "_bits", bits)
+        # for bits <= 8, getrandbits(bits) is the top byte of one 32-bit word
+        # shifted right by 8 - bits; this maps that byte to the delay, or to
+        # 0xFF where randint rejects the value and draws again
+        table = None
+        if 0 < bits <= 8:
+            values = [b >> (8 - bits) for b in range(256)]
+            table = bytes(v if v <= self.tau_bar else 0xFF for v in values)
+        object.__setattr__(self, "_table", table)
 
     @classmethod
     def fixed(
@@ -112,23 +131,44 @@ class DelayModel:
         probs = None if probabilities is None else tuple(probabilities)
         return cls(kind=STOCHASTIC, tau_bar=tau_bar, probabilities=probs)
 
-    def delay_for(
-        self, rng: random.Random, src: int, dst: int, cap: int | None = None
-    ) -> int:
+    def delay_for(self, rng: random.Random, links: Sequence[tuple]) -> Sequence[int]:
+        """One delay per link, in order; each link starts ``(src, dst)``.
+
+        Links are a step's envelopes in posting order, or any tuples that
+        start with source and destination. Only the fixed model reads them;
+        the stochastic models draw ``len(links)`` delays from ``rng``.
+        """
+        count = len(links)
         bits = self._bits
-        if bits:
-            # rng.randint(0, tau_bar) exactly: the same getrandbits rejection
-            # loop, so the stream is unchanged, without randint's call frames
-            d = rng.getrandbits(bits)
-            while d > self.tau_bar:
-                d = rng.getrandbits(bits)
-        elif self.kind == FIXED:
-            d = (self.fixed_delays or {}).get((src, dst), 0)
+        if not bits:
+            if self.kind == FIXED:
+                fixed = self.fixed_delays or {}
+                return [fixed.get((link[0], link[1]), 0) for link in links]
+            return rng.choices(range(self.tau_bar + 1), cum_weights=self._cum_weights, k=count)
+        tau_bar = self.tau_bar
+        getrandbits = rng.getrandbits
+        table = self._table
+        need = count
+        if table is None:
+            delays: bytearray | list[int] = []
         else:
-            d = rng.choices(range(self.tau_bar + 1), cum_weights=self._cum_weights)[0]
-        if cap is not None and d > cap:
-            d = cap
-        return d
+            # getrandbits(32 * need) holds the words of need getrandbits(bits)
+            # calls, lowest first. A pass draws one word per delay still
+            # missing, all of which the per-message loop draws too, so the
+            # generator ends where that loop leaves it
+            delays = bytearray()
+            while need > BULK_MIN:
+                words = getrandbits(32 * need).to_bytes(4 * need, "little")
+                delays += words[3::4].translate(table).replace(b"\xff", b"")
+                need = count - len(delays)
+        # randint's own rejection loop: the last few delays, or all of them
+        # when tau_bar >= 255
+        for _ in range(need):
+            d = getrandbits(bits)
+            while d > tau_bar:
+                d = getrandbits(bits)
+            delays.append(d)
+        return delays
 
 
 class Mailbox:
@@ -228,18 +268,18 @@ class Simulation:
         self.mailbox = Mailbox()
         self.step_index = 0
         self._record_steps = record_steps
-        # per-link delay caps, _caps[src][dst], looked up once per message
-        self._caps: dict[int, dict[int, int]] = {i: {} for i in graph.nodes}
+        # the per-link delay caps below tau_bar, _caps[(src, dst)]; the others
+        # cannot bind, so a graph without such caps posts its draws as they are
+        self._caps: dict[tuple[int, int], int] = {}
         for a, b in graph.edges:
-            cap = graph.delay_bounds.get((a, b) if a < b else (b, a))
-            cap = delay_model.tau_bar if cap is None else min(cap, delay_model.tau_bar)
-            self._caps[a][b] = cap
-            self._caps[b][a] = cap
-        for (a, b), d in (delay_model.fixed_delays or {}).items():
-            cap = self._caps.get(a, {}).get(b)
+            cap = graph.delay_bounds.get((a, b))
+            if cap is not None and cap < delay_model.tau_bar:
+                self._caps[(a, b)] = self._caps[(b, a)] = cap
+        for edge, d in (delay_model.fixed_delays or {}).items():
+            cap = self._caps.get(edge)
             if cap is not None and d > cap:
                 raise ConfigurationError(
-                    f"fixed delay {d} on {(a, b)} exceeds the edge bound {cap}"
+                    f"fixed delay {d} on {edge} exceeds the edge bound {cap}"
                 )
         # (max, min) of the n node ratios at each of the last tau_bar + 1 steps
         ratios = [m.state.ratio() for m in self.machines.values()]
@@ -325,15 +365,18 @@ class Simulation:
         k = self.step_index
         machines = self.machines
         mailbox = self.mailbox
-        rng = self.rng
-        delay_for = self.delay_model.delay_for
         post = mailbox.post
-        all_caps = self._caps
-        for i, machine in machines.items():
-            caps = all_caps[i]
-            for env in machine.emit():
-                dst = env[1]
-                post(env, k + delay_for(rng, i, dst, caps[dst]))
+        envelopes: list[tuple] = []
+        for machine in machines.values():
+            envelopes += machine.emit()
+        delays = self.delay_model.delay_for(self.rng, envelopes)
+        caps = self._caps
+        if caps:
+            delays = [
+                min(d, caps.get((env[0], env[1]), d)) for env, d in zip(envelopes, delays)
+            ]
+        for env, d in zip(envelopes, delays):
+            post(env, k + d)
         inboxes: defaultdict[int, list[tuple]] = defaultdict(list)
         for env in mailbox.due(k):
             inboxes[env[1]].append(env)
@@ -478,16 +521,19 @@ def run_naive_averaging(
     rng = random.Random(seed)
     x = {i: float(initial[i]) for i in graph.nodes}
     last = {i: {j: x[i] for j in graph.neighbors(i)} for i in graph.nodes}
+    links = [(i, j) for i in graph.nodes for j in graph.neighbors(i)]
     pending: dict[int, list[tuple[int, int, float]]] = {}
     for k in range(steps):
-        for i in graph.nodes:
-            for j in graph.neighbors(i):
-                d = delay_model.delay_for(rng, i, j)
-                pending.setdefault(k + d, []).append((i, j, x[i]))
+        for (i, j), d in zip(links, delay_model.delay_for(rng, links)):
+            pending.setdefault(k + d, []).append((i, j, x[i]))
         for src, dst, value in pending.pop(k, []):
             last[dst][src] = value
-        x = {
-            i: (x[i] + sum(last[i].values())) / (graph.degree(i) + 1)
-            for i in graph.nodes
-        }
+        averaged = {}
+        for i in graph.nodes:
+            # summed in order, not by sum(), which is compensated from Python 3.12
+            heard = 0.0
+            for value in last[i].values():
+                heard += value
+            averaged[i] = (x[i] + heard) / (graph.degree(i) + 1)
+        x = averaged
     return x

@@ -91,40 +91,117 @@ PINNED_AVERAGING = {
 }
 
 
+# ``test_seeded_draw_branch_cycle_is_pinned_to_the_last_bit``: seeded 20-node
+# cycles on the branches no benchmark workload reaches, weighted delay
+# probabilities and per-edge caps below tau_bar, recorded with repr precision
+# under CPython 3.11 from the per-message delay loop:
+# (steps, theta, max_conservation_error, commands in node order).
+PINNED_DRAW_BRANCHES = {
+    "weighted": (
+        95, 5, 1.277919851911894e-15,
+        [963.2999813655911, 850.3266079906708, 1358.9082596883954, 730.3862185441693,
+         1237.9885374031032, 965.5282143276183, 1558.7342554973611, 1545.4105291928463,
+         1543.6413525968576, 2083.885833913214, 520.9011415880212, 1552.693873147841,
+         2029.9032732922456, 916.9052477424461, 1771.059855828652, 703.39566727166,
+         773.756112777428, 340.1348197178569, 906.78889278404, 1680.302674542732],
+    ),
+    "capped": (
+        124, 4, 1.9286976837702297e-15,
+        [205.90869947864522, 742.8138376307734, 511.59475874304695, 831.9128316198255,
+         429.1590838658869, 692.8926640184537, 802.0971665997027, 533.789709266807,
+         78.76715307770834, 345.1157732540695, 475.02193345229347, 622.1920316794137,
+         867.1940513271051, 135.98842216321822, 731.6661276518691, 532.586502259012,
+         498.89243155563247, 124.99521442095369, 623.9251320194867, 604.6341937466636],
+    ),
+}
+
+# ``test_seeded_baseline_is_pinned_to_the_last_bit``: the naive baseline on a
+# seeded 9-node graph, 300 rounds per delay model, recorded with repr precision
+# under CPython 3.11 from the per-message delay loop.
+PINNED_NAIVE = {
+    "stochastic": {
+        1: 352.88542235892083, 2: 352.885286101744, 3: 352.88518298750904,
+        4: 352.8855619926255, 5: 352.8854207449322, 6: 352.88515239581824,
+        7: 352.8856025553683, 8: 352.8854207747913, 9: 352.8855959459431,
+    },
+    "fixed_random": {
+        1: 312.3836641936867, 2: 312.3836433974362, 3: 312.3836240773501,
+        4: 312.38367969328976, 5: 312.3836686804613, 6: 312.3836147098965,
+        7: 312.3836836237264, 8: 312.38367112514743, 9: 312.3836832864741,
+    },
+}
+
+
+def seeded_fleet(seed: int, n: int) -> tuple[random.Random, Graph, ApportionProblem]:
+    """A random connected n-node fleet with random windows and demand; and its generator."""
+    rng = random.Random(seed)
+    g = Graph.random_connected(rng, n)
+    bounds = {}
+    for i in g.nodes:
+        lo = rng.uniform(0.0, 500.0)
+        bounds[i] = (lo, lo + rng.uniform(50.0, 2000.0))
+    # summed in order, not by sum(), which is compensated from Python 3.12
+    floor = ceiling = 0.0
+    for lo, hi in bounds.values():
+        floor += lo
+        ceiling += hi
+    demand = rng.uniform(floor, ceiling)
+    return rng, g, ApportionProblem(demand, bounds, frozenset({1}))
+
+
+def assert_batch_is_the_stream(model, links, seed, reference_draws):
+    """``delay_for`` equals ``reference_draws(reference)`` on a same-seeded
+    generator and leaves the same state behind; an empty batch draws nothing."""
+    rng, reference = random.Random(seed), random.Random(seed)
+    assert list(model.delay_for(rng, links)) == reference_draws(reference)
+    assert rng.getstate() == reference.getstate()
+    assert list(model.delay_for(rng, [])) == []
+    assert rng.getstate() == reference.getstate()
+
+
 class TestDelayModel:
+    LINKS = [(1, 2)] * 1000
+
     def test_fixed_respects_bound(self):
         with pytest.raises(ConfigurationError):
             DelayModel.fixed({(1, 2): 5}, tau_bar=3)
 
     def test_stochastic_draws_within_bound(self):
         model = DelayModel.stochastic(3)
-        rng = random.Random(0)
-        draws = {model.delay_for(rng, 1, 2) for _ in range(200)}
-        assert draws == {0, 1, 2, 3}
+        assert set(model.delay_for(random.Random(0), self.LINKS[:200])) == {0, 1, 2, 3}
 
     def test_custom_distribution(self):
         model = DelayModel.stochastic(2, probabilities=[0.0, 0.0, 1.0])
-        rng = random.Random(0)
-        assert {model.delay_for(rng, 1, 2) for _ in range(50)} == {2}
+        assert set(model.delay_for(random.Random(0), self.LINKS[:50])) == {2}
 
     def test_zero_model(self):
         model = DelayModel.fixed({})
-        assert model.delay_for(random.Random(0), 1, 2) == 0
+        assert list(model.delay_for(random.Random(0), [(1, 2), (2, 1)])) == [0, 0]
 
     def test_per_edge_cap_applies(self):
-        model = DelayModel.stochastic(3)
-        rng = random.Random(0)
-        assert all(model.delay_for(rng, 1, 2, cap=1) <= 1 for _ in range(100))
+        # link 1-2 is capped at 1 below tau_bar = 3; link 2-3 is not
+        g = Graph.from_edges([1, 2, 3], [(1, 2), (2, 3)], {(1, 2): 1})
+        sim = simulate_averaging(
+            g, build_weights(g), {i: float(i) for i in g.nodes}, {i: 1.0 for i in g.nodes},
+            DelayModel.stochastic(3), seed=4,
+        )
+        delays = {(1, 2): set(), (2, 1): set(), (2, 3): set(), (3, 2): set()}
+        for _ in range(100):
+            sim.step()
+            for deliver, batch in sim.mailbox._pending.items():
+                for src, dst, sent, *_ in batch:
+                    delays[(src, dst)].add(deliver - sent)
+        assert delays[(1, 2)] | delays[(2, 1)] <= {0, 1}
+        assert max(delays[(2, 3)] | delays[(3, 2)]) == 3
 
-    @pytest.mark.parametrize("tau_bar", range(6))
+    @pytest.mark.parametrize("tau_bar", [*range(6), 254, 255, 1000])
     def test_uniform_draws_are_the_randint_stream(self, tau_bar):
+        # up to 254 one getrandbits call per batch pass; 255 and above one per draw
         model = DelayModel.stochastic(tau_bar)
-        rng, reference = random.Random(tau_bar), random.Random(tau_bar)
-        cap = tau_bar // 2
-        for _ in range(1000):
-            assert model.delay_for(rng, 1, 2) == reference.randint(0, tau_bar)
-            assert model.delay_for(rng, 1, 2, cap) == min(reference.randint(0, tau_bar), cap)
-        assert rng.getstate() == reference.getstate()  # same bits consumed, even at 0
+        assert_batch_is_the_stream(
+            model, self.LINKS, tau_bar,
+            lambda reference: [reference.randint(0, tau_bar) for _ in self.LINKS],
+        )
 
     @pytest.mark.parametrize(
         "probabilities",
@@ -133,15 +210,35 @@ class TestDelayModel:
     def test_weighted_draws_are_the_choices_stream(self, probabilities):
         tau_bar = len(probabilities) - 1
         model = DelayModel.stochastic(tau_bar, probabilities)
-        rng, reference = random.Random(tau_bar), random.Random(tau_bar)
         support = range(tau_bar + 1)
-        cap = tau_bar // 2
-        for _ in range(1000):
-            draw = reference.choices(support, weights=probabilities)[0]
-            assert model.delay_for(rng, 1, 2) == draw
-            draw = reference.choices(support, weights=probabilities)[0]
-            assert model.delay_for(rng, 1, 2, cap) == min(draw, cap)
-        assert rng.getstate() == reference.getstate()
+        assert_batch_is_the_stream(
+            model, self.LINKS, tau_bar,
+            lambda reference: [
+                reference.choices(support, weights=probabilities)[0] for _ in self.LINKS
+            ],
+        )
+
+    def test_fixed_delays_are_looked_up_and_draw_nothing(self):
+        model = DelayModel.fixed({(1, 2): 3, (2, 1): 1, (2, 3): 2}, tau_bar=3)
+        links = [(1, 2, "payload"), (2, 3), (3, 2), (2, 1), (1, 2)]
+        assert_batch_is_the_stream(model, links, 0, lambda reference: [3, 2, 0, 1, 3])
+
+    def test_uniform_batches_are_the_randint_stream_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(derandomize=True, deadline=None, database=None, max_examples=150)
+        @hypothesis.given(
+            st.integers(0, 300), st.integers(0, 5000), st.integers(0, 2**64 - 1)
+        )
+        def check(tau_bar, count, seed):
+            links = [(1, 2)] * count
+            assert_batch_is_the_stream(
+                DelayModel.stochastic(tau_bar), links, seed,
+                lambda reference: [reference.randint(0, tau_bar) for _ in links],
+            )
+
+        check()
 
 
 class TestMailbox:
@@ -406,19 +503,7 @@ class TestRunCycle:
         assert spread <= 2 * rho * (8200.0 - 999.0)
 
     def test_seeded_cycle_is_pinned_to_the_last_bit(self):
-        rng = random.Random(50)
-        g = Graph.random_connected(rng, 50)
-        bounds = {}
-        for i in g.nodes:
-            lo = rng.uniform(0.0, 500.0)
-            bounds[i] = (lo, lo + rng.uniform(50.0, 2000.0))
-        # summed in order, not by sum(), which is compensated from Python 3.12
-        floor = ceiling = 0.0
-        for lo, hi in bounds.values():
-            floor += lo
-            ceiling += hi
-        demand = rng.uniform(floor, ceiling)
-        problem = ApportionProblem(demand, bounds, frozenset({1}))
+        _, g, problem = seeded_fleet(50, 50)
         result = run_cycle(
             g, build_weights(g), problem, DelayModel.stochastic(3),
             CheckpointSchedule(max(1, diameter(g)), 3), 0.02, seed=50,
@@ -426,6 +511,28 @@ class TestRunCycle:
         assert (result.steps, result.theta) == (PINNED_STEPS, PINNED_THETA)
         assert result.max_conservation_error == PINNED_CONSERVATION_ERROR
         assert [result.commands[i] for i in g.nodes] == PINNED_COMMANDS
+
+    @pytest.mark.parametrize("kind", sorted(PINNED_DRAW_BRANCHES))
+    def test_seeded_draw_branch_cycle_is_pinned_to_the_last_bit(self, kind):
+        if kind == "weighted":
+            seed = 31
+            _, g, problem = seeded_fleet(seed, 20)
+            model = DelayModel.stochastic(3, [0.1, 0.2, 0.3, 0.4])
+        else:
+            seed = 32
+            rng, base, problem = seeded_fleet(seed, 20)
+            caps = {e: rng.randint(0, 2) for e in sorted(base.edges) if rng.random() < 0.5}
+            assert min(caps.values()) == 0
+            g = Graph.from_edges(base.nodes, base.edges, caps)
+            model = DelayModel.stochastic(3)
+        result = run_cycle(
+            g, build_weights(g), problem, model,
+            CheckpointSchedule(max(1, diameter(g)), 3), 0.02, seed=seed,
+        )
+        steps, theta, conservation_error, commands = PINNED_DRAW_BRANCHES[kind]
+        assert (result.steps, result.theta) == (steps, theta)
+        assert result.max_conservation_error == conservation_error
+        assert [result.commands[i] for i in g.nodes] == commands
 
     @pytest.mark.parametrize("kind", sorted(PINNED_AVERAGING))
     def test_seeded_averaging_is_pinned_to_the_last_bit(self, kind):
@@ -499,6 +606,17 @@ class TestAuditMatchesReference:
 
 
 class TestNaiveBaseline:
+    @pytest.mark.parametrize("kind", sorted(PINNED_NAIVE))
+    def test_seeded_baseline_is_pinned_to_the_last_bit(self, kind):
+        rng = random.Random(2025)
+        g = Graph.random_connected(rng, 9)
+        initial = {i: rng.uniform(0, 1000) for i in g.nodes}
+        if kind == "stochastic":
+            model = DelayModel.stochastic(3)
+        else:
+            model = DelayModel.fixed_random(g, 3, 11)
+        assert run_naive_averaging(g, initial, model, steps=300, seed=6) == PINNED_NAIVE[kind]
+
     def test_zero_delays_exact_average(self):
         g = Graph.cycle(5)
         initial = {1: 100.0, 2: 200.0, 3: 300.0, 4: 600.0, 5: 800.0}
