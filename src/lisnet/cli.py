@@ -399,22 +399,6 @@ def write_trace_csv(path: Path, rows: Sequence[Sequence[Any]]) -> None:
             out.write("".join(map(_trace_line, rows[start : start + _TRACE_CHUNK_ROWS])))
 
 
-def read_trace_csv(path: Path) -> list[dict[str, str]]:
-    """Strict reader for the trace format; rejects anything off-schema."""
-    lines = path.read_text().splitlines()
-    if not lines or not lines[0].startswith("# lisnet-trace v1"):
-        raise ConfigurationError(f"{path}: missing trace header")
-    if lines[1].split(",") != list(TRACE_COLUMNS):
-        raise ConfigurationError(f"{path}: unexpected column set")
-    rows = []
-    for ln, line in enumerate(lines[2:], start=3):
-        cells = line.split(",")
-        if len(cells) != len(TRACE_COLUMNS):
-            raise ConfigurationError(f"{path}:{ln}: wrong cell count")
-        rows.append(dict(zip(TRACE_COLUMNS, cells)))
-    return rows
-
-
 def write_results_json(path: Path, payload: Mapping[str, Any]) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 

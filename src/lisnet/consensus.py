@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import InvariantError, ProtocolError
 
@@ -33,26 +33,6 @@ class ConsensusState:
         return self.r / self.s
 
 
-class Envelope(NamedTuple):
-    """One weighted share in flight from ``src`` to ``dst``.
-
-    The simulator moves envelopes as plain 7-tuples in this field order;
-    this class documents the order and builds one by name where that reads
-    better. ``payload_r``/``payload_s`` are the sender-weighted shares of
-    the consensus states at ``send_step``; ``payload_z``/``payload_y``
-    piggyback the sender's running extremes so the stopping logic rides on
-    the same links, and the same delays, as the consensus traffic.
-    """
-
-    src: int
-    dst: int
-    send_step: int
-    payload_r: float
-    payload_s: float
-    payload_z: float = 0.0
-    payload_y: float = 0.0
-
-
 def emit(
     state: ConsensusState,
     shares: Iterable[tuple[int, float]],
@@ -61,6 +41,11 @@ def emit(
     y: float = 0.0,
 ) -> list[tuple]:
     """Weighted shares of ``state`` for every out-neighbor, as envelope tuples.
+
+    An envelope is ``(src, dst, send_step, payload_r, payload_s, payload_z,
+    payload_y)``: the sender-weighted shares of r and s at ``send_step``,
+    and the sender's running extremes ``z`` and ``y``, which ride on the
+    same links and delays for the stopping rule.
 
     ``shares`` holds ``(j, weights.weight(j, node))`` for each out-neighbor
     j, in sending order (see :meth:`WeightMatrix.shares`). The share

@@ -174,8 +174,8 @@ class DelayModel:
 class Mailbox:
     """Envelope tuples awaiting delivery, keyed by delivery round.
 
-    An envelope is a ``consensus.Envelope``-ordered tuple ``(src, dst,
-    send_step, payload_r, payload_s, payload_z, payload_y)``. Posting order
+    An envelope is a tuple ``(src, dst, send_step, payload_r, payload_s,
+    payload_z, payload_y)``, as ``consensus.emit`` builds it. Posting order
     is preserved within a round, so delivery is deterministic given a
     deterministic posting sequence. Envelopes must be posted in
     non-decreasing send step, as the simulator does, so that the first
@@ -486,9 +486,10 @@ def run_cycle(
     thetas = {m.term.theta for m in machines.values()}
     if len(thetas) != 1:
         raise InvariantError(f"nodes froze at different checkpoints: {sorted(thetas)}")
+    # a frozen machine never absorbs again: its state is its snapshot r*, s*
     commands = ReferenceCommand(
         {
-            i: reference_command(problem, m.term.r_star, m.term.s_star, i)
+            i: reference_command(problem, m.state.r, m.state.s, i)
             for i, m in machines.items()
         }
     )

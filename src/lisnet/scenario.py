@@ -201,7 +201,6 @@ class DayResult:
 class InstantPlan:
     """A feasible dispatch instant: its apportioning problem and subgraph."""
 
-    t_hours: float
     demand: float
     participants: tuple[int, ...]
     problem: ApportionProblem
@@ -210,13 +209,11 @@ class InstantPlan:
 
 @dataclass(frozen=True)
 class Infeasible:
-    """A dispatch instant no cycle can serve, with the collective range."""
+    """A dispatch instant no cycle can serve, and why."""
 
     t_hours: float
     demand: float
     participants: tuple[int, ...]
-    lo: float
-    hi: float
     reason: str
 
 
@@ -244,7 +241,7 @@ def plan_instant(
     demand = dispatch.demand_at(t_hours)
     lo = ordered_sum(b[0] for b in window.values())
     hi = ordered_sum(b[1] for b in window.values())
-    infeasible = partial(Infeasible, t_hours, demand, participants, lo, hi)
+    infeasible = partial(Infeasible, t_hours, demand, participants)
     if not participants:
         return infeasible("no unit offers capacity")
     if not lo <= demand <= hi:
@@ -254,7 +251,7 @@ def plan_instant(
         return infeasible(f"participants {list(participants)} are not connected")
     circulating = set(circulation or ()) & set(participants) or {participants[0]}
     problem = ApportionProblem(demand, window, frozenset(circulating))
-    return InstantPlan(t_hours, demand, participants, problem, subgraph)
+    return InstantPlan(demand, participants, problem, subgraph)
 
 
 def run_instant(

@@ -63,14 +63,16 @@ class CheckpointSchedule:
 
 @dataclass(slots=True)
 class TerminationState:
-    """Running extremes, schedule counters, and the frozen snapshot."""
+    """Running extremes and schedule counters.
+
+    A frozen node never absorbs again, so its consensus state is its frozen
+    snapshot r*, s*.
+    """
 
     z: float
     y: float
     theta: int = 1
     frozen: bool = False
-    r_star: float | None = None
-    s_star: float | None = None
 
 
 def epoch_update(
@@ -89,8 +91,6 @@ def epoch_update(
         z=max(term.z, *neighbor_z) if neighbor_z else term.z,
         y=min(term.y, *neighbor_y) if neighbor_y else term.y,
         theta=term.theta,
-        r_star=term.r_star,
-        s_star=term.s_star,
     )
 
 
@@ -108,13 +108,9 @@ def checkpoint(
     if term.frozen:
         raise ProtocolError("checkpoint on a frozen node")
     if rho is not None and term.z - term.y < rho:
-        return TerminationState(
-            term.z, term.y, term.theta, frozen=True, r_star=current_r, s_star=current_s
-        )
+        return TerminationState(term.z, term.y, term.theta, frozen=True)
     q = current_r / current_s
-    return TerminationState(
-        z=q, y=q, theta=term.theta + 1, r_star=term.r_star, s_star=term.s_star
-    )
+    return TerminationState(z=q, y=q, theta=term.theta + 1)
 
 
 class CheckpointEvent(NamedTuple):
@@ -159,12 +155,11 @@ class NodeMachine:
         if rho is not None and not rho > 0.0:
             raise ConfigurationError("stopping threshold must be positive")
         self.state = state
-        self.neighbors = tuple(sorted(neighbors))
         self.rho = rho
         q = state.ratio()
         self.term = TerminationState(z=q, y=q)
         # weights and schedule lengths are resolved once; advance runs per step
-        self._shares = weights.shares(state.node, self.neighbors)
+        self._shares = weights.shares(state.node, sorted(neighbors))
         self._self_weight = weights.self_weight(state.node)
         self._epoch_len = schedule.epoch_len
         self._checkpoint_len = schedule.checkpoint_len
@@ -174,10 +169,6 @@ class NodeMachine:
     @property
     def node(self) -> int:
         return self.state.node
-
-    @property
-    def frozen(self) -> bool:
-        return self.term.frozen
 
     def emit(self) -> list[tuple]:
         """Envelope tuples of the current state; a frozen node emits nothing."""

@@ -10,7 +10,6 @@ are expected to be configured with a known upper bound instead.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -29,8 +28,9 @@ class Graph:
     """Undirected communication graph with optional per-edge delay caps.
 
     ``nodes`` is an ordered tuple of distinct ids, ``edges`` a frozenset of
-    normalized pairs. Edges absent from ``delay_bounds`` fall back to the
-    run-wide delay bound.
+    normalized pairs, and ``delay_bounds`` is keyed by normalized edges too
+    (``from_edges`` normalizes its keys and rejects an edge bounded twice).
+    Edges absent from ``delay_bounds`` fall back to the run-wide delay bound.
     """
 
     nodes: tuple[int, ...]
@@ -51,8 +51,9 @@ class Graph:
             if (a, b) != edge_key(a, b):
                 raise ConfigurationError(f"edge ({a}, {b}) is not normalized")
         for e, bound in self.delay_bounds.items():
-            if edge_key(*e) not in self.edges:
-                raise ConfigurationError(f"delay bound given for non-edge {e}")
+            # a key is applied only as a normalized edge, so any other is an error
+            if e not in self.edges:
+                raise ConfigurationError(f"delay bound key {e} is not a normalized edge")
             if bound < 0:
                 raise ConfigurationError(f"negative delay bound on edge {e}")
         adj: dict[int, list[int]] = {i: [] for i in self.nodes}
@@ -60,6 +61,16 @@ class Graph:
             adj[a].append(b)
             adj[b].append(a)
         object.__setattr__(self, "_adj", {i: tuple(sorted(v)) for i, v in adj.items()})
+        # connectivity is decided once here, for the planner, the weights and
+        # the diameter alike
+        seen = {self.nodes[0]}
+        frontier = [self.nodes[0]]
+        for u in frontier:
+            for v in adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+        object.__setattr__(self, "_connected", len(seen) == len(self.nodes))
 
     @classmethod
     def from_edges(
@@ -69,7 +80,12 @@ class Graph:
         delay_bounds: Mapping[tuple[int, int], int] | None = None,
     ) -> "Graph":
         norm = frozenset(edge_key(a, b) for a, b in edges)
-        bounds = {edge_key(a, b): v for (a, b), v in (delay_bounds or {}).items()}
+        bounds = {}
+        for (a, b), v in (delay_bounds or {}).items():
+            edge = edge_key(a, b)
+            if edge in bounds:
+                raise ConfigurationError(f"edge {edge} has two delay bounds")
+            bounds[edge] = v
         return cls(tuple(sorted(nodes)), norm, bounds)
 
     @classmethod
@@ -116,14 +132,7 @@ class Graph:
         return len(self._adj[i])
 
     def is_connected(self) -> bool:
-        seen = {self.nodes[0]}
-        frontier = deque(seen)
-        while frontier:
-            for j in self._adj[frontier.popleft()]:
-                if j not in seen:
-                    seen.add(j)
-                    frontier.append(j)
-        return len(seen) == len(self.nodes)
+        return self._connected
 
     def induced(self, keep: Iterable[int]) -> "Graph":
         """Subgraph on ``keep``, retaining matching delay bounds."""
@@ -181,6 +190,8 @@ def diameter(g: Graph) -> int:
     centre, lower the upper one; searches alternate between the candidate
     with the largest upper bound and the one with the smallest lower bound.
     """
+    if not g.is_connected():
+        raise ConfigurationError("diameter is undefined for a disconnected graph")
     index = {v: k for k, v in enumerate(g.nodes)}
     adj = [[index[v] for v in g.neighbors(u)] for u in g.nodes]
     n = len(adj)
@@ -213,8 +224,6 @@ def diameter(g: Graph) -> int:
                 if dist[v] < 0:
                     dist[v] = du
                     frontier.append(v)
-        if len(frontier) < n:
-            raise ConfigurationError("diameter is undefined for a disconnected graph")
         ecc = dist[frontier[-1]]  # breadth-first: the last is farthest
         if ecc > lo:
             lo = ecc

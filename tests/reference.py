@@ -1,15 +1,55 @@
 """Reference models that the simulator's fast paths are tested against.
 
 Each is the plain, obviously correct computation that a faster
-implementation in ``lisnet`` must reproduce exactly.
+implementation in ``lisnet`` must reproduce exactly. Two test helpers that
+the program itself never calls live here too: ``Envelope``, which builds an
+envelope tuple by field name, and ``read_trace_csv``, a strict reader for
+the trace file.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from pathlib import Path
+from typing import Mapping, NamedTuple, Sequence
 
-from lisnet.errors import InvariantError
+from lisnet.cli import TRACE_COLUMNS
+from lisnet.errors import ConfigurationError, InvariantError
+
+
+class Envelope(NamedTuple):
+    """One weighted share in flight from ``src`` to ``dst``.
+
+    The simulator moves envelopes as plain 7-tuples in this field order
+    (see ``consensus.emit``); this class builds one by name.
+    ``payload_r``/``payload_s`` are the sender-weighted shares of the
+    consensus states at ``send_step``; ``payload_z``/``payload_y``
+    piggyback the sender's running extremes.
+    """
+
+    src: int
+    dst: int
+    send_step: int
+    payload_r: float
+    payload_s: float
+    payload_z: float = 0.0
+    payload_y: float = 0.0
+
+
+def read_trace_csv(path: Path) -> list[dict[str, str]]:
+    """Strict reader for the trace format; rejects anything off-schema."""
+    lines = path.read_text().splitlines()
+    if not lines or not lines[0].startswith("# lisnet-trace v1"):
+        raise ConfigurationError(f"{path}: missing trace header")
+    if lines[1].split(",") != list(TRACE_COLUMNS):
+        raise ConfigurationError(f"{path}: unexpected column set")
+    rows = []
+    for ln, line in enumerate(lines[2:], start=3):
+        cells = line.split(",")
+        if len(cells) != len(TRACE_COLUMNS):
+            raise ConfigurationError(f"{path}:{ln}: wrong cell count")
+        rows.append(dict(zip(TRACE_COLUMNS, cells)))
+    return rows
 
 
 def global_extremes_oracle(

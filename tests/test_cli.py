@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -11,13 +12,13 @@ from lisnet.cli import (
     ScenarioConfig,
     default_config,
     main,
-    read_trace_csv,
     replicate_fig1,
     replicate_oracle_sweep,
     write_trace_csv,
 )
 from lisnet.errors import ConfigurationError
 from lisnet.scenario import PowerProfile
+from reference import read_trace_csv
 
 
 @pytest.fixture
@@ -158,6 +159,10 @@ class TestConfigDocument:
         path.write_text("graph: [unclosed")
         with pytest.raises(ConfigurationError, match="broken.yaml"):
             ScenarioConfig.load(path)
+
+    def test_shipped_config_is_the_built_in_scenario(self):
+        shipped = Path(__file__).parent.parent / "configs" / "six_lis.yaml"
+        assert ScenarioConfig.load(shipped).to_dict() == default_config().to_dict()
 
 
 class TestTraceFormat:
@@ -439,12 +444,13 @@ class TestRunCommand:
             lambda doc: doc.__setitem__(
                 "delay", {"model": "stochastic", "probabilities": [1e308, 1e308, 0, 0]}
             ),
+            lambda doc: doc["graph"].__setitem__("delay_bounds", {"1-2": 2, "2-1": 0}),
         ],
         ids=[
             "rho", "demand-watts", "epsilon", "short-edge", "fleet-id-missing", "fleet-scalar",
             "graph-scalar", "graph-nodes-missing", "duplicate-node", "profile-point",
             "delay-probability", "output-directory", "seed-bool", "fixed-model-probabilities",
-            "probability-beyond-float", "probability-total-infinite",
+            "probability-beyond-float", "probability-total-infinite", "edge-bounded-twice",
         ],
     )
     def test_malformed_value_or_shape_is_a_configuration_error(

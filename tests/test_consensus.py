@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from lisnet.consensus import ConsensusState, Envelope, absorb, emit
+from lisnet.consensus import ConsensusState, absorb, emit
 from lisnet.errors import InvariantError, ProtocolError
 from lisnet.netsim import DelayModel, simulate_averaging
 from lisnet.topology import Graph, build_weights
-from reference import global_extremes_oracle
+from reference import Envelope, global_extremes_oracle
 
 
 class TestEmit:

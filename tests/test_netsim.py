@@ -4,7 +4,7 @@ from collections import deque
 import pytest
 
 from lisnet.apportioning import ApportionProblem, closed_form_oracle
-from lisnet.consensus import ConsensusState, Envelope
+from lisnet.consensus import ConsensusState
 from lisnet.errors import ConfigurationError, InvariantError, NonTerminationError
 from lisnet.netsim import (
     DelayModel,
@@ -16,7 +16,7 @@ from lisnet.netsim import (
 )
 from lisnet.termination import CheckpointSchedule
 from lisnet.topology import Graph, build_weights, diameter
-from reference import global_extremes_oracle, oldest_age_scan, pending_count_scan
+from reference import Envelope, global_extremes_oracle, oldest_age_scan, pending_count_scan
 
 TABLE_BOUNDS = {
     1: (0.0, 1500.0),
@@ -597,7 +597,7 @@ class TestAuditMatchesReference:
                 assert report.max_gap == hi - lo
                 now = sim.step_index
                 assert sim.mailbox.oldest_age(now) == oldest_age_scan(sim.mailbox._pending, now)
-                assert sim.all_frozen == all(m.frozen for m in sim.machines.values())
+                assert sim.all_frozen == all(m.term.frozen for m in sim.machines.values())
                 if sim.all_frozen:
                     break
                 sim.step()

@@ -5,7 +5,7 @@ import pytest
 
 from lisnet import termination
 from lisnet.apportioning import ApportionProblem, init_states, reference_command
-from lisnet.consensus import ConsensusState, Envelope
+from lisnet.consensus import ConsensusState
 from lisnet.errors import ConfigurationError, ProtocolError
 from lisnet.netsim import DelayModel, Simulation, run_cycle
 from lisnet.termination import (
@@ -16,6 +16,7 @@ from lisnet.termination import (
     epoch_update,
 )
 from lisnet.topology import Graph, build_weights, diameter
+from reference import Envelope
 
 
 def probe_machine(neighbors=()):
@@ -114,8 +115,6 @@ class TestCheckpoint:
         term = TerminationState(z=0.5001, y=0.5000)
         nxt = checkpoint(term, current_r=3.0, current_s=6.0, rho=1e-3)
         assert nxt.frozen
-        assert nxt.r_star == 3.0
-        assert nxt.s_star == 6.0
         assert nxt.z == 0.5001  # frozen values never move
 
     def test_reseeds_above_threshold(self):
@@ -152,12 +151,10 @@ class TestNodeMachine:
         machine = NodeMachine(state, w, g.neighbors(1), sched, rho=1e-6)
         assert machine.emit() == []
         machine.advance([])
-        assert machine.frozen
+        assert machine.term.frozen
         assert machine.term.theta == 1
         assert machine.state.ratio() == pytest.approx(0.5)
-        command = reference_command(
-            problem, machine.term.r_star, machine.term.s_star, 1
-        )
+        command = reference_command(problem, machine.state.r, machine.state.s, 1)
         assert command == pytest.approx(100.0)
 
     def test_frozen_node_goes_silent(self):
@@ -173,7 +170,7 @@ class TestNodeMachine:
         )
         assert machine.emit() == []
         machine.advance([])
-        assert machine.frozen
+        assert machine.term.frozen
         assert machine.emit() == []
         stray = Envelope(src=2, dst=1, send_step=0, payload_r=0.0, payload_s=0.1)
         with pytest.raises(ProtocolError):
@@ -230,6 +227,60 @@ class TestTerminationProperties:
                 assert event.z == max(seeds)  # bitwise: propagation copies floats
                 assert event.y == min(seeds)
 
+    def _wrong_extremes(self, g, tau, r0, s0, schedule, periods=4):
+        """(theta, node) of every probe-mode checkpoint whose z or y is not exact.
+
+        Every directed link delays by exactly tau, the slowest propagation
+        the bound allows. Exact means the max and min of the quotients the
+        nodes reseeded from at the previous checkpoint (at the first, the
+        initial quotients), bit for bit.
+        """
+        delays = {}
+        for a, b in g.edges:
+            delays[(a, b)] = delays[(b, a)] = tau
+        sim = Simulation(
+            g, build_weights(g), self._states(g, r0, s0),
+            DelayModel.fixed(delays, tau), schedule,
+        )
+        length = schedule.checkpoint_len
+        sim.run(periods * length)
+        seeds = [r0[i] / s0[i] for i in sorted(g.nodes)]
+        wrong = []
+        for theta in range(1, periods + 1):
+            events = [e for e in sim.trace_rows if e.step == theta * length]
+            assert [e.theta for e in events] == [theta] * g.n
+            wrong += [(theta, e.node) for e in events if (e.z, e.y) != (max(seeds), min(seeds))]
+            seeds = [e.ratio for e in events]  # what each node reseeds from
+        return wrong
+
+    def test_extremes_exact_at_every_checkpoint_under_worst_case_delays(self):
+        rng = random.Random(3)
+        for case in range(60):
+            n = rng.randint(2, 9)
+            g = Graph.path(n) if case % 2 else Graph.random_connected(rng, n)
+            tau = rng.randint(1, 3)
+            r0 = {i: rng.uniform(-10, 10) for i in g.nodes}
+            s0 = {i: rng.uniform(0.5, 2.0) for i in g.nodes}
+            schedule = CheckpointSchedule(max(1, diameter(g)), tau)
+            assert self._wrong_extremes(g, tau, r0, s0, schedule) == [], (g, tau)
+
+    def test_one_step_shorter_schedule_misses_the_extremes(self):
+        # the schedule is tight: on two nodes with tau = 2, a checkpoint
+        # period of 4 instead of 5 closes the second period before any
+        # value sent in it has been merged, so each node tests only its own
+        class OneStepShort(CheckpointSchedule):
+            @property
+            def checkpoint_len(self):
+                return super().checkpoint_len - 1
+
+        g = Graph.path(2)
+        r0 = {1: 1.0, 2: 2.0}
+        s0 = {1: 1.0, 2: 1.0}
+        assert self._wrong_extremes(g, 2, r0, s0, CheckpointSchedule(1, 2)) == []
+        short = OneStepShort(1, 2)
+        assert short.checkpoint_len == 4
+        assert self._wrong_extremes(g, 2, r0, s0, short) == [(2, 1), (2, 2)]
+
     def test_gap_identical_across_nodes_at_checkpoints(self):
         g = Graph.cycle(6)
         w = build_weights(g)
@@ -272,7 +323,7 @@ class TestTerminationProperties:
             )
             assert result.theta <= 100
             exact = (problem.rho_d - problem.total_min) / problem.total_span
-            # a frozen event's r and s are the node's frozen r_star and s_star
+            # a frozen event's r and s are the node's frozen snapshot r*, s*
             frozen = {e.node: e for e in result.trace_rows if e.frozen}
             for i in g.nodes:
                 quotient = frozen[i].r / frozen[i].s

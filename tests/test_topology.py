@@ -50,6 +50,16 @@ class TestGraph:
         with pytest.raises(ConfigurationError):
             Graph.from_edges([1, 2, 3], [(1, 2)], {(2, 3): 1})
 
+    def test_rejects_bound_key_that_is_not_a_normalized_edge(self):
+        # a backward key would never match an edge, so its cap would not bind
+        with pytest.raises(ConfigurationError, match="normalized"):
+            Graph((1, 2), frozenset({(1, 2)}), {(2, 1): 0})
+
+    def test_from_edges_normalizes_bound_keys_and_rejects_an_edge_bounded_twice(self):
+        assert Graph.from_edges([1, 2], [(1, 2)], {(2, 1): 0}).delay_bounds == {(1, 2): 0}
+        with pytest.raises(ConfigurationError, match="two delay bounds"):
+            Graph.from_edges([1, 2], [(1, 2)], {(1, 2): 2, (2, 1): 0})
+
     def test_connectivity(self):
         assert Graph.cycle(5).is_connected()
         assert not Graph.from_edges([1, 2, 3], [(1, 2)]).is_connected()
