@@ -42,7 +42,7 @@ from .scenario import (
     run_instant,
     six_lis_fleet,
 )
-from .topology import Graph, build_weights
+from .topology import Graph, build_weights, edge_key
 from .topology import diameter  # noqa: F401  traced here by perfbench/tracer.py
 
 TRACE_COLUMNS = (
@@ -219,6 +219,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if not 0 < self.rho < math.inf:
             raise ConfigurationError("rho must be finite and positive")
+        if self.diameter_bound is not None and self.diameter_bound < 1:
+            raise ConfigurationError(f"diameter must be at least 1, got {self.diameter_bound}")
 
     @classmethod
     def from_dict(cls, doc: Any) -> "ScenarioConfig":
@@ -244,7 +246,13 @@ class ScenarioConfig:
                 raise ConfigurationError("delay probabilities require delay.model: stochastic")
             fixed = {}
             for key, d in _as_mapping(dsec.get("fixed_delays", {}), "fixed_delays").items():
-                fixed[_parse_edge(key, directed=True)] = _as_int(d, f"fixed delay on {key}")
+                link = _parse_edge(key, directed=True)
+                # a delay is looked up only on a graph edge, so any other key is an error
+                if edge_key(*link) not in graph.edges:
+                    raise ConfigurationError(f"fixed delay key {key!r} is not a graph edge")
+                if link in fixed:
+                    raise ConfigurationError(f"fixed delay on {key!r} given twice")
+                fixed[link] = _as_int(d, f"fixed delay on {key}")
             delay = DelayModel.fixed(fixed, tau_bar=tau_bar)
         elif model == "stochastic":
             if "fixed_delays" in dsec:

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 import random
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .apportioning import (
     ApportionProblem,
@@ -220,19 +220,6 @@ class Mailbox:
         return max(0, now - oldest)
 
 
-class AuditReport(NamedTuple):
-    """Global bookkeeping snapshot taken between rounds."""
-
-    step: int
-    node_mass_r: float
-    inflight_mass_r: float
-    node_mass_s: float
-    inflight_mass_s: float
-    window_max: float
-    window_min: float
-    max_gap: float
-
-
 class Simulation:
     """Drives one node machine per graph node in lockstep rounds over a delay channel.
 
@@ -281,9 +268,6 @@ class Simulation:
                 raise ConfigurationError(
                     f"fixed delay {d} on {edge} exceeds the edge bound {cap}"
                 )
-        # (max, min) of the n node ratios at each of the last tau_bar + 1 steps
-        ratios = [m.state.ratio() for m in self.machines.values()]
-        self._window = deque([(max(ratios), min(ratios))], maxlen=delay_model.tau_bar + 1)
         # conserved totals, summed in node order like every audit after them
         target_r = 0.0
         target_s = 0.0
@@ -306,20 +290,16 @@ class Simulation:
     def ratios(self) -> dict[int, float]:
         return {i: m.state.ratio() for i, m in self.machines.items()}
 
-    @property
-    def all_frozen(self) -> bool:
-        return self._frozen == len(self.machines)
-
-    def audit(self) -> AuditReport:
-        """Snapshot the global bookkeeping and enforce mass conservation.
+    def audit(self) -> None:
+        """Enforce mass conservation over held and in-flight mass.
 
         Node mass is summed in node order and in-flight mass round by round,
         each round in posting order: plain sequential float additions, so
         the totals do not depend on how the interpreter's ``sum()`` rounds.
         Raises ``InvariantError`` when r or s mass (held plus in flight)
         drifts from its initial total by more than ``CONSERVATION_TOL``
-        relative. Runs at construction and after every step; no snapshot is
-        kept, only the running ``max_conservation_error``.
+        relative. Runs at construction and after every step; only the
+        running ``max_conservation_error`` is kept.
         """
         k = self.step_index
         node_r = 0.0
@@ -346,10 +326,6 @@ class Simulation:
                 f"mass leak at step {k}: total {total} vs "
                 f"initial {target} (relative {rel:.3e})"
             )
-        window = self._window
-        hi = max([step_hi for step_hi, _ in window])
-        lo = min([step_lo for _, step_lo in window])
-        return AuditReport(k, node_r, flight_r, node_s, flight_s, hi, lo, hi - lo)
 
     def _record_step_rows(self) -> None:
         k = self.step_index
@@ -383,23 +359,14 @@ class Simulation:
         inbox_of = inboxes.get
         events = None if self._record_steps else self.trace_rows
         frozen = self._frozen
-        hi = -math.inf
-        lo = math.inf
         for i, machine in machines.items():
             event = machine.advance(inbox_of(i, ()))
-            state = machine.state
-            q = state.r / state.s
-            if q > hi:
-                hi = q
-            if q < lo:
-                lo = q
             if event is not None:
                 if events is not None:
                     events.append(event)
                 if event.frozen:
                     frozen += 1
         self._frozen = frozen
-        self._window.append((hi, lo))
         self.step_index = k = k + 1
         if mailbox.oldest_age(k) > self.delay_model.tau_bar:
             raise InvariantError("an envelope outlived the delay bound")

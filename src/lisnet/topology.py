@@ -111,16 +111,6 @@ class Graph:
         ids = list(range(first, first + n))
         return cls.from_edges(ids, [(ids[i], ids[i + 1]) for i in range(n - 1)])
 
-    @classmethod
-    def complete(cls, n: int, first: int = 1) -> "Graph":
-        ids = list(range(first, first + n))
-        return cls.from_edges(ids, [(a, b) for a in ids for b in ids if a < b])
-
-    @classmethod
-    def star(cls, leaves: int, center: int = 1) -> "Graph":
-        ids = list(range(center, center + leaves + 1))
-        return cls.from_edges(ids, [(center, i) for i in ids if i != center])
-
     @property
     def n(self) -> int:
         return len(self.nodes)

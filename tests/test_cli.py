@@ -445,12 +445,22 @@ class TestRunCommand:
                 "delay", {"model": "stochastic", "probabilities": [1e308, 1e308, 0, 0]}
             ),
             lambda doc: doc["graph"].__setitem__("delay_bounds", {"1-2": 2, "2-1": 0}),
+            lambda doc: doc.__setitem__("delay", {"model": "fixed", "fixed_delays": {"1->4": 1}}),
+            lambda doc: doc.__setitem__("delay", {"model": "fixed", "fixed_delays": {"1->1": 1}}),
+            lambda doc: doc.__setitem__("delay", {"model": "fixed", "fixed_delays": {"1->9": 1}}),
+            lambda doc: doc.__setitem__(
+                "delay", {"model": "fixed", "fixed_delays": {"1->2": 1, "1 -> 2": 2}}
+            ),
+            lambda doc: doc.__setitem__("diameter", 0),
+            lambda doc: doc.__setitem__("diameter", -4),
         ],
         ids=[
             "rho", "demand-watts", "epsilon", "short-edge", "fleet-id-missing", "fleet-scalar",
             "graph-scalar", "graph-nodes-missing", "duplicate-node", "profile-point",
             "delay-probability", "output-directory", "seed-bool", "fixed-model-probabilities",
             "probability-beyond-float", "probability-total-infinite", "edge-bounded-twice",
+            "fixed-delay-non-edge", "fixed-delay-self-link", "fixed-delay-unknown-node",
+            "fixed-delay-link-twice", "diameter-zero", "diameter-negative",
         ],
     )
     def test_malformed_value_or_shape_is_a_configuration_error(

@@ -34,17 +34,29 @@ def table_problem(demand=7000.0):
 
 @pytest.fixture
 def audit_log(monkeypatch):
-    """Every report of the simulator's own audit calls, in call order."""
+    """At each of the simulator's own audit calls, in call order, the step
+    index and every node's ``(r, s)`` in node order."""
     log = []
     audit = Simulation.audit
 
     def logged(self):
-        report = audit(self)
-        log.append(report)
-        return report
+        audit(self)
+        log.append((self.step_index, [(m.state.r, m.state.s) for m in self.machines.values()]))
 
     monkeypatch.setattr(Simulation, "audit", logged)
     return log
+
+
+def window_extremes(audit_log, depth: int) -> list[tuple[float, float]]:
+    """The omniscient (max, min) of every node's r/s over the last ``depth``
+    audited steps, at each audit in ``audit_log``."""
+    windows: dict[int, deque] = {}
+    extremes = []
+    for _, states in audit_log:
+        for i, pair in enumerate(states):
+            windows.setdefault(i, deque(maxlen=depth)).append(pair)
+        extremes.append(global_extremes_oracle(windows))
+    return extremes
 
 
 # The seeded 50-node cycle of ``test_seeded_cycle_is_pinned_to_the_last_bit``,
@@ -273,14 +285,14 @@ class TestConservationAndDelivery:
             s0 = {i: rng.uniform(0.5, 2) for i in g.nodes}
             audit_log.clear()
             sim = simulate_averaging(g, w, r0, s0, model_builder(g), seed=1)
-            sim.run(300)
-            # the simulation audits every step internally; confirm the reports
-            assert len(audit_log) == 301
+            for _ in range(300):
+                sim.step()
+                node_r = sum(m.state.r for m in sim.machines.values())
+                flight_r, _ = sim.mailbox.pending_mass()
+                assert node_r + flight_r == pytest.approx(sum(r0.values()), abs=1e-6)
+            # the simulation audits every step internally, and once at construction
+            assert [step for step, _ in audit_log] == list(range(301))
             assert sim.max_conservation_error <= 1e-9
-            for report in audit_log:
-                assert report.node_mass_r + report.inflight_mass_r == pytest.approx(
-                    sum(r0.values()), abs=1e-6
-                )
 
     def test_all_envelopes_delivered_exactly_once(self):
         g = Graph.cycle(5)
@@ -305,10 +317,11 @@ class TestConservationAndDelivery:
             g, w, {i: 10.0 for i in g.nodes}, {i: 1.0 for i in g.nodes},
             DelayModel.fixed({}),
         )
-        first = sim.audit()
-        assert first.step == 0
-        assert first.inflight_mass_r == 0.0
-        assert first.node_mass_r == 40.0
+        assert sim.audit() is None
+        assert sim.step_index == 0
+        assert sim.mailbox.pending_mass() == (0.0, 0.0)
+        assert sum(m.state.r for m in sim.machines.values()) == 40.0
+        assert sim.max_conservation_error == 0.0
 
     def test_states_keyed_off_the_graph_nodes_rejected(self):
         g = Graph.path(3)
@@ -464,8 +477,9 @@ class TestRunCycle:
             g, w, table_problem(), DelayModel.stochastic(3),
             CheckpointSchedule(3, 3), rho, seed=5,
         )
-        assert audit_log[-1].step == result.steps
-        assert audit_log[-1].max_gap <= rho
+        assert audit_log[-1][0] == result.steps
+        hi, lo = window_extremes(audit_log, depth=3 + 1)[-1]  # tau_bar + 1
+        assert hi - lo <= rho
 
     def test_window_extremes_tighten_at_checkpoints(self, audit_log):
         # the omniscient windowed max never rises and the min never falls
@@ -478,11 +492,12 @@ class TestRunCycle:
         )
         instants = sorted({e.step for e in result.trace_rows})
         assert len(instants) >= 3
-        assert [report.step for report in audit_log] == list(range(result.steps + 1))
-        sampled = [audit_log[k] for k in instants]
-        for earlier, later in zip(sampled, sampled[1:]):
-            assert later.window_max <= earlier.window_max + 1e-12
-            assert later.window_min >= earlier.window_min - 1e-12
+        assert [step for step, _ in audit_log] == list(range(result.steps + 1))
+        extremes = window_extremes(audit_log, depth=3 + 1)  # tau_bar + 1
+        sampled = [extremes[k] for k in instants]
+        for (earlier_max, earlier_min), (later_max, later_min) in zip(sampled, sampled[1:]):
+            assert later_max <= earlier_max + 1e-12
+            assert later_min >= earlier_min - 1e-12
 
     def test_command_invariant_to_circulation_placement(self):
         g = Graph.cycle(6)
@@ -585,24 +600,14 @@ class TestAuditMatchesReference:
     def test_every_step_matches_the_reference(self, kind, terminating):
         for seed in range(12):
             sim = _audit_case(seed, kind, terminating)
-            depth = sim.delay_model.tau_bar + 1
-            windows = {
-                i: deque([(m.state.r, m.state.s)], maxlen=depth)
-                for i, m in sim.machines.items()
-            }
             for _ in range(150):
-                report = sim.audit()
-                hi, lo = global_extremes_oracle(windows)
-                assert (report.window_max, report.window_min) == (hi, lo)
-                assert report.max_gap == hi - lo
                 now = sim.step_index
                 assert sim.mailbox.oldest_age(now) == oldest_age_scan(sim.mailbox._pending, now)
-                assert sim.all_frozen == all(m.term.frozen for m in sim.machines.values())
-                if sim.all_frozen:
+                frozen = sum(m.term.frozen for m in sim.machines.values())
+                assert sim._frozen == frozen
+                if frozen == len(sim.machines):
                     break
                 sim.step()
-                for i, m in sim.machines.items():
-                    windows[i].append((m.state.r, m.state.s))
 
 
 class TestNaiveBaseline:

@@ -23,6 +23,16 @@ def brute_force_diameter(g: Graph) -> int:
     return max(dist.values())
 
 
+def complete_graph(n: int) -> Graph:
+    ids = range(1, n + 1)
+    return Graph.from_edges(ids, [(a, b) for a in ids for b in ids if a < b])
+
+
+def star_graph(leaves: int) -> Graph:
+    """Node 1 joined to each of nodes 2 .. leaves + 1."""
+    return Graph.from_edges(range(1, leaves + 2), [(1, i) for i in range(2, leaves + 2)])
+
+
 def column(w, j: int) -> dict[int, float]:
     """Entries of column j: the weights node j puts on its outgoing shares."""
     return {i: value for (i, jj), value in w.entries.items() if jj == j}
@@ -83,7 +93,7 @@ class TestBuildWeights:
         assert w.self_weight(1) == 1.0
 
     def test_star_center_column(self):
-        g = Graph.star(5)
+        g = star_graph(5)
         w = build_weights(g)
         center = column(w, 1)
         assert len(center) == 6
@@ -115,7 +125,7 @@ class TestDiameter:
         assert diameter(Graph.cycle(6)) == 3
 
     def test_complete_four(self):
-        assert diameter(Graph.complete(4)) == 1
+        assert diameter(complete_graph(4)) == 1
 
     def test_path_five(self):
         assert diameter(Graph.path(5)) == 4
@@ -134,7 +144,7 @@ class TestDiameter:
         rng = random.Random(2011)
         graphs = [Graph.random_connected(rng, rng.randint(1, 80)) for _ in range(400)]
         for n in range(1, 12):
-            graphs += [Graph.path(n), Graph.cycle(n), Graph.complete(n), Graph.star(n - 1)]
+            graphs += [Graph.path(n), Graph.cycle(n), complete_graph(n), star_graph(n - 1)]
         # sparse random graphs: long paths with a few chords, where pruning bites
         for _ in range(50):
             n = rng.randint(20, 300)
