@@ -42,7 +42,7 @@ from .scenario import (
     run_instant,
     six_lis_fleet,
 )
-from .topology import Graph, build_weights, edge_key
+from .topology import Edge, Graph, build_weights, edge_key
 from .topology import diameter  # noqa: F401  traced here by perfbench/tracer.py
 
 TRACE_COLUMNS = (
@@ -64,6 +64,8 @@ TRACE_HEADER = "# lisnet-trace v1 columns=" + ",".join(TRACE_COLUMNS)
 OUT_DIR_ENV = "LISNET_OUT_DIR"
 
 SUITES = ("fig1-misconvergence", "six-lis-day", "oracle-sweep")
+# the ``run`` flags that replace a key of the scenario document
+OVERRIDE_FLAGS = ("seed", "rho", "tau_bar", "delay_model", "demand", "dispatch_period")
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +132,22 @@ def _as_profile(value: Any, what: str) -> PowerProfile:
     return PowerProfile(tuple((_as_float(t, what), _as_float(w, what)) for t, w in points))
 
 
-def _parse_edge(key: Any, directed: bool = False) -> tuple[int, int]:
+def _links(value: Any, name: str, graph: Graph, directed: bool = False) -> dict[Edge, int]:
+    """The ``delay_bounds`` or ``fixed_delays`` mapping: an integer per graph edge or link."""
     sep = "->" if directed else "-"
-    parts = str(key).replace(" ", "").split(sep)
-    if len(parts) != 2:
-        raise ConfigurationError(f"cannot parse edge {key!r} (expected 'a{sep}b')")
-    return _as_int(parts[0], "edge end"), _as_int(parts[1], "edge end")
+    links = {}
+    for key, v in _as_mapping(value, name).items():
+        parts = str(key).replace(" ", "").split(sep)
+        if len(parts) != 2:
+            raise ConfigurationError(f"cannot parse edge {key!r} (expected 'a{sep}b')")
+        link = _as_int(parts[0], "edge end"), _as_int(parts[1], "edge end")
+        # a cap or a delay applies only on a graph edge, so any other key is an error
+        if edge_key(*link) not in graph.edges:
+            raise ConfigurationError(f"{name} key {key!r} is not a graph edge")
+        if link in links:
+            raise ConfigurationError(f"{name} key {key!r} names {link} again")
+        links[link] = _as_int(v, f"{name} value on {key}")
+    return links
 
 
 _TOP = (
@@ -228,44 +240,32 @@ class ScenarioConfig:
             doc, "scenario", _TOP, ("graph", "delay", "demand", "fleet", "dispatch", "output")
         )
         gsec = _section(top.get("graph"), "graph", (), ("nodes", "edges", "delay_bounds"))
-        bounds = {}
-        for key, cap in _as_mapping(gsec.get("delay_bounds", {}), "graph delay_bounds").items():
-            bounds[_parse_edge(key)] = _as_int(cap, f"delay bound on {key}")
         nodes = [_as_int(i, "node id") for i in _as_list(gsec.get("nodes"), "graph nodes")]
         edges = _pairs(gsec.get("edges"), "graph edges")
         graph = Graph.from_edges(
-            nodes,
-            [(_as_int(a, "edge end"), _as_int(b, "edge end")) for a, b in edges],
-            bounds,
+            nodes, [(_as_int(a, "edge end"), _as_int(b, "edge end")) for a, b in edges]
         )
+        bounds = _links(gsec.get("delay_bounds", {}), "delay_bounds", graph)
 
         dsec = _section(top.get("delay", {}), "delay", _DELAY, ("fixed_delays", "probabilities"))
         model, tau_bar = dsec["delay.kind"], top["delay.tau_bar"]
+        fixed = probs = None
         if model == "fixed":
             if "probabilities" in dsec:
                 raise ConfigurationError("delay probabilities require delay.model: stochastic")
-            fixed = {}
-            for key, d in _as_mapping(dsec.get("fixed_delays", {}), "fixed_delays").items():
-                link = _parse_edge(key, directed=True)
-                # a delay is looked up only on a graph edge, so any other key is an error
-                if edge_key(*link) not in graph.edges:
-                    raise ConfigurationError(f"fixed delay key {key!r} is not a graph edge")
-                if link in fixed:
-                    raise ConfigurationError(f"fixed delay on {key!r} given twice")
-                fixed[link] = _as_int(d, f"fixed delay on {key}")
-            delay = DelayModel.fixed(fixed, tau_bar=tau_bar)
+            fixed = _links(dsec.get("fixed_delays", {}), "fixed_delays", graph, directed=True)
         elif model == "stochastic":
             if "fixed_delays" in dsec:
                 raise ConfigurationError("fixed_delays requires delay.model: fixed")
-            probs = dsec.get("probabilities")
-            if probs is not None:
+            if "probabilities" in dsec:
                 # checked, not converted: an int stays an int in results.json
-                for p in _as_list(probs, "probabilities"):
+                probs = tuple(_as_list(dsec["probabilities"], "probabilities"))
+                for p in probs:
                     if isinstance(p, bool) or not isinstance(p, (int, float)):
                         raise ConfigurationError(f"delay probabilities must be numbers: {p!r}")
-            delay = DelayModel.stochastic(tau_bar, probs)
         else:
             raise ConfigurationError(f"unknown delay model {model!r}")
+        delay = DelayModel(model, tau_bar, fixed, probs, bounds)
 
         dem = _section(top.get("demand"), "demand", (), ("watts", "shape", "circulation"))
         if ("watts" in dem) == ("shape" in dem):
@@ -321,9 +321,9 @@ class ScenarioConfig:
             "nodes": list(self.graph.nodes),
             "edges": [list(e) for e in sorted(self.graph.edges)],
         }
-        if self.graph.delay_bounds:
+        if self.delay.bounds:
             doc["graph"]["delay_bounds"] = {
-                f"{a}-{b}": v for (a, b), v in sorted(self.graph.delay_bounds.items())
+                f"{a}-{b}": v for (a, b), v in sorted(self.delay.bounds.items())
             }
         doc["delay"] = _write(_DELAY, self)
         if self.delay.kind == "fixed":
@@ -429,27 +429,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigurationError("--at-hours needs --cycle-only")
     elif not math.isfinite(args.at_hours):
         raise ConfigurationError(f"--at-hours must be finite, got {args.at_hours}")
-    config = (
-        ScenarioConfig.load(args.config) if args.config else default_config()
-    )
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.rho is not None:
-        config = replace(config, rho=args.rho)
-    if args.tau_bar is not None or args.delay_model is not None:
-        tau_bar = config.delay.tau_bar if args.tau_bar is None else args.tau_bar
-        if (args.delay_model or config.delay.kind) == "stochastic":
-            # a new bound must still match the scenario's probabilities, if any
-            delay = DelayModel.stochastic(tau_bar, config.delay.probabilities)
-        else:
-            delay = DelayModel.fixed(dict(config.delay.fixed_delays or {}), tau_bar)
-        config = replace(config, delay=delay)
-    if args.demand is not None:
-        config = replace(config, dispatch=replace(config.dispatch, demand=args.demand))
-    if args.dispatch_period is not None:
-        config = replace(
-            config, dispatch=replace(config.dispatch, dispatch_period=args.dispatch_period)
-        )
+    config = ScenarioConfig.load(args.config) if args.config else default_config()
+    if any(getattr(args, flag) is not None for flag in OVERRIDE_FLAGS):
+        config = ScenarioConfig.from_dict(_override(config.to_dict(), args))
 
     if args.check_feasibility:
         return _check_feasibility(config, args)
@@ -458,6 +440,28 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.cycle_only:
         return _run_single_cycle(config, args, out_dir)
     return _run_full_day(config, out_dir, args.verbose_trace)
+
+
+def _override(doc: dict[str, Any], args: argparse.Namespace) -> dict[str, Any]:
+    """``doc`` with each ``run`` flag that is given in place of its key.
+
+    The document is then read like a file, so a flag is checked exactly as
+    its key is. Switching ``--delay-model`` drops the other model's
+    ``fixed_delays`` or ``probabilities``, and ``--demand`` replaces a
+    demand ``shape``.
+    """
+    for key, value in (("seed", args.seed), ("rho", args.rho), ("tau_bar", args.tau_bar)):
+        if value is not None:
+            doc[key] = value
+    if args.delay_model is not None:
+        doc["delay"]["model"] = args.delay_model
+        doc["delay"].pop("probabilities" if args.delay_model == "fixed" else "fixed_delays", None)
+    if args.demand is not None:
+        doc["demand"].pop("shape", None)
+        doc["demand"]["watts"] = args.demand
+    if args.dispatch_period is not None:
+        doc["dispatch"]["dispatch_period"] = args.dispatch_period
+    return doc
 
 
 def _check_feasibility(config: ScenarioConfig, args: argparse.Namespace) -> int:

@@ -30,7 +30,7 @@ from .apportioning import (
 from .consensus import ConsensusState
 from .errors import ConfigurationError, InvariantError, NonTerminationError
 from .termination import CheckpointSchedule, NodeMachine
-from .topology import Graph, WeightMatrix, diameter
+from .topology import Graph, WeightMatrix, diameter, edge_key
 
 CONSERVATION_TOL = 1e-9
 
@@ -52,6 +52,11 @@ class DelayModel:
     independently and uniformly from {0, ..., tau_bar}, or from
     ``probabilities`` over the same support when given.
 
+    ``bounds`` caps the delay on an undirected edge, in both directions. A
+    key may name the edge either way round; the field holds the caps keyed
+    by normalized edge. A drawn delay above its link's cap is lowered to
+    the cap, and a fixed delay above it is an error.
+
     :meth:`delay_for` returns a whole step's delays in one call. It is the
     per-message stream exactly: the same values, in order, and the same
     generator state afterwards as one ``rng.randint(0, tau_bar)`` (or one
@@ -62,17 +67,37 @@ class DelayModel:
     tau_bar: int
     fixed_delays: Mapping[tuple[int, int], int] | None = None
     probabilities: tuple[float, ...] | None = None
+    bounds: Mapping[tuple[int, int], int] | None = None
 
     def __post_init__(self):
         if self.kind not in (FIXED, STOCHASTIC):
             raise ConfigurationError(f"unknown delay model kind {self.kind!r}")
         if self.tau_bar < 0:
             raise ConfigurationError("delay bound must be non-negative")
+        bounds = {}
+        # the caps below tau_bar, _caps[(src, dst)]; the others cannot bind,
+        # so a model without such caps returns its draws as they are
+        caps = {}
+        for (a, b), cap in (self.bounds or {}).items():
+            edge = edge_key(a, b)
+            if edge in bounds:
+                raise ConfigurationError(f"edge {edge} has two delay bounds")
+            if cap < 0:
+                raise ConfigurationError(f"negative delay bound on edge {edge}")
+            bounds[edge] = cap
+            if cap < self.tau_bar:
+                caps[(a, b)] = caps[(b, a)] = cap
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "_caps", caps)
         if self.kind == FIXED:
-            for edge, d in (self.fixed_delays or {}).items():
+            for link, d in (self.fixed_delays or {}).items():
                 if not 0 <= d <= self.tau_bar:
                     raise ConfigurationError(
-                        f"fixed delay {d} on {edge} outside [0, {self.tau_bar}]"
+                        f"fixed delay {d} on {link} outside [0, {self.tau_bar}]"
+                    )
+                if d > caps.get(link, d):
+                    raise ConfigurationError(
+                        f"fixed delay {d} on {link} exceeds the edge bound {caps[link]}"
                     )
         if self.probabilities is not None:
             if self.kind != STOCHASTIC:
@@ -108,13 +133,6 @@ class DelayModel:
         object.__setattr__(self, "_table", table)
 
     @classmethod
-    def fixed(
-        cls, delays: Mapping[tuple[int, int], int], tau_bar: int | None = None
-    ) -> "DelayModel":
-        bound = max(delays.values(), default=0) if tau_bar is None else tau_bar
-        return cls(kind=FIXED, tau_bar=bound, fixed_delays=dict(delays))
-
-    @classmethod
     def fixed_random(cls, graph: Graph, tau_bar: int, seed: int) -> "DelayModel":
         """Each direction of each edge gets its own constant delay <= tau_bar."""
         rng = random.Random(seed)
@@ -135,39 +153,45 @@ class DelayModel:
         """One delay per link, in order; each link starts ``(src, dst)``.
 
         Links are a step's envelopes in posting order, or any tuples that
-        start with source and destination. Only the fixed model reads them;
-        the stochastic models draw ``len(links)`` delays from ``rng``.
+        start with source and destination. The fixed model looks them up;
+        the stochastic models draw ``len(links)`` delays from ``rng`` and
+        lower each to its link's cap.
         """
+        if self.kind == FIXED:
+            # checked against the caps once, in __post_init__
+            fixed = self.fixed_delays or {}
+            return [fixed.get((link[0], link[1]), 0) for link in links]
         count = len(links)
         bits = self._bits
-        if not bits:
-            if self.kind == FIXED:
-                fixed = self.fixed_delays or {}
-                return [fixed.get((link[0], link[1]), 0) for link in links]
-            return rng.choices(range(self.tau_bar + 1), cum_weights=self._cum_weights, k=count)
         tau_bar = self.tau_bar
-        getrandbits = rng.getrandbits
-        table = self._table
-        need = count
-        if table is None:
-            delays: bytearray | list[int] = []
+        if not bits:
+            delays = rng.choices(range(tau_bar + 1), cum_weights=self._cum_weights, k=count)
         else:
-            # getrandbits(32 * need) holds the words of need getrandbits(bits)
-            # calls, lowest first. A pass draws one word per delay still
-            # missing, all of which the per-message loop draws too, so the
-            # generator ends where that loop leaves it
-            delays = bytearray()
-            while need > BULK_MIN:
-                words = getrandbits(32 * need).to_bytes(4 * need, "little")
-                delays += words[3::4].translate(table).replace(b"\xff", b"")
-                need = count - len(delays)
-        # randint's own rejection loop: the last few delays, or all of them
-        # when tau_bar >= 255
-        for _ in range(need):
-            d = getrandbits(bits)
-            while d > tau_bar:
+            getrandbits = rng.getrandbits
+            table = self._table
+            need = count
+            if table is None:
+                delays = []
+            else:
+                # getrandbits(32 * need) holds the words of need getrandbits(bits)
+                # calls, lowest first. A pass draws one word per delay still
+                # missing, all of which the per-message loop draws too, so the
+                # generator ends where that loop leaves it
+                delays = bytearray()
+                while need > BULK_MIN:
+                    words = getrandbits(32 * need).to_bytes(4 * need, "little")
+                    delays += words[3::4].translate(table).replace(b"\xff", b"")
+                    need = count - len(delays)
+            # randint's own rejection loop: the last few delays, or all of
+            # them when tau_bar >= 255
+            for _ in range(need):
                 d = getrandbits(bits)
-            delays.append(d)
+                while d > tau_bar:
+                    d = getrandbits(bits)
+                delays.append(d)
+        caps = self._caps
+        if caps:
+            delays = [min(d, caps.get((link[0], link[1]), d)) for link, d in zip(links, delays)]
         return delays
 
 
@@ -255,19 +279,6 @@ class Simulation:
         self.mailbox = Mailbox()
         self.step_index = 0
         self._record_steps = record_steps
-        # the per-link delay caps below tau_bar, _caps[(src, dst)]; the others
-        # cannot bind, so a graph without such caps posts its draws as they are
-        self._caps: dict[tuple[int, int], int] = {}
-        for a, b in graph.edges:
-            cap = graph.delay_bounds.get((a, b))
-            if cap is not None and cap < delay_model.tau_bar:
-                self._caps[(a, b)] = self._caps[(b, a)] = cap
-        for edge, d in (delay_model.fixed_delays or {}).items():
-            cap = self._caps.get(edge)
-            if cap is not None and d > cap:
-                raise ConfigurationError(
-                    f"fixed delay {d} on {edge} exceeds the edge bound {cap}"
-                )
         # conserved totals, summed in node order like every audit after them
         target_r = 0.0
         target_s = 0.0
@@ -346,11 +357,6 @@ class Simulation:
         for machine in machines.values():
             envelopes += machine.emit()
         delays = self.delay_model.delay_for(self.rng, envelopes)
-        caps = self._caps
-        if caps:
-            delays = [
-                min(d, caps.get((env[0], env[1]), d)) for env, d in zip(envelopes, delays)
-            ]
         for env, d in zip(envelopes, delays):
             post(env, k + d)
         inboxes: defaultdict[int, list[tuple]] = defaultdict(list)
@@ -437,7 +443,6 @@ def run_cycle(
     rho: float,
     *,
     seed: int = 0,
-    max_steps: int | None = None,
     record_steps: bool = False,
 ) -> CycleResult:
     """Run one dispatch cycle to unanimous freeze and read off the commands."""
@@ -448,8 +453,7 @@ def run_cycle(
         seed=seed, record_steps=record_steps,
     )
     machines = sim.machines
-    ceiling = 1000 * schedule.checkpoint_len if max_steps is None else max_steps
-    sim.run_until_frozen(ceiling)
+    sim.run_until_frozen(1000 * schedule.checkpoint_len)
     thetas = {m.term.theta for m in machines.values()}
     if len(thetas) != 1:
         raise InvariantError(f"nodes froze at different checkpoints: {sorted(thetas)}")

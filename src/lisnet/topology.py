@@ -10,7 +10,7 @@ are expected to be configured with a known upper bound instead.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import ConfigurationError
@@ -25,17 +25,14 @@ def edge_key(a: int, b: int) -> Edge:
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected communication graph with optional per-edge delay caps.
+    """Undirected communication graph.
 
-    ``nodes`` is an ordered tuple of distinct ids, ``edges`` a frozenset of
-    normalized pairs, and ``delay_bounds`` is keyed by normalized edges too
-    (``from_edges`` normalizes its keys and rejects an edge bounded twice).
-    Edges absent from ``delay_bounds`` fall back to the run-wide delay bound.
+    ``nodes`` is an ordered tuple of distinct ids and ``edges`` a frozenset
+    of normalized pairs.
     """
 
     nodes: tuple[int, ...]
     edges: frozenset[Edge]
-    delay_bounds: Mapping[Edge, int] = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.nodes:
@@ -50,12 +47,6 @@ class Graph:
                 raise ConfigurationError(f"edge ({a}, {b}) references an unknown node")
             if (a, b) != edge_key(a, b):
                 raise ConfigurationError(f"edge ({a}, {b}) is not normalized")
-        for e, bound in self.delay_bounds.items():
-            # a key is applied only as a normalized edge, so any other is an error
-            if e not in self.edges:
-                raise ConfigurationError(f"delay bound key {e} is not a normalized edge")
-            if bound < 0:
-                raise ConfigurationError(f"negative delay bound on edge {e}")
         adj: dict[int, list[int]] = {i: [] for i in self.nodes}
         for a, b in self.edges:
             adj[a].append(b)
@@ -73,20 +64,8 @@ class Graph:
         object.__setattr__(self, "_connected", len(seen) == len(self.nodes))
 
     @classmethod
-    def from_edges(
-        cls,
-        nodes: Iterable[int],
-        edges: Iterable[tuple[int, int]],
-        delay_bounds: Mapping[tuple[int, int], int] | None = None,
-    ) -> "Graph":
-        norm = frozenset(edge_key(a, b) for a, b in edges)
-        bounds = {}
-        for (a, b), v in (delay_bounds or {}).items():
-            edge = edge_key(a, b)
-            if edge in bounds:
-                raise ConfigurationError(f"edge {edge} has two delay bounds")
-            bounds[edge] = v
-        return cls(tuple(sorted(nodes)), norm, bounds)
+    def from_edges(cls, nodes: Iterable[int], edges: Iterable[tuple[int, int]]) -> "Graph":
+        return cls(tuple(sorted(nodes)), frozenset(edge_key(a, b) for a, b in edges))
 
     @classmethod
     def random_connected(cls, rng: random.Random, n: int) -> "Graph":
@@ -98,22 +77,10 @@ class Graph:
         return cls.from_edges(range(1, n + 1), edges)
 
     @classmethod
-    def cycle(cls, n: int, first: int = 1) -> "Graph":
-        ids = list(range(first, first + n))
-        if n == 1:
-            return cls.from_edges(ids, [])
-        if n == 2:
-            return cls.from_edges(ids, [(ids[0], ids[1])])
-        return cls.from_edges(ids, [(ids[i], ids[(i + 1) % n]) for i in range(n)])
-
-    @classmethod
-    def path(cls, n: int, first: int = 1) -> "Graph":
-        ids = list(range(first, first + n))
-        return cls.from_edges(ids, [(ids[i], ids[i + 1]) for i in range(n - 1)])
-
-    @property
-    def n(self) -> int:
-        return len(self.nodes)
+    def cycle(cls, n: int) -> "Graph":
+        """Nodes 1..n in a ring; two nodes share one edge, and a lone node has none."""
+        ids = range(1, n + 1)
+        return cls.from_edges(ids, [(i, i % n + 1) for i in ids if n > 1])
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self._adj[i]
@@ -125,14 +92,13 @@ class Graph:
         return self._connected
 
     def induced(self, keep: Iterable[int]) -> "Graph":
-        """Subgraph on ``keep``, retaining matching delay bounds."""
+        """Subgraph on ``keep``."""
         kept = set(keep)
         missing = kept - set(self.nodes)
         if missing:
             raise ConfigurationError(f"cannot induce on unknown nodes {sorted(missing)}")
-        edges = {e for e in self.edges if e[0] in kept and e[1] in kept}
-        bounds = {e: v for e, v in self.delay_bounds.items() if e in edges}
-        return Graph(tuple(sorted(kept)), frozenset(edges), bounds)
+        edges = frozenset(e for e in self.edges if e[0] in kept and e[1] in kept)
+        return Graph(tuple(sorted(kept)), edges)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Reference models that the simulator's fast paths are tested against.
 
 Each is the plain, obviously correct computation that a faster
-implementation in ``lisnet`` must reproduce exactly. Two test helpers that
-the program itself never calls live here too: ``Envelope``, which builds an
-envelope tuple by field name, and ``read_trace_csv``, a strict reader for
-the trace file.
+implementation in ``lisnet`` must reproduce exactly. Three test helpers
+that the program itself never calls live here too: ``Envelope``, which
+builds an envelope tuple by field name, ``read_trace_csv``, a strict reader
+for the trace file, and ``path_graph``.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from lisnet.cli import TRACE_COLUMNS
 from lisnet.errors import ConfigurationError, InvariantError
+from lisnet.topology import Graph
 
 
 class Envelope(NamedTuple):
@@ -34,6 +35,11 @@ class Envelope(NamedTuple):
     payload_s: float
     payload_z: float = 0.0
     payload_y: float = 0.0
+
+
+def path_graph(n: int) -> Graph:
+    """Nodes 1..n joined in a line."""
+    return Graph.from_edges(range(1, n + 1), [(i, i + 1) for i in range(1, n)])
 
 
 def read_trace_csv(path: Path) -> list[dict[str, str]]:

@@ -114,7 +114,7 @@ def test_criterion_4_extremes_exact_after_one_period():
             )
             sim.run(schedule.checkpoint_len)
             events = [e for e in sim.trace_rows if e.step == schedule.checkpoint_len]
-            assert len(events) == graph.n
+            assert len(events) == len(graph.nodes)
             for event in events:
                 assert event.z == max(seeds)
                 assert event.y == min(seeds)
@@ -196,7 +196,7 @@ def test_criterion_7_finite_simultaneous_termination(day_outcome):
             assert result.theta <= 3, (seed, result.theta)
             assert result.steps == result.theta * schedule.checkpoint_len
             freeze_events = [e for e in result.trace_rows if e.frozen]
-            assert len(freeze_events) == graph.n
+            assert len(freeze_events) == len(graph.nodes)
             assert len({e.step for e in freeze_events}) == 1
 
 

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -418,60 +419,137 @@ class TestRunCommand:
         assert "must be an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, message",
         [
-            lambda doc: doc.__setitem__("rho", "abc"),
-            lambda doc: doc["demand"].__setitem__("watts", "lots"),
-            lambda doc: doc["dispatch"].__setitem__("epsilon", "x"),
-            lambda doc: doc["graph"]["edges"].__setitem__(0, [1]),
-            lambda doc: doc["fleet"][0].pop("id"),
-            lambda doc: doc.__setitem__("fleet", 5),
-            lambda doc: doc.__setitem__("graph", 5),
-            lambda doc: doc["graph"].pop("nodes"),
-            lambda doc: doc["graph"]["nodes"].append(1),
-            lambda doc: doc["fleet"][1].__setitem__("profile", [[0, 0], [3]]),
-            lambda doc: doc.__setitem__(
-                "delay", {"model": "stochastic", "probabilities": ["a", 1, 1, 1]}
+            (lambda doc: doc.__setitem__("rho", "abc"), "rho must be a number"),
+            (lambda doc: doc["demand"].__setitem__("watts", "lots"), "watts must be a number"),
+            (lambda doc: doc["dispatch"].__setitem__("epsilon", "x"), "epsilon must be a number"),
+            (lambda doc: doc["graph"]["edges"].__setitem__(0, [1]), "entries must be pairs"),
+            (lambda doc: doc["fleet"][0].pop("id"), "missing required key 'id'"),
+            (lambda doc: doc.__setitem__("fleet", 5), "fleet must be a list"),
+            (lambda doc: doc.__setitem__("graph", 5), "graph must be a mapping"),
+            (lambda doc: doc["graph"].pop("nodes"), "graph nodes must be a list"),
+            (lambda doc: doc["graph"]["nodes"].append(1), "duplicate node ids"),
+            (
+                lambda doc: doc["fleet"][1].__setitem__("profile", [[0, 0], [3]]),
+                "profile entries must be pairs",
             ),
-            lambda doc: doc.__setitem__("output", {"directory": 5}),
-            lambda doc: doc.__setitem__("seed", True),
-            lambda doc: doc.__setitem__(
-                "delay", {"model": "fixed", "probabilities": [1, 1, 1, 1]}
+            (
+                lambda doc: doc.__setitem__(
+                    "delay", {"model": "stochastic", "probabilities": ["a", 1, 1, 1]}
+                ),
+                "delay probabilities must be numbers",
             ),
-            lambda doc: doc.__setitem__(
-                "delay", {"model": "stochastic", "probabilities": [0, 0, 0, 10**400]}
+            (
+                lambda doc: doc.__setitem__("output", {"directory": 5}),
+                "directory must be a string",
             ),
-            lambda doc: doc.__setitem__(
-                "delay", {"model": "stochastic", "probabilities": [1e308, 1e308, 0, 0]}
+            (lambda doc: doc.__setitem__("seed", True), "seed must be an integer"),
+            (
+                lambda doc: doc.__setitem__(
+                    "delay", {"model": "fixed", "probabilities": [1, 1, 1, 1]}
+                ),
+                "probabilities require delay.model: stochastic",
             ),
-            lambda doc: doc["graph"].__setitem__("delay_bounds", {"1-2": 2, "2-1": 0}),
-            lambda doc: doc.__setitem__("delay", {"model": "fixed", "fixed_delays": {"1->4": 1}}),
-            lambda doc: doc.__setitem__("delay", {"model": "fixed", "fixed_delays": {"1->1": 1}}),
-            lambda doc: doc.__setitem__("delay", {"model": "fixed", "fixed_delays": {"1->9": 1}}),
-            lambda doc: doc.__setitem__(
-                "delay", {"model": "fixed", "fixed_delays": {"1->2": 1, "1 -> 2": 2}}
+            (
+                lambda doc: doc.__setitem__(
+                    "delay", {"model": "stochastic", "probabilities": [0, 0, 0, 10**400]}
+                ),
+                "positive, finite total",
             ),
-            lambda doc: doc.__setitem__("diameter", 0),
-            lambda doc: doc.__setitem__("diameter", -4),
+            (
+                lambda doc: doc.__setitem__(
+                    "delay", {"model": "stochastic", "probabilities": [1e308, 1e308, 0, 0]}
+                ),
+                "positive, finite total",
+            ),
+            (
+                lambda doc: doc["graph"].__setitem__("delay_bounds", {"1-2": 2, "2-1": 0}),
+                r"edge \(1, 2\) has two delay bounds",
+            ),
+            (
+                lambda doc: doc["graph"].__setitem__("delay_bounds", {"1-2": 2, "1 - 2": 0}),
+                r"delay_bounds key '1-2' names \(1, 2\) again",
+            ),
+            (
+                lambda doc: doc["graph"].__setitem__("delay_bounds", {"2-5": 1}),
+                "delay_bounds key '2-5' is not a graph edge",
+            ),
+            (
+                lambda doc: doc["graph"].__setitem__("delay_bounds", {"3-3": 1}),
+                "delay_bounds key '3-3' is not a graph edge",
+            ),
+            (
+                lambda doc: doc["graph"].__setitem__("delay_bounds", {"2-1": -1}),
+                r"negative delay bound on edge \(1, 2\)",
+            ),
+            (
+                lambda doc: doc.__setitem__(
+                    "delay", {"model": "fixed", "fixed_delays": {"1->4": 1}}
+                ),
+                "fixed_delays key '1->4' is not a graph edge",
+            ),
+            (
+                lambda doc: doc.__setitem__(
+                    "delay", {"model": "fixed", "fixed_delays": {"1->1": 1}}
+                ),
+                "fixed_delays key '1->1' is not a graph edge",
+            ),
+            (
+                lambda doc: doc.__setitem__(
+                    "delay", {"model": "fixed", "fixed_delays": {"1->9": 1}}
+                ),
+                "fixed_delays key '1->9' is not a graph edge",
+            ),
+            (
+                lambda doc: doc.__setitem__(
+                    "delay", {"model": "fixed", "fixed_delays": {"1->2": 1, "1 -> 2": 2}}
+                ),
+                r"fixed_delays key '1->2' names \(1, 2\) again",
+            ),
+            (lambda doc: doc.__setitem__("diameter", 0), "diameter must be at least 1, got 0"),
+            (lambda doc: doc.__setitem__("diameter", -4), "diameter must be at least 1, got -4"),
         ],
         ids=[
             "rho", "demand-watts", "epsilon", "short-edge", "fleet-id-missing", "fleet-scalar",
             "graph-scalar", "graph-nodes-missing", "duplicate-node", "profile-point",
             "delay-probability", "output-directory", "seed-bool", "fixed-model-probabilities",
             "probability-beyond-float", "probability-total-infinite", "edge-bounded-twice",
-            "fixed-delay-non-edge", "fixed-delay-self-link", "fixed-delay-unknown-node",
-            "fixed-delay-link-twice", "diameter-zero", "diameter-negative",
+            "delay-bound-key-twice", "delay-bound-non-edge", "delay-bound-self-link",
+            "delay-bound-negative", "fixed-delay-non-edge", "fixed-delay-self-link",
+            "fixed-delay-unknown-node", "fixed-delay-link-twice", "diameter-zero",
+            "diameter-negative",
         ],
     )
     def test_malformed_value_or_shape_is_a_configuration_error(
-        self, config_path, capsys, edit
+        self, config_path, capsys, edit, message
     ):
         doc = yaml.safe_load(config_path.read_text())
         edit(doc)
         config_path.write_text(yaml.safe_dump(doc))
         code = main(["run", "--config", str(config_path), "--check-feasibility"])
         assert code == 2
-        assert "configuration error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert re.search(message, err), err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--check-feasibility"], ["--cycle-only"], ["--cycle-only", "--at-hours", "4"], []],
+        ids=["check-feasibility", "cycle-at-0h", "cycle-at-4h", "day"],
+    )
+    def test_fixed_delay_above_its_edge_bound_fails_at_every_entry_point(
+        self, tmp_path, config_path, capsys, flags
+    ):
+        # at 0 h unit 2 sits out, so no cycle uses the edge 1-2; the scenario
+        # is malformed all the same
+        doc = yaml.safe_load(config_path.read_text())
+        doc["delay"] = {"model": "fixed", "fixed_delays": {"1->2": 3}}
+        doc["graph"]["delay_bounds"] = {"1-2": 1}
+        config_path.write_text(yaml.safe_dump(doc))
+        code = main(["run", "--config", str(config_path), "--out-dir", str(tmp_path), *flags])
+        assert code == 2
+        assert "fixed delay 3 on (1, 2) exceeds the edge bound 1" in capsys.readouterr().err
 
     def test_delay_override_keeps_the_delay_probabilities(
         self, tmp_path, config_path, capsys
@@ -497,6 +575,42 @@ class TestRunCommand:
         ])
         assert code == 2
         assert "delay probabilities" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, value, flags, key, expected",
+        [
+            ("delay", {"model": "stochastic", "probabilities": [0, 0, 0, 1]},
+             ["--delay-model", "fixed"], "delay", {"model": "fixed", "fixed_delays": {}}),
+            ("delay", {"model": "fixed", "fixed_delays": {"1->2": 2}},
+             ["--delay-model", "stochastic"], "delay", {"model": "stochastic"}),
+            ("delay", {"model": "fixed", "fixed_delays": {"1->2": 2}},
+             ["--delay-model", "fixed", "--tau-bar", "2"], "delay",
+             {"model": "fixed", "fixed_delays": {"1->2": 2}}),
+            ("demand", {"shape": [[0, 6000], [8, 8000]], "circulation": [2]},
+             ["--demand", "6500"], "demand", {"watts": 6500.0, "circulation": [2]}),
+            ("graph", {"nodes": [1, 2, 3, 4, 5, 6],
+                       "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]],
+                       "delay_bounds": {"2-1": 1}},
+             ["--tau-bar", "2", "--seed", "4"], "graph",
+             {"nodes": [1, 2, 3, 4, 5, 6],
+              "edges": [[1, 2], [1, 6], [2, 3], [3, 4], [4, 5], [5, 6]],
+              "delay_bounds": {"1-2": 1}}),
+        ],
+        ids=["to-fixed", "to-stochastic", "same-model", "demand-shape", "bounds-kept"],
+    )
+    def test_override_flags_edit_the_scenario_document(
+        self, tmp_path, config_path, section, value, flags, key, expected
+    ):
+        doc = yaml.safe_load(config_path.read_text())
+        doc[section] = value
+        config_path.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "out"
+        code = main([
+            "run", "--config", str(config_path), "--cycle-only", "--at-hours", "4",
+            "--out-dir", str(out), *flags,
+        ])
+        assert code == 0
+        assert json.loads((out / "results.json").read_text())["scenario"][key] == expected
 
     def test_byte_identical_reruns(self, tmp_path, config_path):
         outs = []

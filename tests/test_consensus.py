@@ -4,7 +4,7 @@ import pytest
 
 from lisnet.consensus import ConsensusState, absorb, emit
 from lisnet.errors import InvariantError, ProtocolError
-from lisnet.netsim import DelayModel, simulate_averaging
+from lisnet.netsim import FIXED, DelayModel, simulate_averaging
 from lisnet.topology import Graph, build_weights
 from reference import Envelope, global_extremes_oracle
 
@@ -146,7 +146,7 @@ class TestAsymptotics:
         s0 = {i: 1.0 for i in g.nodes}
         finals = []
         for model, seed in [
-            (DelayModel.fixed({}), 0),
+            (DelayModel(FIXED, 0), 0),
             (DelayModel.fixed_random(g, 2, 5), 0),
             (DelayModel.fixed_random(g, 3, 9), 1),
             (DelayModel.stochastic(3), 2),

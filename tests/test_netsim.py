@@ -3,10 +3,12 @@ from collections import deque
 
 import pytest
 
-from lisnet.apportioning import ApportionProblem, closed_form_oracle
+from lisnet.apportioning import ApportionProblem, closed_form_oracle, init_states
 from lisnet.consensus import ConsensusState
 from lisnet.errors import ConfigurationError, InvariantError, NonTerminationError
 from lisnet.netsim import (
+    FIXED,
+    STOCHASTIC,
     DelayModel,
     Mailbox,
     Simulation,
@@ -16,7 +18,13 @@ from lisnet.netsim import (
 )
 from lisnet.termination import CheckpointSchedule
 from lisnet.topology import Graph, build_weights, diameter
-from reference import Envelope, global_extremes_oracle, oldest_age_scan, pending_count_scan
+from reference import (
+    Envelope,
+    global_extremes_oracle,
+    oldest_age_scan,
+    path_graph,
+    pending_count_scan,
+)
 
 TABLE_BOUNDS = {
     1: (0.0, 1500.0),
@@ -176,7 +184,7 @@ class TestDelayModel:
 
     def test_fixed_respects_bound(self):
         with pytest.raises(ConfigurationError):
-            DelayModel.fixed({(1, 2): 5}, tau_bar=3)
+            DelayModel(FIXED, 3, {(1, 2): 5})
 
     def test_stochastic_draws_within_bound(self):
         model = DelayModel.stochastic(3)
@@ -187,15 +195,15 @@ class TestDelayModel:
         assert set(model.delay_for(random.Random(0), self.LINKS[:50])) == {2}
 
     def test_zero_model(self):
-        model = DelayModel.fixed({})
+        model = DelayModel(FIXED, 0)
         assert list(model.delay_for(random.Random(0), [(1, 2), (2, 1)])) == [0, 0]
 
     def test_per_edge_cap_applies(self):
         # link 1-2 is capped at 1 below tau_bar = 3; link 2-3 is not
-        g = Graph.from_edges([1, 2, 3], [(1, 2), (2, 3)], {(1, 2): 1})
+        g = Graph.from_edges([1, 2, 3], [(1, 2), (2, 3)])
         sim = simulate_averaging(
             g, build_weights(g), {i: float(i) for i in g.nodes}, {i: 1.0 for i in g.nodes},
-            DelayModel.stochastic(3), seed=4,
+            DelayModel(STOCHASTIC, 3, bounds={(1, 2): 1}), seed=4,
         )
         delays = {(1, 2): set(), (2, 1): set(), (2, 3): set(), (3, 2): set()}
         for _ in range(100):
@@ -205,6 +213,28 @@ class TestDelayModel:
                     delays[(src, dst)].add(deliver - sent)
         assert delays[(1, 2)] | delays[(2, 1)] <= {0, 1}
         assert max(delays[(2, 3)] | delays[(3, 2)]) == 3
+
+    @pytest.mark.parametrize("probabilities", [None, (1, 1, 1, 1)], ids=["uniform", "weighted"])
+    def test_a_backward_bound_key_caps_both_directions(self, probabilities):
+        model = DelayModel(STOCHASTIC, 3, probabilities=probabilities, bounds={(2, 1): 1})
+        assert model.bounds == {(1, 2): 1}
+        links = [(1, 2), (2, 1), (2, 3), (3, 2)] * 250
+        delays = list(model.delay_for(random.Random(0), links))
+        assert set(delays[0::4]) == set(delays[1::4]) == {0, 1}
+        assert set(delays[2::4]) == set(delays[3::4]) == {0, 1, 2, 3}
+
+    def test_caps_at_or_above_tau_bar_draw_the_plain_stream(self):
+        plain = DelayModel.stochastic(2)
+        capped = DelayModel(STOCHASTIC, 2, bounds={(1, 2): 2, (3, 2): 5})
+        links = [(1, 2), (2, 1), (2, 3)] * 100
+        assert capped.delay_for(random.Random(1), links) == plain.delay_for(
+            random.Random(1), links
+        )
+
+    def test_fixed_delay_above_its_edge_cap_is_rejected(self):
+        DelayModel(FIXED, 3, {(1, 2): 1, (2, 1): 1}, bounds={(1, 2): 1})
+        with pytest.raises(ConfigurationError, match=r"fixed delay 3 on \(2, 1\) exceeds"):
+            DelayModel(FIXED, 3, {(1, 2): 1, (2, 1): 3}, bounds={(1, 2): 1})
 
     @pytest.mark.parametrize("tau_bar", [*range(6), 254, 255, 1000])
     def test_uniform_draws_are_the_randint_stream(self, tau_bar):
@@ -231,7 +261,7 @@ class TestDelayModel:
         )
 
     def test_fixed_delays_are_looked_up_and_draw_nothing(self):
-        model = DelayModel.fixed({(1, 2): 3, (2, 1): 1, (2, 3): 2}, tau_bar=3)
+        model = DelayModel(FIXED, 3, {(1, 2): 3, (2, 1): 1, (2, 3): 2})
         links = [(1, 2, "payload"), (2, 3), (3, 2), (2, 1), (1, 2)]
         assert_batch_is_the_stream(model, links, 0, lambda reference: [3, 2, 0, 1, 3])
 
@@ -308,14 +338,14 @@ class TestConservationAndDelivery:
         sim.run(100)
         pending = pending_count_scan(sim.mailbox._pending)
         assert sim.mailbox.posted == sim.mailbox.delivered + pending
-        assert pending <= 3 * 2 * g.n  # at most tau rounds in flight
+        assert pending <= 3 * 2 * len(g.nodes)  # at most tau rounds in flight
 
     def test_audit_step_zero(self):
         g = Graph.cycle(4)
         w = build_weights(g)
         sim = simulate_averaging(
             g, w, {i: 10.0 for i in g.nodes}, {i: 1.0 for i in g.nodes},
-            DelayModel.fixed({}),
+            DelayModel(FIXED, 0),
         )
         assert sim.audit() is None
         assert sim.step_index == 0
@@ -324,18 +354,18 @@ class TestConservationAndDelivery:
         assert sim.max_conservation_error == 0.0
 
     def test_states_keyed_off_the_graph_nodes_rejected(self):
-        g = Graph.path(3)
+        g = path_graph(3)
         w = build_weights(g)
         sched = CheckpointSchedule(2, 0)
         states = {i: ConsensusState(node=i, r=1.0, s=1.0) for i in g.nodes}
-        Simulation(g, w, states, DelayModel.fixed({}), sched)
+        Simulation(g, w, states, DelayModel(FIXED, 0), sched)
         for bad in (
             {i: states[i] for i in (1, 2)},  # node 3 missing
             {**states, 4: ConsensusState(node=4, r=1.0, s=1.0)},  # not a graph node
             {**states, 3: ConsensusState(node=1, r=1.0, s=1.0)},  # keyed by the wrong node
         ):
             with pytest.raises(ConfigurationError, match="keyed by exactly the graph's nodes"):
-                Simulation(g, w, bad, DelayModel.fixed({}), sched)
+                Simulation(g, w, bad, DelayModel(FIXED, 0), sched)
 
 
 def _in_flight_case(tau_bar: int = 3) -> tuple[Simulation, float, float]:
@@ -423,7 +453,7 @@ class TestDeterminism:
             (DelayModel.stochastic(3), 1),
             (DelayModel.stochastic(3), 2),
             (DelayModel.fixed_random(g, 3, 8), 0),
-            (DelayModel.fixed({}), 0),
+            (DelayModel(FIXED, 0), 0),
         ):
             result = run_cycle(
                 g, w, problem, model, CheckpointSchedule(3, 3), rho, seed=seed,
@@ -445,7 +475,7 @@ class TestRunCycle:
             30.0, {1: (0.0, 20.0), 2: (10.0, 40.0)}, frozenset({1})
         )
         result = run_cycle(
-            g, w, problem, DelayModel.fixed({}), CheckpointSchedule(1, 0), rho=100.0,
+            g, w, problem, DelayModel(FIXED, 0), CheckpointSchedule(1, 0), rho=100.0,
         )
         assert result.theta == 1
         assert result.steps == 1
@@ -462,12 +492,13 @@ class TestRunCycle:
 
     def test_nontermination_ceiling(self):
         g = Graph.cycle(6)
-        w = build_weights(g)
-        with pytest.raises(NonTerminationError):
-            run_cycle(
-                g, w, table_problem(), DelayModel.stochastic(3),
-                CheckpointSchedule(3, 3), rho=1e-15, max_steps=90, seed=0,
-            )
+        sim = Simulation(
+            g, build_weights(g), init_states(table_problem()), DelayModel.stochastic(3),
+            CheckpointSchedule(3, 3), 1e-15, seed=0,
+        )
+        with pytest.raises(NonTerminationError, match="within 90 steps"):
+            sim.run_until_frozen(90)
+        assert sim.step_index == 90
 
     def test_post_freeze_window_gap_below_threshold(self, audit_log):
         g = Graph.cycle(6)
@@ -535,11 +566,10 @@ class TestRunCycle:
             model = DelayModel.stochastic(3, [0.1, 0.2, 0.3, 0.4])
         else:
             seed = 32
-            rng, base, problem = seeded_fleet(seed, 20)
-            caps = {e: rng.randint(0, 2) for e in sorted(base.edges) if rng.random() < 0.5}
+            rng, g, problem = seeded_fleet(seed, 20)
+            caps = {e: rng.randint(0, 2) for e in sorted(g.edges) if rng.random() < 0.5}
             assert min(caps.values()) == 0
-            g = Graph.from_edges(base.nodes, base.edges, caps)
-            model = DelayModel.stochastic(3)
+            model = DelayModel(STOCHASTIC, 3, bounds=caps)
         result = run_cycle(
             g, build_weights(g), problem, model,
             CheckpointSchedule(max(1, diameter(g)), 3), 0.02, seed=seed,
@@ -570,20 +600,18 @@ def _audit_case(seed: int, kind: str, terminating: bool) -> Simulation:
     """A seeded simulation on a random connected graph with some edges capped below tau_bar."""
     rng = random.Random(seed)
     tau = rng.randint(0, 3)
-    base = Graph.random_connected(rng, rng.randint(2, 12))
-    caps = {e: rng.randint(0, tau - 1) for e in sorted(base.edges) if tau and rng.random() < 0.4}
-    g = Graph.from_edges(base.nodes, base.edges, caps)
+    g = Graph.random_connected(rng, rng.randint(2, 12))
+    caps = {e: rng.randint(0, tau - 1) for e in sorted(g.edges) if tau and rng.random() < 0.4}
+    fixed = probabilities = None
     if kind == "fixed":
-        delays = {}
+        fixed = {}
         for a, b in sorted(g.edges):
             cap = caps.get((a, b), tau)
-            delays[(a, b)] = rng.randint(0, cap)
-            delays[(b, a)] = rng.randint(0, cap)
-        model = DelayModel.fixed(delays, tau_bar=tau)
+            fixed[(a, b)] = rng.randint(0, cap)
+            fixed[(b, a)] = rng.randint(0, cap)
     elif kind == "weighted":
-        model = DelayModel.stochastic(tau, [rng.random() for _ in range(tau + 1)])
-    else:
-        model = DelayModel.stochastic(tau)
+        probabilities = tuple(rng.random() for _ in range(tau + 1))
+    model = DelayModel(FIXED if kind == "fixed" else STOCHASTIC, tau, fixed, probabilities, caps)
     w = build_weights(g)
     schedule = CheckpointSchedule(max(1, diameter(g)), tau)
     rho = 0.01 if terminating else None
@@ -625,9 +653,16 @@ class TestNaiveBaseline:
     def test_zero_delays_exact_average(self):
         g = Graph.cycle(5)
         initial = {1: 100.0, 2: 200.0, 3: 300.0, 4: 600.0, 5: 800.0}
-        final = run_naive_averaging(g, initial, DelayModel.fixed({}), steps=300)
+        final = run_naive_averaging(g, initial, DelayModel(FIXED, 0), steps=300)
         for v in final.values():
             assert v == pytest.approx(400.0, abs=1e-6)
+
+    def test_zero_caps_bind_in_the_baseline_too(self):
+        g = Graph.cycle(5)
+        initial = {1: 100.0, 2: 200.0, 3: 300.0, 4: 600.0, 5: 800.0}
+        capped = DelayModel(STOCHASTIC, 3, bounds={e: 0 for e in g.edges})
+        final = run_naive_averaging(g, initial, capped, steps=300, seed=3)
+        assert final == run_naive_averaging(g, initial, DelayModel(FIXED, 0), steps=300)
 
     def test_delays_cause_misconvergence(self):
         g = Graph.cycle(5)

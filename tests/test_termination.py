@@ -7,7 +7,7 @@ from lisnet import termination
 from lisnet.apportioning import ApportionProblem, init_states, reference_command
 from lisnet.consensus import ConsensusState
 from lisnet.errors import ConfigurationError, ProtocolError
-from lisnet.netsim import DelayModel, Simulation, run_cycle
+from lisnet.netsim import FIXED, DelayModel, Simulation, run_cycle
 from lisnet.termination import (
     CheckpointSchedule,
     NodeMachine,
@@ -16,12 +16,12 @@ from lisnet.termination import (
     epoch_update,
 )
 from lisnet.topology import Graph, build_weights, diameter
-from reference import Envelope
+from reference import Envelope, path_graph
 
 
 def probe_machine(neighbors=()):
     """Node 1 in probe mode on the paper's schedule: quotient 0.5, never freezes."""
-    g = Graph.path(2) if neighbors else Graph.from_edges([1], [])
+    g = path_graph(2) if neighbors else Graph.from_edges([1], [])
     return NodeMachine(
         ConsensusState(node=1, r=1.0, s=2.0),
         build_weights(g),
@@ -92,7 +92,7 @@ class TestEpochUpdate:
     def test_path_propagation_in_diameter_epochs(self):
         # synchronous epoch merges on a 4-node path: the 9 reaches everyone
         # after 3 rounds and no earlier
-        g = Graph.path(4)
+        g = path_graph(4)
         values = {1: 0.0, 2: 0.0, 3: 0.0, 4: 9.0}
         terms = {i: TerminationState(z=values[i], y=values[i]) for i in g.nodes}
         for round_index in range(3):
@@ -222,7 +222,7 @@ class TestTerminationProperties:
             )
             sim.run(sched.checkpoint_len)
             events = [e for e in sim.trace_rows if e.step == sched.checkpoint_len]
-            assert len(events) == g.n
+            assert len(events) == len(g.nodes)
             for event in events:
                 assert event.z == max(seeds)  # bitwise: propagation copies floats
                 assert event.y == min(seeds)
@@ -240,7 +240,7 @@ class TestTerminationProperties:
             delays[(a, b)] = delays[(b, a)] = tau
         sim = Simulation(
             g, build_weights(g), self._states(g, r0, s0),
-            DelayModel.fixed(delays, tau), schedule,
+            DelayModel(FIXED, tau, delays), schedule,
         )
         length = schedule.checkpoint_len
         sim.run(periods * length)
@@ -248,7 +248,7 @@ class TestTerminationProperties:
         wrong = []
         for theta in range(1, periods + 1):
             events = [e for e in sim.trace_rows if e.step == theta * length]
-            assert [e.theta for e in events] == [theta] * g.n
+            assert [e.theta for e in events] == [theta] * len(g.nodes)
             wrong += [(theta, e.node) for e in events if (e.z, e.y) != (max(seeds), min(seeds))]
             seeds = [e.ratio for e in events]  # what each node reseeds from
         return wrong
@@ -257,7 +257,7 @@ class TestTerminationProperties:
         rng = random.Random(3)
         for case in range(60):
             n = rng.randint(2, 9)
-            g = Graph.path(n) if case % 2 else Graph.random_connected(rng, n)
+            g = path_graph(n) if case % 2 else Graph.random_connected(rng, n)
             tau = rng.randint(1, 3)
             r0 = {i: rng.uniform(-10, 10) for i in g.nodes}
             s0 = {i: rng.uniform(0.5, 2.0) for i in g.nodes}
@@ -273,7 +273,7 @@ class TestTerminationProperties:
             def checkpoint_len(self):
                 return super().checkpoint_len - 1
 
-        g = Graph.path(2)
+        g = path_graph(2)
         r0 = {1: 1.0, 2: 2.0}
         s0 = {1: 1.0, 2: 1.0}
         assert self._wrong_extremes(g, 2, r0, s0, CheckpointSchedule(1, 2)) == []
