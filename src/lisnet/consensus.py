@@ -67,6 +67,10 @@ def absorb(
     exactly the envelopes due at this node this round; shares not yet
     arrived simply contribute nothing, which is what keeps conservation
     exact through the start-up transient.
+
+    Updates ``state`` in place and returns it. A rejected round (a
+    misaddressed envelope, a non-finite or non-positive result) raises
+    before ``state`` is touched.
     """
     node = state.node
     r = self_weight * state.r
@@ -82,5 +86,8 @@ def absorb(
         raise InvariantError(
             f"node {node}: denominator state {s} not positive at k={state.k + 1}"
         )
-    return ConsensusState(node, r, s, state.k + 1)
+    state.r = r
+    state.s = s
+    state.k += 1
+    return state
 

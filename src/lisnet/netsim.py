@@ -247,7 +247,8 @@ class Mailbox:
 class Simulation:
     """Drives one node machine per graph node in lockstep rounds over a delay channel.
 
-    ``states`` holds each node's initial consensus state, keyed by node.
+    ``states`` holds each node's initial consensus state, keyed by node;
+    each machine copies its own, so the caller's states are never changed.
     The simulator builds every node's ``NodeMachine`` on ``schedule`` with
     stopping threshold ``rho`` (``None`` is probe mode: never freeze).
     ``trace_rows`` are the checkpoint events, or with ``record_steps``
@@ -274,6 +275,8 @@ class Simulation:
             i: NodeMachine(states[i], weights, graph.neighbors(i), schedule, rho)
             for i in sorted(graph.nodes)
         }
+        # each machine updates its state object in place, so these stay live
+        self._states = [m.state for m in self.machines.values()]
         self.delay_model = delay_model
         self.rng = random.Random(seed)
         self.mailbox = Mailbox()
@@ -282,9 +285,9 @@ class Simulation:
         # conserved totals, summed in node order like every audit after them
         target_r = 0.0
         target_s = 0.0
-        for m in self.machines.values():
-            target_r += m.state.r
-            target_s += m.state.s
+        for state in self._states:
+            target_r += state.r
+            target_s += state.s
         self._target_r = target_r
         self._target_s = target_s
         self._scale_r = max(1.0, abs(target_r))
@@ -315,8 +318,7 @@ class Simulation:
         k = self.step_index
         node_r = 0.0
         node_s = 0.0
-        for m in self.machines.values():
-            state = m.state
+        for state in self._states:
             node_r += state.r
             node_s += state.s
         flight_r, flight_s = self.mailbox.pending_mass()

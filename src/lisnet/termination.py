@@ -65,7 +65,8 @@ class CheckpointSchedule:
 class TerminationState:
     """Running extremes and schedule counters.
 
-    A frozen node never absorbs again, so its consensus state is its frozen
+    :func:`epoch_update` and :func:`checkpoint` update it in place. A
+    frozen node never absorbs again, so its consensus state is its frozen
     snapshot r*, s*.
     """
 
@@ -77,21 +78,26 @@ class TerminationState:
 
 def epoch_update(
     term: TerminationState,
-    neighbor_z: Sequence[float],
-    neighbor_y: Sequence[float],
+    neighbor_z: Iterable[float],
+    neighbor_y: Iterable[float],
 ) -> TerminationState:
     """Merge neighbor extremes collected over the closing epoch.
 
-    Call only at an epoch boundary; the caller is responsible for feeding
-    values that were emitted during the previous epoch window.
+    Raises ``term.z`` to any larger neighbor ``z`` and lowers ``term.y`` to
+    any smaller neighbor ``y``, in place, and returns ``term``. Call only at
+    an epoch boundary; the caller is responsible for feeding values that
+    were emitted during the previous epoch window.
     """
     if term.frozen:
         raise ProtocolError("epoch update on a frozen node")
-    return TerminationState(
-        z=max(term.z, *neighbor_z) if neighbor_z else term.z,
-        y=min(term.y, *neighbor_y) if neighbor_y else term.y,
-        theta=term.theta,
-    )
+    # the comparisons max() and min() make, so ties and order agree with them
+    for z in neighbor_z:
+        if z > term.z:
+            term.z = z
+    for y in neighbor_y:
+        if y < term.y:
+            term.y = y
+    return term
 
 
 def checkpoint(
@@ -102,15 +108,19 @@ def checkpoint(
 ) -> TerminationState:
     """Freeze below threshold, otherwise reseed both extremes and continue.
 
-    ``rho`` of None never freezes (probe mode for diagnostics and tests).
-    Call only at a checkpoint boundary.
+    Updates ``term`` in place and returns it: a freeze keeps the tested
+    extremes and ``theta``, a reseed overwrites them, so read what was
+    tested before the call. ``rho`` of None never freezes (probe mode for
+    diagnostics and tests). Call only at a checkpoint boundary.
     """
     if term.frozen:
         raise ProtocolError("checkpoint on a frozen node")
     if rho is not None and term.z - term.y < rho:
-        return TerminationState(term.z, term.y, term.theta, frozen=True)
-    q = current_r / current_s
-    return TerminationState(z=q, y=q, theta=term.theta + 1)
+        term.frozen = True
+        return term
+    term.z = term.y = current_r / current_s
+    term.theta += 1
+    return term
 
 
 class CheckpointEvent(NamedTuple):
@@ -142,6 +152,10 @@ class NodeMachine:
     envelopes due this round. Every node runs the stopping rule on
     ``schedule``; ``rho=None`` is probe mode, which propagates and reseeds
     the extremes but never freezes.
+
+    The machine works on its own copy of ``state`` and updates it and
+    ``term`` in place every step, so ``machine.state`` and ``machine.term``
+    stay the same objects for the machine's life.
     """
 
     def __init__(
@@ -154,7 +168,7 @@ class NodeMachine:
     ):
         if rho is not None and not rho > 0.0:
             raise ConfigurationError("stopping threshold must be positive")
-        self.state = state
+        self.state = state = ConsensusState(state.node, state.r, state.s, state.k)
         self.rho = rho
         q = state.ratio()
         self.term = TerminationState(z=q, y=q)
@@ -202,12 +216,11 @@ class NodeMachine:
                     buf_z = z
                 if y < buf_y:
                     buf_y = y
-        state = self.state = absorb(self.state, inbox, self._self_weight)
+        state = absorb(self.state, inbox, self._self_weight)
         step = state.k
         if step % self._epoch_len == 0:
-            nz = [] if buf_z == -math.inf else [buf_z]
-            ny = [] if buf_y == math.inf else [buf_y]
-            term = self.term = epoch_update(term, nz, ny)
+            # an empty buffer's -inf and inf never win a comparison
+            epoch_update(term, (buf_z,), (buf_y,))
             buf_z = -math.inf
             buf_y = math.inf
         # not nested under the epoch test: checkpoint_len is a multiple of
@@ -219,9 +232,8 @@ class NodeMachine:
         # the extremes reseed (or the node freezes and never reads them again)
         self._buf_z = -math.inf
         self._buf_y = math.inf
-        tested = term
-        term = self.term = checkpoint(tested, state.r, state.s, self.rho)
+        z, y, theta = term.z, term.y, term.theta
+        checkpoint(term, state.r, state.s, self.rho)
         return CheckpointEvent(
-            step, state.node, state.r, state.s, state.ratio(),
-            tested.z, tested.y, tested.theta, term.frozen,
+            step, state.node, state.r, state.s, state.ratio(), z, y, theta, term.frozen,
         )

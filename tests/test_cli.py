@@ -1,12 +1,16 @@
 import copy
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import lisnet
 from lisnet.cli import (
     TRACE_COLUMNS,
     TRACE_HEADER,
@@ -613,17 +617,31 @@ class TestRunCommand:
         assert json.loads((out / "results.json").read_text())["scenario"][key] == expected
 
     def test_byte_identical_reruns(self, tmp_path, config_path):
+        # a run with another seed in between: no state outlives a run
         outs = []
-        for name in ("a", "b"):
+        for name, seed in (("a", "42"), ("other", "7"), ("b", "42")):
             out = tmp_path / name
             code = main([
                 "run", "--config", str(config_path), "--cycle-only",
-                "--at-hours", "2", "--seed", "42", "--out-dir", str(out),
+                "--at-hours", "2", "--seed", seed, "--out-dir", str(out),
                 "--verbose-trace",
             ])
             assert code == 0
-            outs.append((out / "trace.csv").read_bytes())
-        assert outs[0] == outs[1]
+            outs.append(((out / "trace.csv").read_bytes(), (out / "results.json").read_bytes()))
+        assert outs[0] == outs[2]
+        assert outs[0] != outs[1]
+
+    def test_importing_the_cli_loads_no_numpy(self):
+        # the benchmark gates set-up time and peak memory, which numpy's
+        # import would raise by more than they allow
+        probe = "import sys, lisnet.cli; print('numpy' in sys.modules)"
+        path = [str(Path(lisnet.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "False"
 
     def test_out_dir_env_fallback(self, tmp_path, config_path, monkeypatch):
         target = tmp_path / "via-env"

@@ -77,8 +77,10 @@ class TestAbsorb:
         g = Graph.cycle(3)
         w = build_weights(g)
         stray = Envelope(src=2, dst=3, send_step=0, payload_r=0.1, payload_s=0.1)
+        state = ConsensusState(node=1, r=1.0, s=1.0)
         with pytest.raises(ProtocolError):
-            absorb(ConsensusState(node=1, r=1.0, s=1.0), [stray], w.self_weight(1))
+            absorb(state, [stray], w.self_weight(1))
+        assert state == ConsensusState(node=1, r=1.0, s=1.0)
 
     def test_five_node_average_reaches_400(self):
         # initial values summing to 2000 average to 400 at every node

@@ -3,6 +3,7 @@ from collections import deque
 
 import pytest
 
+from lisnet import netsim
 from lisnet.apportioning import ApportionProblem, closed_form_oracle, init_states
 from lisnet.consensus import ConsensusState
 from lisnet.errors import ConfigurationError, InvariantError, NonTerminationError
@@ -547,6 +548,24 @@ class TestRunCycle:
             totals[frozenset(pick)] = result.commands.total
         spread = max(totals.values()) - min(totals.values())
         assert spread <= 2 * rho * (8200.0 - 999.0)
+
+    def test_callers_states_are_left_untouched(self, monkeypatch):
+        # every machine updates a copy of its initial state in place
+        g = Graph.cycle(6)
+        w = build_weights(g)
+        states = init_states(table_problem())
+        before = {i: (state.r, state.s, state.k) for i, state in states.items()}
+        sim = Simulation(
+            g, w, states, DelayModel.stochastic(3), CheckpointSchedule(3, 3), 0.02,
+        )
+        sim.run(20)
+        assert {i: (state.r, state.s, state.k) for i, state in states.items()} == before
+        monkeypatch.setattr(netsim, "init_states", lambda problem: states)
+        result = run_cycle(
+            g, w, table_problem(), DelayModel.stochastic(3), CheckpointSchedule(3, 3), 0.02,
+        )
+        assert result.steps > 20
+        assert {i: (state.r, state.s, state.k) for i, state in states.items()} == before
 
     def test_seeded_cycle_is_pinned_to_the_last_bit(self):
         _, g, problem = seeded_fleet(50, 50)

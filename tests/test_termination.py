@@ -65,6 +65,17 @@ class TestCheckpointSchedule:
             assert machine.state.k == 20
             assert (machine.term.z, machine.term.y) == merged
 
+    def test_checkpoint_event_reports_the_tested_extremes(self):
+        # the extremes merged at step 4 are what the step-15 checkpoint
+        # tests; the reseed afterwards must not leak into its event
+        machine = probe_machine(neighbors=(2,))
+        machine.advance([Envelope(2, 1, 0, 0.0, 0.0, payload_z=9.0, payload_y=-9.0)])
+        event = [machine.advance([]) for _ in range(14)][-1]
+        assert (event.step, event.z, event.y, event.theta, event.frozen) == (
+            15, 9.0, -9.0, 1, False,
+        )
+        assert (machine.term.z, machine.term.y, machine.term.theta) == (0.5, 0.5, 2)
+
     def test_rejects_degenerate(self):
         with pytest.raises(ConfigurationError):
             CheckpointSchedule(diameter=0, tau_bar=3)
@@ -88,6 +99,7 @@ class TestEpochUpdate:
         term = TerminationState(z=1.0, y=1.0, frozen=True)
         with pytest.raises(ProtocolError):
             epoch_update(term, [2.0], [0.0])
+        assert term == TerminationState(z=1.0, y=1.0, frozen=True)
 
     def test_path_propagation_in_diameter_epochs(self):
         # synchronous epoch merges on a 4-node path: the 9 reaches everyone
@@ -138,6 +150,7 @@ class TestCheckpoint:
         term = TerminationState(z=1.0, y=1.0, frozen=True)
         with pytest.raises(ProtocolError):
             checkpoint(term, 1.0, 1.0, 1.0)
+        assert term == TerminationState(z=1.0, y=1.0, frozen=True)
 
 
 class TestNodeMachine:
