@@ -22,13 +22,13 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-import yaml
-
 from .apportioning import ApportionProblem, closed_form_oracle, ordered_sum
 from .errors import ConfigurationError, LisnetError
 from .netsim import DelayModel, run_naive_averaging, simulate_averaging
 from .netsim import run_cycle  # noqa: F401  timed here by perfbench/iteration.py
 from .scenario import (
+    TRACE_COLUMNS,
+    TRACE_HEADER,
     TRACK_INSTANT,
     DispatchSchedule,
     Infeasible,
@@ -44,22 +44,6 @@ from .scenario import (
 )
 from .topology import Edge, Graph, build_weights, edge_key
 from .topology import diameter  # noqa: F401  traced here by perfbench/tracer.py
-
-TRACE_COLUMNS = (
-    "cycle",
-    "step",
-    "node",
-    "r",
-    "s",
-    "ratio",
-    "z",
-    "y",
-    "theta",
-    "frozen",
-    "pi_star",
-    "delivered_power",
-)
-TRACE_HEADER = "# lisnet-trace v1 columns=" + ",".join(TRACE_COLUMNS)
 
 OUT_DIR_ENV = "LISNET_OUT_DIR"
 
@@ -344,16 +328,22 @@ class ScenarioConfig:
             doc["output"] = _write(_OUTPUT, self)
         return doc
 
+    # PyYAML is imported only here and in ``dump``: a run of the built-in
+    # scenario never reads or writes YAML
     @classmethod
     def load(cls, path: str | Path) -> "ScenarioConfig":
+        import yaml
+
         loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml when built with it
         try:
-            doc = yaml.load(Path(path).read_text(), Loader=loader)
+            doc = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=loader)
             return cls.from_dict(doc)
-        except (yaml.YAMLError, ConfigurationError) as exc:
+        except (OSError, UnicodeDecodeError, yaml.YAMLError, ConfigurationError) as exc:
             raise ConfigurationError(f"{path}: {exc}") from exc
 
     def dump(self, path: str | Path) -> None:
+        import yaml
+
         Path(path).write_text(yaml.safe_dump(self.to_dict(), sort_keys=False))
 
 
@@ -380,31 +370,22 @@ def default_config() -> ScenarioConfig:
 # output writers
 
 
-# One "%" per row. "%.17g" prints a float with the 17 significant digits
-# that round-trip it; "%.0s" consumes the frozen flag and prints nothing
-# before its literal.
-_FROZEN_ROW = "%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%.0strue,%.17g,%.17g\n"
-_LIVE_ROW = "%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%.0sfalse,,\n"
-_TRACE_CHUNK_ROWS = 4096
+# Joined in chunks: one join over the whole trace would add a copy of the
+# file at peak, and writelines is slower
+_TRACE_CHUNK_LINES = 4096
 
 
-def _trace_line(row: Sequence[Any]) -> str:
-    return (_FROZEN_ROW if row[9] is True else _LIVE_ROW) % row
+def write_trace_csv(path: Path, lines: Sequence[bytes]) -> None:
+    """Write the trace file: its header, then ``lines`` as built by ``instant_rows``.
 
-
-def write_trace_csv(path: Path, rows: Sequence[Sequence[Any]]) -> None:
-    """Write ``rows``, tuples in ``TRACE_COLUMNS`` order, as the trace file.
-
-    A live row stops after ``frozen``; a frozen row adds ``pi_star`` and
-    ``delivered_power``. Cells are ints (cycle, step, node, theta), floats
-    and the bool ``frozen``. Every node runs the stopping machine, so ``z``,
-    ``y`` and ``theta`` are never empty; without ``--verbose-trace`` the
-    rows are the cycles' checkpoint events.
+    Every node runs the stopping machine, so ``z``, ``y`` and ``theta`` are
+    never empty; without ``--verbose-trace`` the lines are the cycles'
+    checkpoint events.
     """
-    with open(path, "w") as out:
-        out.write(f"{TRACE_HEADER}\n{','.join(TRACE_COLUMNS)}\n")
-        for start in range(0, len(rows), _TRACE_CHUNK_ROWS):
-            out.write("".join(map(_trace_line, rows[start : start + _TRACE_CHUNK_ROWS])))
+    with open(path, "wb") as out:
+        out.write(f"{TRACE_HEADER}\n{','.join(TRACE_COLUMNS)}\n".encode())
+        for start in range(0, len(lines), _TRACE_CHUNK_LINES):
+            out.write(b"".join(lines[start : start + _TRACE_CHUNK_LINES]))
 
 
 def write_results_json(path: Path, payload: Mapping[str, Any]) -> None:
@@ -414,7 +395,10 @@ def write_results_json(path: Path, payload: Mapping[str, Any]) -> None:
 def _resolve_out_dir(flag: str | None, config: ScenarioConfig) -> Path:
     target = flag or config.out_dir or os.environ.get(OUT_DIR_ENV) or "lisnet-out"
     path = Path(target)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot use output directory {target}: {exc}") from exc
     return path
 
 
@@ -502,8 +486,8 @@ def _run_single_cycle(config, args, out_dir: Path) -> int:
     )
     oracle = closed_form_oracle(plan.problem)
     commands = result.commands.commands
-    rows = instant_rows(0, result.trace_rows, commands, commands)
-    write_trace_csv(out_dir / "trace.csv", rows)
+    lines = instant_rows(0, result.trace_rows, commands, commands)
+    write_trace_csv(out_dir / "trace.csv", lines)
     summary = [
         f"scenario: {config.name} (single cycle at t={t:g} h, seed {config.seed})",
         f"demand: {plan.demand:g} W, threshold rho={config.rho:g}",
@@ -552,7 +536,7 @@ def _run_config_day(config: ScenarioConfig, record_steps: bool = False):
 
 def _run_full_day(config: ScenarioConfig, out_dir: Path, record_steps: bool) -> int:
     day = _run_config_day(config, record_steps)
-    write_trace_csv(out_dir / "trace.csv", day.trace_rows)
+    write_trace_csv(out_dir / "trace.csv", day.trace_lines)
     feasible = [r for r in day.records if r.feasible]
     deviations = [abs(r.total_delivered - r.demand) for r in feasible]
     per_cycle = [

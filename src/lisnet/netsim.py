@@ -402,7 +402,7 @@ class CycleResult:
     """Outcome of one full consensus-and-terminate cycle.
 
     ``trace_rows`` holds one ``(step, node, r, s, ratio, z, y, theta,
-    frozen)`` tuple per recorded node state: the ``cli.TRACE_COLUMNS``
+    frozen)`` tuple per recorded node state: the ``scenario.TRACE_COLUMNS``
     order without the leading ``cycle`` and the frozen-only ``pi_star`` and
     ``delivered_power``. The rows are the ``CheckpointEvent``s, or with
     ``record_steps`` one row per node per step. Every node runs the

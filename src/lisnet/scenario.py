@@ -30,6 +30,25 @@ NON_RES = "non_res"
 TRACK_INSTANT = "instant"
 TRACK_LAG = "lag"
 
+TRACE_COLUMNS = (
+    "cycle",
+    "step",
+    "node",
+    "r",
+    "s",
+    "ratio",
+    "z",
+    "y",
+    "theta",
+    "frozen",
+    "pi_star",
+    "delivered_power",
+)
+TRACE_HEADER = "# lisnet-trace v1 columns=" + ",".join(TRACE_COLUMNS)
+# "%.17g" prints a float with the 17 significant digits that round-trip it
+_FROZEN_LINE = b"%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d,true,%.17g,%.17g\n"
+_LIVE_LINE = b"%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d,false,,\n"
+
 
 @dataclass(frozen=True)
 class PowerProfile:
@@ -187,14 +206,14 @@ class DispatchRecord:
 class DayResult:
     """Full-day dispatch trace plus run-wide audit summaries.
 
-    ``trace_rows`` are every instant's ``instant_rows``, ready to write.
+    ``trace_lines`` are every instant's ``instant_rows``, ready to write.
     """
 
     records: list[DispatchRecord]
     infeasible_count: int
     budget_exceeded_count: int
     max_conservation_error: float
-    trace_rows: list[tuple]
+    trace_lines: list[bytes]
 
 
 @dataclass(frozen=True)
@@ -284,20 +303,23 @@ def instant_rows(
     cycle_rows: Iterable[tuple],
     commands: Mapping[int, float],
     delivered: Mapping[int, float],
-) -> list[tuple]:
-    """One instant's trace rows in ``cli.TRACE_COLUMNS`` order.
+) -> list[bytes]:
+    """One instant's trace rows as ``TRACE_COLUMNS`` CSV lines.
 
     Each of the cycle's ``CycleResult.trace_rows`` gets the instant's index
-    in front; a frozen row also gets its node's command and delivered power.
+    in front; a frozen row also gets its node's command and delivered power,
+    and a live row leaves those two cells empty.
     """
-    rows = []
-    for row in cycle_rows:
-        if row[8]:  # frozen; row[1] is the node
-            node = row[1]
-            rows.append((index, *row, commands[node], delivered[node]))
+    lines = []
+    append = lines.append
+    for step, node, r, s, ratio, z, y, theta, frozen in cycle_rows:
+        if frozen:
+            append(_FROZEN_LINE % (
+                index, step, node, r, s, ratio, z, y, theta, commands[node], delivered[node]
+            ))
         else:
-            rows.append((index, *row))
-    return rows
+            append(_LIVE_LINE % (index, step, node, r, s, ratio, z, y, theta))
+    return lines
 
 
 def day_instants(
@@ -349,7 +371,7 @@ def run_day(
         raise ConfigurationError("fleet ids must match the graph's nodes")
     rng = random.Random(seed)
     records: list[DispatchRecord] = []
-    trace_rows: list[tuple] = []
+    trace_lines: list[bytes] = []
     prev_commands = {uid: 0.0 for uid in units}
     prev_delivered = prev_commands
     worst_leak = 0.0
@@ -379,7 +401,7 @@ def run_day(
             for uid in sorted(units)
         }
         if result is not None:
-            trace_rows.extend(instant_rows(index, result.trace_rows, commands, delivered))
+            trace_lines.extend(instant_rows(index, result.trace_rows, commands, delivered))
         records.append(
             DispatchRecord(
                 index=index,
@@ -403,7 +425,7 @@ def run_day(
         infeasible_count=sum(not rec.feasible for rec in records),
         budget_exceeded_count=sum(rec.budget_exceeded for rec in records),
         max_conservation_error=worst_leak,
-        trace_rows=trace_rows,
+        trace_lines=trace_lines,
     )
 
 

@@ -126,7 +126,7 @@ def checkpoint(
 class CheckpointEvent(NamedTuple):
     """What a node held and decided at one checkpoint instant.
 
-    The fields are the checkpoint trace row: ``cli.TRACE_COLUMNS`` order
+    The fields are the checkpoint trace row: ``scenario.TRACE_COLUMNS`` order
     without the leading ``cycle`` and the frozen-only ``pi_star`` and
     ``delivered_power``. ``r``, ``s`` and ``ratio`` are the node's state
     after the step's absorb; ``z``, ``y`` and ``theta`` are the extremes

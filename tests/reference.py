@@ -13,7 +13,7 @@ import math
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
-from lisnet.cli import TRACE_COLUMNS
+from lisnet.scenario import TRACE_COLUMNS
 from lisnet.errors import ConfigurationError, InvariantError
 from lisnet.topology import Graph
 

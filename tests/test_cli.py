@@ -22,7 +22,7 @@ from lisnet.cli import (
     write_trace_csv,
 )
 from lisnet.errors import ConfigurationError
-from lisnet.scenario import PowerProfile
+from lisnet.scenario import PowerProfile, instant_rows
 from reference import read_trace_csv
 
 
@@ -172,9 +172,9 @@ class TestConfigDocument:
 
 class TestTraceFormat:
     def test_write_and_strict_read(self, tmp_path):
-        rows = [(0, 15, 1, 1.5, 0.5, 3.0, 3.25, 2.75, 1, True, 10.0, 10.0)]
+        lines = instant_rows(0, [(15, 1, 1.5, 0.5, 3.0, 3.25, 2.75, 1, True)], {1: 10.0}, {1: 10.0})
         path = tmp_path / "trace.csv"
-        write_trace_csv(path, rows)
+        write_trace_csv(path, lines)
         parsed = read_trace_csv(path)
         assert len(parsed) == 1
         assert parsed[0]["ratio"] == "3"
@@ -182,13 +182,15 @@ class TestTraceFormat:
 
     def test_rows_are_written_byte_for_byte(self, tmp_path):
         nan, inf = float("nan"), float("inf")
-        rows = [
-            (0, 15, 1, 1.5, 0.5, 3.0, 3.25, 2.75, 1, True, 10.0, 9.5),
-            (2, 7, 3, -0.0, 1e-300, 1 / 3, 1e22, nan, 4, False),
-            (3, 4, 5, 1e22, -0.0, nan, 1 / 3, 1e-300, 2, True, -inf, inf),
+        lines = [
+            *instant_rows(0, [(15, 1, 1.5, 0.5, 3.0, 3.25, 2.75, 1, True)], {1: 10.0}, {1: 9.5}),
+            *instant_rows(2, [(7, 3, -0.0, 1e-300, 1 / 3, 1e22, nan, 4, False)], {}, {}),
+            *instant_rows(
+                3, [(4, 5, 1e22, -0.0, nan, 1 / 3, 1e-300, 2, True)], {5: -inf}, {5: inf}
+            ),
         ]
         path = tmp_path / "trace.csv"
-        write_trace_csv(path, rows)
+        write_trace_csv(path, lines)
         assert path.read_text().splitlines() == [
             TRACE_HEADER,
             ",".join(TRACE_COLUMNS),
@@ -350,6 +352,32 @@ class TestRunCommand:
         code = main(["run", "--config", str(path)])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["missing-file", "directory", "not-utf-8"])
+    @pytest.mark.parametrize("flags", [[], ["--check-feasibility"]], ids=["day", "check"])
+    def test_unreadable_config_exits_two(self, tmp_path, capsys, kind, flags):
+        path = tmp_path / "scenario.yaml"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf-8":
+            path.write_bytes(b"name: caf\xe9\n")
+        code = main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out"), *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(path) in err
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["a-file", "below-a-file"])
+    def test_unusable_out_dir_exits_two(self, tmp_path, config_path, capsys, below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        out = blocker / below if below else blocker
+        code = main([
+            "run", "--config", str(config_path), "--cycle-only", "--at-hours", "4",
+            "--out-dir", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(out) in err
 
     def test_day_without_a_feasible_instant_exits_zero(self, tmp_path, config_path):
         # every instant is flagged and holds the previous (zero) commands
@@ -633,15 +661,19 @@ class TestRunCommand:
 
     def test_importing_the_cli_loads_no_numpy(self):
         # the benchmark gates set-up time and peak memory, which numpy's
-        # import would raise by more than they allow
-        probe = "import sys, lisnet.cli; print('numpy' in sys.modules)"
+        # import would raise by more than they allow; YAML is read only
+        # for --config
+        probe = (
+            "import sys, lisnet.cli; lisnet.cli.main(['run', '--check-feasibility']); "
+            "print('numpy' in sys.modules, 'yaml' in sys.modules)"
+        )
         path = [str(Path(lisnet.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         out = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
             check=True, timeout=60,
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.splitlines()[-1] == "False False"
 
     def test_out_dir_env_fallback(self, tmp_path, config_path, monkeypatch):
         target = tmp_path / "via-env"

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -221,6 +222,20 @@ class TestRunDay:
         # 600 s interval with a 5 s time constant: output reaches the command
         for rec in day.records[1:]:
             assert abs(rec.total_delivered - rec.total_command) <= 1.0
+
+    def test_verbose_day_keeps_its_trace_as_written_bytes(self):
+        # a tuple row with its boxed floats costs about 208 B; its CSV line
+        # about 138 B
+        day = self._short_day(
+            schedule=DispatchSchedule(demand=7000.0),
+            start_hours=4.0,
+            end_hours=4.05,
+            record_steps=True,
+        )
+        lines = day.trace_lines
+        assert len(day.records) == 4 and len(lines) > 4 * 6
+        assert all(type(line) is bytes for line in lines)
+        assert sum(map(sys.getsizeof, lines)) / len(lines) < 160
 
     def test_fleet_graph_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
