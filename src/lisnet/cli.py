@@ -231,25 +231,18 @@ class ScenarioConfig:
         )
         bounds = _links(gsec.get("delay_bounds", {}), "delay_bounds", graph)
 
+        # which model takes fixed delays or probabilities is DelayModel's rule
         dsec = _section(top.get("delay", {}), "delay", _DELAY, ("fixed_delays", "probabilities"))
-        model, tau_bar = dsec["delay.kind"], top["delay.tau_bar"]
         fixed = probs = None
-        if model == "fixed":
-            if "probabilities" in dsec:
-                raise ConfigurationError("delay probabilities require delay.model: stochastic")
-            fixed = _links(dsec.get("fixed_delays", {}), "fixed_delays", graph, directed=True)
-        elif model == "stochastic":
-            if "fixed_delays" in dsec:
-                raise ConfigurationError("fixed_delays requires delay.model: fixed")
-            if "probabilities" in dsec:
-                # checked, not converted: an int stays an int in results.json
-                probs = tuple(_as_list(dsec["probabilities"], "probabilities"))
-                for p in probs:
-                    if isinstance(p, bool) or not isinstance(p, (int, float)):
-                        raise ConfigurationError(f"delay probabilities must be numbers: {p!r}")
-        else:
-            raise ConfigurationError(f"unknown delay model {model!r}")
-        delay = DelayModel(model, tau_bar, fixed, probs, bounds)
+        if "fixed_delays" in dsec:
+            fixed = _links(dsec["fixed_delays"], "fixed_delays", graph, directed=True)
+        if "probabilities" in dsec:
+            # checked, not converted: an int stays an int in results.json
+            probs = tuple(_as_list(dsec["probabilities"], "probabilities"))
+            for p in probs:
+                if isinstance(p, bool) or not isinstance(p, (int, float)):
+                    raise ConfigurationError(f"delay probabilities must be numbers: {p!r}")
+        delay = DelayModel(dsec["delay.kind"], top["delay.tau_bar"], fixed, probs, bounds)
 
         dem = _section(top.get("demand"), "demand", (), ("watts", "shape", "circulation"))
         if ("watts" in dem) == ("shape" in dem):
@@ -392,6 +385,18 @@ def write_results_json(path: Path, payload: Mapping[str, Any]) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _write_outputs(out_dir: Path, lines: Sequence[bytes], results: dict, summary: list) -> int:
+    """Write ``trace.csv``, ``results.json`` and ``summary.txt``, then print the summary."""
+    try:
+        write_trace_csv(out_dir / "trace.csv", lines)
+        write_results_json(out_dir / "results.json", results)
+        (out_dir / "summary.txt").write_text("\n".join(summary) + "\n")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write to output directory {out_dir}: {exc}") from exc
+    print("\n".join(summary))
+    return 0
+
+
 def _resolve_out_dir(flag: str | None, config: ScenarioConfig) -> Path:
     target = flag or config.out_dir or os.environ.get(OUT_DIR_ENV) or "lisnet-out"
     path = Path(target)
@@ -486,8 +491,6 @@ def _run_single_cycle(config, args, out_dir: Path) -> int:
     )
     oracle = closed_form_oracle(plan.problem)
     commands = result.commands.commands
-    lines = instant_rows(0, result.trace_rows, commands, commands)
-    write_trace_csv(out_dir / "trace.csv", lines)
     summary = [
         f"scenario: {config.name} (single cycle at t={t:g} h, seed {config.seed})",
         f"demand: {plan.demand:g} W, threshold rho={config.rho:g}",
@@ -498,24 +501,20 @@ def _run_single_cycle(config, args, out_dir: Path) -> int:
         f"{max(abs(result.commands[i] - oracle[i]) for i in plan.participants):.6f} W",
         f"max conservation error: {result.max_conservation_error:.3e}",
     ]
-    write_results_json(
-        out_dir / "results.json",
-        {
-            "scenario": config.to_dict(),
-            "mode": "cycle",
-            "at_hours": t,
-            "theta": result.theta,
-            "iterations": result.steps,
-            "commands": {str(i): result.commands[i] for i in plan.participants},
-            "oracle": {str(i): oracle[i] for i in plan.participants},
-            "total_command": result.commands.total,
-            "demand": plan.demand,
-            "max_conservation_error": result.max_conservation_error,
-        },
-    )
-    (out_dir / "summary.txt").write_text("\n".join(summary) + "\n")
-    print("\n".join(summary))
-    return 0
+    results = {
+        "scenario": config.to_dict(),
+        "mode": "cycle",
+        "at_hours": t,
+        "theta": result.theta,
+        "iterations": result.steps,
+        "commands": {str(i): result.commands[i] for i in plan.participants},
+        "oracle": {str(i): oracle[i] for i in plan.participants},
+        "total_command": result.commands.total,
+        "demand": plan.demand,
+        "max_conservation_error": result.max_conservation_error,
+    }
+    lines = instant_rows(0, result.trace_rows, commands, commands)
+    return _write_outputs(out_dir, lines, results, summary)
 
 
 def _run_config_day(config: ScenarioConfig, record_steps: bool = False):
@@ -536,7 +535,6 @@ def _run_config_day(config: ScenarioConfig, record_steps: bool = False):
 
 def _run_full_day(config: ScenarioConfig, out_dir: Path, record_steps: bool) -> int:
     day = _run_config_day(config, record_steps)
-    write_trace_csv(out_dir / "trace.csv", day.trace_lines)
     feasible = [r for r in day.records if r.feasible]
     deviations = [abs(r.total_delivered - r.demand) for r in feasible]
     per_cycle = [
@@ -553,19 +551,16 @@ def _run_full_day(config: ScenarioConfig, out_dir: Path, record_steps: bool) -> 
         }
         for r in day.records
     ]
-    write_results_json(
-        out_dir / "results.json",
-        {
-            "scenario": config.to_dict(),
-            "mode": "day",
-            "cycles": len(day.records),
-            "infeasible_cycles": day.infeasible_count,
-            "budget_exceeded_cycles": day.budget_exceeded_count,
-            "max_total_deviation": max(deviations) if deviations else None,
-            "max_conservation_error": day.max_conservation_error,
-            "per_cycle": per_cycle,
-        },
-    )
+    results = {
+        "scenario": config.to_dict(),
+        "mode": "day",
+        "cycles": len(day.records),
+        "infeasible_cycles": day.infeasible_count,
+        "budget_exceeded_cycles": day.budget_exceeded_count,
+        "max_total_deviation": max(deviations) if deviations else None,
+        "max_conservation_error": day.max_conservation_error,
+        "per_cycle": per_cycle,
+    }
     summary = [
         f"scenario: {config.name} (full day, seed {config.seed})",
         f"dispatch instants: {len(day.records)} "
@@ -575,9 +570,7 @@ def _run_full_day(config: ScenarioConfig, out_dir: Path, record_steps: bool) -> 
         f"{max(deviations):.3f} W" if deviations else "no feasible instants",
         f"max conservation error: {day.max_conservation_error:.3e}",
     ]
-    (out_dir / "summary.txt").write_text("\n".join(summary) + "\n")
-    print("\n".join(summary))
-    return 0
+    return _write_outputs(out_dir, day.trace_lines, results, summary)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .apportioning import (
     ApportionProblem,
     ReferenceCommand,
     init_states,
+    ordered_sum,
     reference_command,
 )
 from .consensus import ConsensusState
@@ -50,7 +51,8 @@ class DelayModel:
     Fixed mode reads ``fixed_delays[(src, dst)]`` (missing entries mean no
     delay) and draws nothing. Stochastic mode draws each message's delay
     independently and uniformly from {0, ..., tau_bar}, or from
-    ``probabilities`` over the same support when given.
+    ``probabilities`` over the same support when given. Each mode rejects
+    the other's field.
 
     ``bounds`` caps the delay on an undirected edge, in both directions. A
     key may name the edge either way round; the field holds the caps keyed
@@ -89,6 +91,8 @@ class DelayModel:
                 caps[(a, b)] = caps[(b, a)] = cap
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "_caps", caps)
+        if self.kind == STOCHASTIC and self.fixed_delays is not None:
+            raise ConfigurationError("fixed delays need the fixed model")
         if self.kind == FIXED:
             for link, d in (self.fixed_delays or {}).items():
                 if not 0 <= d <= self.tau_bar:
@@ -250,7 +254,7 @@ class Simulation:
     ``states`` holds each node's initial consensus state, keyed by node;
     each machine copies its own, so the caller's states are never changed.
     The simulator builds every node's ``NodeMachine`` on ``schedule`` with
-    stopping threshold ``rho`` (``None`` is probe mode: never freeze).
+    stopping threshold ``rho`` (the default 0 never freezes).
     ``trace_rows`` are the checkpoint events, or with ``record_steps``
     every node's state after every step.
     """
@@ -262,7 +266,7 @@ class Simulation:
         states: Mapping[int, ConsensusState],
         delay_model: DelayModel,
         schedule: CheckpointSchedule,
-        rho: float | None = None,
+        rho: float = 0.0,
         *,
         seed: int = 0,
         record_steps: bool = False,
@@ -283,15 +287,10 @@ class Simulation:
         self.step_index = 0
         self._record_steps = record_steps
         # conserved totals, summed in node order like every audit after them
-        target_r = 0.0
-        target_s = 0.0
-        for state in self._states:
-            target_r += state.r
-            target_s += state.s
-        self._target_r = target_r
-        self._target_s = target_s
-        self._scale_r = max(1.0, abs(target_r))
-        self._scale_s = max(1.0, abs(target_s))
+        self._target_r = ordered_sum(state.r for state in self._states)
+        self._target_s = ordered_sum(state.s for state in self._states)
+        self._scale_r = max(1.0, abs(self._target_r))
+        self._scale_s = max(1.0, abs(self._target_s))
         self.max_conservation_error = 0.0
         self.audit()
         # machines frozen so far, counted from the frozen checkpoint events
@@ -427,9 +426,9 @@ def simulate_averaging(
 ) -> Simulation:
     """Ratio consensus that never stops; the caller decides how long.
 
-    Every node runs the stopping machine in probe mode (``rho=None``) on the
-    graph's own schedule: the extremes propagate and reseed at each
-    checkpoint, and no node freezes.
+    Every node runs the stopping machine with ``rho`` 0 on the graph's own
+    schedule: the extremes propagate and reseed at each checkpoint, and no
+    node freezes.
     """
     schedule = CheckpointSchedule(max(1, diameter(graph)), delay_model.tau_bar)
     states = {i: ConsensusState(node=i, r=r0[i], s=s0[i]) for i in graph.nodes}
@@ -448,7 +447,7 @@ def run_cycle(
     record_steps: bool = False,
 ) -> CycleResult:
     """Run one dispatch cycle to unanimous freeze and read off the commands."""
-    if rho is None or not rho > 0.0:
+    if not rho > 0.0:
         raise ConfigurationError("a terminating cycle needs a positive threshold")
     sim = Simulation(
         graph, weights, init_states(problem), delay_model, schedule, rho,
@@ -502,12 +501,8 @@ def run_naive_averaging(
             pending.setdefault(k + d, []).append((i, j, x[i]))
         for src, dst, value in pending.pop(k, []):
             last[dst][src] = value
-        averaged = {}
-        for i in graph.nodes:
-            # summed in order, not by sum(), which is compensated from Python 3.12
-            heard = 0.0
-            for value in last[i].values():
-                heard += value
-            averaged[i] = (x[i] + heard) / (graph.degree(i) + 1)
-        x = averaged
+        x = {
+            i: (x[i] + ordered_sum(last[i].values())) / (graph.degree(i) + 1)
+            for i in graph.nodes
+        }
     return x

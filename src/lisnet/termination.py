@@ -18,9 +18,9 @@ schedule, the freeze decision is unanimous: all nodes stop at the same
 checkpoint with no extra signalling.
 
 Every simulated node runs this one machine, ``NodeMachine``. Plain ratio
-consensus (the Fig. 1 averaging demo) is the same machine in probe mode,
-``rho=None``: the extremes still propagate and reseed at every checkpoint,
-but no node ever freezes.
+consensus (the Fig. 1 averaging demo) is the same machine with ``rho`` 0:
+z never falls below y, so no node ever freezes, and the extremes still
+propagate and reseed at every checkpoint.
 """
 
 from __future__ import annotations
@@ -76,27 +76,20 @@ class TerminationState:
     frozen: bool = False
 
 
-def epoch_update(
-    term: TerminationState,
-    neighbor_z: Iterable[float],
-    neighbor_y: Iterable[float],
-) -> TerminationState:
-    """Merge neighbor extremes collected over the closing epoch.
+def epoch_update(term: TerminationState, z: float, y: float) -> TerminationState:
+    """Merge the largest ``z`` and smallest ``y`` heard over the closing epoch.
 
-    Raises ``term.z`` to any larger neighbor ``z`` and lowers ``term.y`` to
-    any smaller neighbor ``y``, in place, and returns ``term``. Call only at
-    an epoch boundary; the caller is responsible for feeding values that
-    were emitted during the previous epoch window.
+    Raises ``term.z`` to a larger ``z`` and lowers ``term.y`` to a smaller
+    ``y``, in place, and returns ``term``; an epoch that heard nothing passes
+    -inf and inf. Call only at an epoch boundary, with values emitted during
+    the previous epoch window.
     """
     if term.frozen:
         raise ProtocolError("epoch update on a frozen node")
-    # the comparisons max() and min() make, so ties and order agree with them
-    for z in neighbor_z:
-        if z > term.z:
-            term.z = z
-    for y in neighbor_y:
-        if y < term.y:
-            term.y = y
+    if z > term.z:
+        term.z = z
+    if y < term.y:
+        term.y = y
     return term
 
 
@@ -104,18 +97,18 @@ def checkpoint(
     term: TerminationState,
     current_r: float,
     current_s: float,
-    rho: float | None,
+    rho: float,
 ) -> TerminationState:
     """Freeze below threshold, otherwise reseed both extremes and continue.
 
     Updates ``term`` in place and returns it: a freeze keeps the tested
     extremes and ``theta``, a reseed overwrites them, so read what was
-    tested before the call. ``rho`` of None never freezes (probe mode for
-    diagnostics and tests). Call only at a checkpoint boundary.
+    tested before the call. ``rho`` of 0 never freezes, since z >= y. Call
+    only at a checkpoint boundary.
     """
     if term.frozen:
         raise ProtocolError("checkpoint on a frozen node")
-    if rho is not None and term.z - term.y < rho:
+    if term.z - term.y < rho:
         term.frozen = True
         return term
     term.z = term.y = current_r / current_s
@@ -150,8 +143,8 @@ class NodeMachine:
     The machine is driven in lockstep rounds by a simulator: every round it
     first emits the weighted shares of its current state, then absorbs the
     envelopes due this round. Every node runs the stopping rule on
-    ``schedule``; ``rho=None`` is probe mode, which propagates and reseeds
-    the extremes but never freezes.
+    ``schedule``; with ``rho`` 0 it propagates and reseeds the extremes but
+    never freezes.
 
     The machine works on its own copy of ``state`` and updates it and
     ``term`` in place every step, so ``machine.state`` and ``machine.term``
@@ -164,10 +157,10 @@ class NodeMachine:
         weights: WeightMatrix,
         neighbors: Iterable[int],
         schedule: CheckpointSchedule,
-        rho: float | None = None,
+        rho: float = 0.0,
     ):
-        if rho is not None and not rho > 0.0:
-            raise ConfigurationError("stopping threshold must be positive")
+        if not rho >= 0.0:
+            raise ConfigurationError(f"stopping threshold must be non-negative, got {rho}")
         self.state = state = ConsensusState(state.node, state.r, state.s, state.k)
         self.rho = rho
         q = state.ratio()
@@ -220,7 +213,7 @@ class NodeMachine:
         step = state.k
         if step % self._epoch_len == 0:
             # an empty buffer's -inf and inf never win a comparison
-            epoch_update(term, (buf_z,), (buf_y,))
+            epoch_update(term, buf_z, buf_y)
             buf_z = -math.inf
             buf_y = math.inf
         # not nested under the epoch test: checkpoint_len is a multiple of

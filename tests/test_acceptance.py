@@ -110,7 +110,7 @@ def test_criterion_4_extremes_exact_after_one_period():
                 states,
                 DelayModel.fixed_random(graph, tau, rng.randrange(10**6)),
                 schedule,
-                rho=None,
+                rho=0.0,
             )
             sim.run(schedule.checkpoint_len)
             events = [e for e in sim.trace_rows if e.step == schedule.checkpoint_len]

@@ -379,6 +379,29 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "configuration error" in err and str(out) in err
 
+    @pytest.mark.parametrize("name", ["trace.csv", "results.json", "summary.txt"])
+    @pytest.mark.parametrize(
+        "flags", [[], ["--cycle-only", "--at-hours", "4"]], ids=["day", "cycle"]
+    )
+    def test_output_file_taken_by_a_directory_exits_two(
+        self, tmp_path, four_instant_path, capsys, name, flags
+    ):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        code = main(["run", "--config", str(four_instant_path), "--out-dir", str(out), *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err and str(out) in captured.err
+        assert captured.out == ""  # the summary is printed only once all three are written
+
+    def test_zero_rho_exits_two(self, tmp_path, config_path, capsys):
+        # rho 0 never freezes, so a dispatch run must not start with it
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(config_path), "--rho", "0", "--out-dir", str(out)])
+        assert code == 2
+        assert "rho must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_day_without_a_feasible_instant_exits_zero(self, tmp_path, config_path):
         # every instant is flagged and holds the previous (zero) commands
         out = tmp_path / "out"
@@ -481,7 +504,13 @@ class TestRunCommand:
                 lambda doc: doc.__setitem__(
                     "delay", {"model": "fixed", "probabilities": [1, 1, 1, 1]}
                 ),
-                "probabilities require delay.model: stochastic",
+                "delay probabilities need the stochastic model",
+            ),
+            (
+                lambda doc: doc.__setitem__(
+                    "delay", {"model": "stochastic", "fixed_delays": {"1->2": 1}}
+                ),
+                "fixed delays need the fixed model",
             ),
             (
                 lambda doc: doc.__setitem__(
@@ -546,8 +575,9 @@ class TestRunCommand:
             "rho", "demand-watts", "epsilon", "short-edge", "fleet-id-missing", "fleet-scalar",
             "graph-scalar", "graph-nodes-missing", "duplicate-node", "profile-point",
             "delay-probability", "output-directory", "seed-bool", "fixed-model-probabilities",
-            "probability-beyond-float", "probability-total-infinite", "edge-bounded-twice",
-            "delay-bound-key-twice", "delay-bound-non-edge", "delay-bound-self-link",
+            "stochastic-model-fixed-delays", "probability-beyond-float",
+            "probability-total-infinite", "edge-bounded-twice", "delay-bound-key-twice",
+            "delay-bound-non-edge", "delay-bound-self-link",
             "delay-bound-negative", "fixed-delay-non-edge", "fixed-delay-self-link",
             "fixed-delay-unknown-node", "fixed-delay-link-twice", "diameter-zero",
             "diameter-negative",

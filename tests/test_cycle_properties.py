@@ -8,10 +8,11 @@ weighted or fixed delay model. It must end in a ``CycleResult`` or a
 at one checkpoint and keep every command inside its window.
 
 The two agreement invariants (the commands' total within rho of the
-demand's span, each command within rho of the closed form) are not
-asserted here: the stopping rule can certify a small gap while the
-quotients still oscillate under periodic delays, which
-``test_stopping_rule_certifies_a_gap_the_quotients_do_not_have`` pins.
+demand's span, each command within rho of the closed form) do not hold
+yet: the stopping rule can certify a small gap while shares still in
+flight carry quotients outside it. ``small_instants`` aims at that defect
+with 2 to 4 units, and its property, like the two named instants below,
+is a strict xfail until the rule is mended.
 """
 
 import pytest
@@ -29,17 +30,19 @@ st = hypothesis.strategies
 DETERMINISTIC = hypothesis.settings(derandomize=True, deadline=None, database=None)
 
 
-@st.composite
-def instants(draw):
-    n = draw(st.integers(1, 30))
+def draw_graph(draw, n):
+    """A connected graph on units 1 to n."""
     nodes = range(1, n + 1)
     # a random recursive spanning tree keeps the graph connected
     edges = {(draw(st.integers(1, i - 1)), i) for i in range(2, n + 1)}
     if n > 1:
         pairs = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)
         edges |= {edge_key(a, b) for a, b in draw(st.lists(pairs, max_size=n))}
-    graph = Graph.from_edges(nodes, edges)
+    return Graph.from_edges(nodes, edges)
 
+
+def draw_problem(draw, nodes):
+    """Capacity windows, a demand anywhere in range (both ends included), any circulation."""
     windows = {}
     for i in nodes:
         lo = draw(st.floats(0.0, 1000.0))
@@ -51,7 +54,13 @@ def instants(draw):
         | st.floats(total_min, total_max)
     )
     circulation = draw(st.sets(st.sampled_from(list(nodes)), min_size=1))
-    problem = ApportionProblem(demand, windows, frozenset(circulation))
+    return ApportionProblem(demand, windows, frozenset(circulation))
+
+
+@st.composite
+def instants(draw):
+    graph = draw_graph(draw, draw(st.integers(1, 30)))
+    problem = draw_problem(draw, graph.nodes)
 
     tau_bar = draw(st.integers(0, 3))
     caps = {}
@@ -96,6 +105,13 @@ def test_generated_instant_conserves_freezes_at_once_and_stays_in_windows(instan
         assert lo <= result.commands[i] <= hi
 
 
+def assert_agrees_with_the_closed_form(problem, commands, rho):
+    oracle = closed_form_oracle(problem)
+    assert abs(commands.total - problem.rho_d) <= rho * problem.total_span
+    for i in problem.bounds:
+        assert abs(commands[i] - oracle[i]) <= rho * problem.span(i)
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
@@ -110,7 +126,76 @@ def test_stopping_rule_certifies_a_gap_the_quotients_do_not_have():
     model = DelayModel(FIXED, 3, fixed_delays={(1, 2): 2, (2, 1): 3})
     rho = 0.05
     result = run_instant(path_graph(2), problem, model, rho)
-    oracle = closed_form_oracle(problem)
-    assert abs(result.commands.total - problem.rho_d) <= rho * problem.total_span
-    for i in problem.bounds:
-        assert abs(result.commands[i] - oracle[i]) <= rho * problem.span(i)
+    assert_agrees_with_the_closed_form(problem, result.commands, rho)
+
+
+@st.composite
+def small_instants(draw):
+    """2 to 4 connected units, where today's stopping rule is unsound.
+
+    Demand at either end of the range or inside it, any circulation set,
+    fixed or uniform delays with tau_bar from 1 to 3 and no caps, and rho
+    from 0.005 to 0.2.
+    """
+    graph = draw_graph(draw, draw(st.integers(2, 4)))
+    problem = draw_problem(draw, graph.nodes)
+
+    # sampled_from leans to its first values: the defect shows mostly on two
+    # units, under fixed delays, at tau_bar 3
+    tau_bar = draw(st.sampled_from((3, 2, 1)))
+    if draw(st.sampled_from((FIXED, STOCHASTIC))) == FIXED:
+        fixed = {}
+        for a, b in sorted(graph.edges):
+            fixed[(a, b)] = draw(st.integers(0, tau_bar))
+            fixed[(b, a)] = draw(st.integers(0, tau_bar))
+        model = DelayModel(FIXED, tau_bar, fixed_delays=fixed)
+    else:
+        model = DelayModel.stochastic(tau_bar)
+
+    rho = draw(st.floats(0.005, 0.2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return graph, problem, model, rho, seed
+
+
+STOPPING_RULE_DEFECT = (
+    "at a reseed the extremes restart from each node's current quotient, "
+    "though shares still in flight carry older quotients outside them"
+)
+
+
+# About 1 in 125 of these instants breaks an invariant under today's rule
+# (48 of 6,000 random draws), so 600 examples all pass with odds near 1%;
+# this seed's first counterexample is about the 180th
+@hypothesis.settings(
+    DETERMINISTIC,
+    max_examples=600,
+    phases=[hypothesis.Phase.explicit, hypothesis.Phase.generate],
+    report_multiple_bugs=False,
+)
+@hypothesis.given(small_instants())
+def small_instant_agrees_with_the_closed_form(instant):
+    graph, problem, model, rho, seed = instant
+    result = run_instant(graph, problem, model, rho, seed=seed)
+    assert_agrees_with_the_closed_form(problem, result.commands, rho)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=STOPPING_RULE_DEFECT)
+def test_small_instant_agrees_with_the_closed_form():
+    # called from a plain test, so that a counterexample ends the test as its
+    # AssertionError: for a failing @given test item, Hypothesis's pytest
+    # plugin also drafts a source patch, and where libcst is installed that
+    # import warns, which aborts a -W error session
+    small_instant_agrees_with_the_closed_form()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=STOPPING_RULE_DEFECT)
+def test_stopping_rule_misses_quotients_in_flight_at_a_reseed():
+    # demand at the ceiling, uniform delays: the run freezes at theta 2
+    # after 10 steps with unit 1 16.46 rho spans from the closed form and
+    # the total 3.45 rho total spans off
+    windows = {1: (492.11950817731133, 866.4809802947459),
+               2: (368.09794932262344, 1779.3073531457685)}
+    problem = ApportionProblem(2645.788333440514, windows, frozenset({1, 2}))
+    rho = 0.005
+    result = run_instant(path_graph(2), problem, DelayModel.stochastic(2), rho, seed=1826482775)
+    assert_agrees_with_the_closed_form(problem, result.commands, rho)

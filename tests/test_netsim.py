@@ -94,7 +94,7 @@ PINNED_COMMANDS = [
 # ``test_seeded_averaging_is_pinned_to_the_last_bit``: a seeded 9-node graph,
 # 300 averaging steps per delay model, recorded with repr precision under
 # CPython 3.11 while averaging nodes still ran without any stopping logic.
-# Equal floats show that the probe-mode stopping machine leaves the r/s
+# Equal floats show that the stopping machine with rho 0 leaves the r/s
 # stream and the delay draws untouched.
 PINNED_AVERAGING = {
     "stochastic": (
@@ -633,7 +633,7 @@ def _audit_case(seed: int, kind: str, terminating: bool) -> Simulation:
     model = DelayModel(FIXED if kind == "fixed" else STOCHASTIC, tau, fixed, probabilities, caps)
     w = build_weights(g)
     schedule = CheckpointSchedule(max(1, diameter(g)), tau)
-    rho = 0.01 if terminating else None
+    rho = 0.01 if terminating else 0.0
     states = {
         i: ConsensusState(node=i, r=rng.uniform(-50, 50), s=rng.uniform(0.5, 2))
         for i in g.nodes

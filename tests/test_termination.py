@@ -20,14 +20,14 @@ from reference import Envelope, path_graph
 
 
 def probe_machine(neighbors=()):
-    """Node 1 in probe mode on the paper's schedule: quotient 0.5, never freezes."""
+    """Node 1 with rho 0 on the paper's schedule: quotient 0.5, never freezes."""
     g = path_graph(2) if neighbors else Graph.from_edges([1], [])
     return NodeMachine(
         ConsensusState(node=1, r=1.0, s=2.0),
         build_weights(g),
         neighbors,
         CheckpointSchedule(diameter=3, tau_bar=3),
-        rho=None,
+        rho=0.0,
     )
 
 
@@ -40,9 +40,9 @@ class TestCheckpointSchedule:
         merges = []
         real_update = termination.epoch_update
 
-        def counted(term, neighbor_z, neighbor_y):
+        def counted(term, z, y):
             merges.append(machine.state.k)
-            return real_update(term, neighbor_z, neighbor_y)
+            return real_update(term, z, y)
 
         monkeypatch.setattr(termination, "epoch_update", counted)
         events = [machine.advance([]) for _ in range(34)]
@@ -86,19 +86,21 @@ class TestCheckpointSchedule:
 class TestEpochUpdate:
     def test_takes_max_and_min(self):
         term = TerminationState(z=2.0, y=2.0)
-        nxt = epoch_update(term, [1.0, 5.0], [1.0, 5.0])
-        assert nxt.z == 5.0
-        assert nxt.y == 1.0
+        nxt = epoch_update(term, 5.0, 1.0)
+        assert (nxt.z, nxt.y) == (5.0, 1.0)
+        epoch_update(term, 3.0, 4.0)  # a smaller z or a larger y moves nothing
+        assert (term.z, term.y) == (5.0, 1.0)
 
     def test_no_neighbors_keeps_values(self):
+        # an epoch that heard nothing passes the empty buffer's -inf and inf
         term = TerminationState(z=2.0, y=-1.0)
-        nxt = epoch_update(term, [], [])
+        nxt = epoch_update(term, -math.inf, math.inf)
         assert (nxt.z, nxt.y) == (2.0, -1.0)
 
     def test_frozen_rejected(self):
         term = TerminationState(z=1.0, y=1.0, frozen=True)
         with pytest.raises(ProtocolError):
-            epoch_update(term, [2.0], [0.0])
+            epoch_update(term, 2.0, 0.0)
         assert term == TerminationState(z=1.0, y=1.0, frozen=True)
 
     def test_path_propagation_in_diameter_epochs(self):
@@ -112,8 +114,8 @@ class TestEpochUpdate:
             terms = {
                 i: epoch_update(
                     terms[i],
-                    [snapshot[j] for j in g.neighbors(i)],
-                    [snapshot[j] for j in g.neighbors(i)],
+                    max(snapshot[j] for j in g.neighbors(i)),
+                    min(snapshot[j] for j in g.neighbors(i)),
                 )
                 for i in g.nodes
             }
@@ -142,7 +144,7 @@ class TestCheckpoint:
 
     def test_probe_mode_never_freezes(self):
         term = TerminationState(z=0.5, y=0.5)
-        nxt = checkpoint(term, 1.0, 2.0, rho=None)
+        nxt = checkpoint(term, 1.0, 2.0, rho=0.0)
         assert not nxt.frozen
         assert nxt.theta == 2
 
@@ -205,12 +207,24 @@ class TestNodeMachine:
         assert result.theta == 1
         assert result.steps == 15
 
-    def test_rejects_nonpositive_threshold(self):
+    def test_rejects_negative_or_nan_threshold(self):
         g = Graph.from_edges([1], [])
         w = build_weights(g)
         state = ConsensusState(node=1, r=1.0, s=2.0)
-        with pytest.raises(ConfigurationError):
-            NodeMachine(state, w, (), CheckpointSchedule(1, 0), rho=0.0)
+        for rho in (-1e-9, math.nan):
+            with pytest.raises(ConfigurationError):
+                NodeMachine(state, w, (), CheckpointSchedule(1, 0), rho=rho)
+        # rho 0 is plain ratio consensus: the machine never freezes
+        assert NodeMachine(state, w, (), CheckpointSchedule(1, 0), rho=0.0).rho == 0.0
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0])
+    def test_cycle_rejects_nonpositive_threshold(self, rho):
+        # a dispatch cycle must terminate, so only a positive rho runs one
+        g = Graph.from_edges([1], [])
+        problem = ApportionProblem(100.0, {1: (0.0, 200.0)}, frozenset({1}))
+        with pytest.raises(ConfigurationError, match="positive threshold"):
+            run_cycle(g, build_weights(g), problem, DelayModel(FIXED, 0),
+                      CheckpointSchedule(1, 0), rho)
 
 
 class TestTerminationProperties:
