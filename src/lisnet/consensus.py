@@ -36,7 +36,6 @@ class ConsensusState:
 def emit(
     state: ConsensusState,
     shares: Iterable[tuple[int, float]],
-    *,
     z: float = 0.0,
     y: float = 0.0,
 ) -> list[tuple]:
@@ -53,14 +52,23 @@ def emit(
     by :func:`absorb`, not here, so emit stays a pure read.
     """
     node, k, r, s = state.node, state.k, state.r, state.s
-    return [(node, j, k, w * r, w * s, z, y) for j, w in shares]
+    # a loop, not a comprehension: on 3.11 a comprehension runs in a frame
+    # of its own, which costs more than the few shares of a node
+    out = []
+    append = out.append
+    for j, w in shares:
+        append((node, j, k, w * r, w * s, z, y))
+    return out
 
 
 def absorb(
     state: ConsensusState,
     delivered: Iterable[tuple],
     self_weight: float,
-) -> ConsensusState:
+    since: int,
+    z: float,
+    y: float,
+) -> tuple[float, float]:
     """Fold the shares due this round into the retained share; advance ``k``.
 
     ``self_weight`` is the node's diagonal weight. ``delivered`` must hold
@@ -68,18 +76,25 @@ def absorb(
     arrived simply contribute nothing, which is what keeps conservation
     exact through the start-up transient.
 
-    Updates ``state`` in place and returns it. A rejected round (a
+    Updates ``state`` in place. In the same pass, returns the largest
+    ``payload_z`` and the smallest ``payload_y`` among ``z``, ``y`` and the
+    envelopes sent at or after step ``since``. A rejected round (a
     misaddressed envelope, a non-finite or non-positive result) raises
     before ``state`` is touched.
     """
     node = state.node
     r = self_weight * state.r
     s = self_weight * state.s
-    for _, dst, _, share_r, share_s, _, _ in delivered:
+    for _, dst, sent, share_r, share_s, share_z, share_y in delivered:
         if dst != node:
             raise ProtocolError(f"node {node} received an envelope addressed to {dst}")
         r += share_r
         s += share_s
+        if sent >= since:
+            if share_z > z:
+                z = share_z
+            if share_y < y:
+                y = share_y
     if not (math.isfinite(r) and math.isfinite(s)):
         raise InvariantError(f"node {node}: non-finite state at k={state.k + 1}")
     if s <= 0.0:
@@ -89,5 +104,4 @@ def absorb(
     state.r = r
     state.s = s
     state.k += 1
-    return state
-
+    return z, y

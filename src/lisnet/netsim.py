@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Mapping, Sequence
@@ -244,7 +243,11 @@ class Mailbox:
         Reads only the first envelope of each pending round, which is the
         round's oldest because posting is in non-decreasing send step.
         """
-        oldest = min([batch[0][2] for batch in self._pending.values()], default=now)
+        oldest = now
+        for batch in self._pending.values():
+            sent = batch[0][2]
+            if sent < oldest:
+                oldest = sent
         return max(0, now - oldest)
 
 
@@ -279,8 +282,11 @@ class Simulation:
             i: NodeMachine(states[i], weights, graph.neighbors(i), schedule, rho)
             for i in sorted(graph.nodes)
         }
-        # each machine updates its state object in place, so these stay live
-        self._states = [m.state for m in self.machines.values()]
+        # the step's iteration order, built once; each machine updates its
+        # state object in place, so the states stay live
+        self._machines = list(self.machines.values())
+        self._nodes = list(self.machines)
+        self._states = [m.state for m in self._machines]
         self.delay_model = delay_model
         self.rng = random.Random(seed)
         self.mailbox = Mailbox()
@@ -351,22 +357,27 @@ class Simulation:
     def step(self) -> None:
         """One lockstep round: emit everywhere, deliver, absorb everywhere."""
         k = self.step_index
-        machines = self.machines
+        machines = self._machines
         mailbox = self.mailbox
         post = mailbox.post
         envelopes: list[tuple] = []
-        for machine in machines.values():
+        for machine in machines:
             envelopes += machine.emit()
         delays = self.delay_model.delay_for(self.rng, envelopes)
         for env, d in zip(envelopes, delays):
             post(env, k + d)
-        inboxes: defaultdict[int, list[tuple]] = defaultdict(list)
-        for env in mailbox.due(k):
-            inboxes[env[1]].append(env)
+        inboxes: dict[int, list[tuple]] = {}
         inbox_of = inboxes.get
+        for env in mailbox.due(k):
+            dst = env[1]
+            inbox = inbox_of(dst)
+            if inbox is None:
+                inboxes[dst] = [env]
+            else:
+                inbox.append(env)
         events = None if self._record_steps else self.trace_rows
         frozen = self._frozen
-        for i, machine in machines.items():
+        for i, machine in zip(self._nodes, machines):
             event = machine.advance(inbox_of(i, ()))
             if event is not None:
                 if events is not None:

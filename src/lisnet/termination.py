@@ -151,6 +151,11 @@ class NodeMachine:
     stay the same objects for the machine's life.
     """
 
+    __slots__ = (
+        "state", "rho", "term", "_shares", "_self_weight", "_epoch_len",
+        "_checkpoint_len", "_buf_z", "_buf_y",
+    )
+
     def __init__(
         self,
         state: ConsensusState,
@@ -182,7 +187,7 @@ class NodeMachine:
         term = self.term
         if term.frozen:
             return []
-        return emit(self.state, self._shares, z=term.z, y=term.y)
+        return emit(self.state, self._shares, term.z, term.y)
 
     def advance(self, inbox: Sequence[tuple]) -> CheckpointEvent | None:
         """Absorb the envelopes due this round and roll one step forward.
@@ -200,16 +205,14 @@ class NodeMachine:
                 raise ProtocolError(f"frozen node {self.node} received traffic")
             return None
         period_len = self._checkpoint_len
-        period = term.theta - 1
-        buf_z = self._buf_z
-        buf_y = self._buf_y
-        for _, _, sent, _, _, z, y in inbox:
-            if sent // period_len == period:
-                if z > buf_z:
-                    buf_z = z
-                if y < buf_y:
-                    buf_y = y
-        state = absorb(self.state, inbox, self._self_weight)
+        state = self.state
+        # sent >= since is the test sent // period_len == theta - 1: every
+        # envelope due now was sent at or before the current step, which is
+        # below theta * period_len, as the checkpoint there bumps theta
+        buf_z, buf_y = absorb(
+            state, inbox, self._self_weight, (term.theta - 1) * period_len,
+            self._buf_z, self._buf_y,
+        )
         step = state.k
         if step % self._epoch_len == 0:
             # an empty buffer's -inf and inf never win a comparison

@@ -84,6 +84,18 @@ def global_extremes_oracle(
     return hi, lo
 
 
+def period_extremes_scan(
+    delivered: Sequence[tuple], period_len: int, theta: int, z: float, y: float
+) -> tuple[float, float]:
+    """Largest z and smallest y of ``z``, ``y`` and period ``theta``'s envelopes.
+
+    An envelope is in checkpoint period ``theta`` when its send step divided
+    by ``period_len`` is ``theta - 1``.
+    """
+    current = [env for env in delivered if env[2] // period_len == theta - 1]
+    return max([z] + [env[5] for env in current]), min([y] + [env[6] for env in current])
+
+
 def oldest_age_scan(pending: Mapping[int, Sequence[tuple]], now: int) -> int:
     """Rounds the longest-pending envelope has been in flight, over every envelope."""
     sent = [env[2] for batch in pending.values() for env in batch]

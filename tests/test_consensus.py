@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -49,10 +50,10 @@ class TestAbsorb:
         g = Graph.cycle(3)
         w = build_weights(g)
         state = ConsensusState(node=1, r=3.0, s=0.9)
-        nxt = absorb(state, [], w.self_weight(1))
-        assert nxt.r == pytest.approx(1.0)
-        assert nxt.s == pytest.approx(0.3)
-        assert nxt.k == 1
+        absorb(state, [], w.self_weight(1), 0, -math.inf, math.inf)
+        assert state.r == pytest.approx(1.0)
+        assert state.s == pytest.approx(0.3)
+        assert state.k == 1
 
     def test_two_node_hand_iteration(self):
         # no delays: r = (4, 0), s = (1, 1) equalizes in one step, ratio 2
@@ -64,10 +65,8 @@ class TestAbsorb:
         }
         for _ in range(3):
             outbound = {i: emit(states[i], w.shares(i, g.neighbors(i))) for i in states}
-            states = {
-                1: absorb(states[1], [e for e in outbound[2] if e[1] == 1], w.self_weight(1)),
-                2: absorb(states[2], [e for e in outbound[1] if e[1] == 2], w.self_weight(2)),
-            }
+            absorb(states[1], outbound[2], w.self_weight(1), 0, 0.0, 0.0)
+            absorb(states[2], outbound[1], w.self_weight(2), 0, 0.0, 0.0)
         assert states[1].r == pytest.approx(2.0)
         assert states[2].r == pytest.approx(2.0)
         assert states[1].ratio() == pytest.approx(2.0)
@@ -76,11 +75,25 @@ class TestAbsorb:
     def test_misaddressed_envelope_rejected(self):
         g = Graph.cycle(3)
         w = build_weights(g)
+        fine = Envelope(src=2, dst=1, send_step=0, payload_r=0.1, payload_s=0.1, payload_z=9.0)
         stray = Envelope(src=2, dst=3, send_step=0, payload_r=0.1, payload_s=0.1)
         state = ConsensusState(node=1, r=1.0, s=1.0)
         with pytest.raises(ProtocolError):
-            absorb(state, [stray], w.self_weight(1))
+            absorb(state, [fine, stray], w.self_weight(1), 0, 1.0, 1.0)
         assert state == ConsensusState(node=1, r=1.0, s=1.0)
+
+    def test_extremes_from_the_period_start_on(self):
+        # since = 8: the envelope sent at 8 counts, the one sent at 7 is stale
+        state = ConsensusState(node=1, r=1.0, s=1.0, k=9)
+        at_since = Envelope(2, 1, 8, 0.1, 0.1, payload_z=5.0, payload_y=-5.0)
+        before = Envelope(3, 1, 7, 0.1, 0.1, payload_z=50.0, payload_y=-50.0)
+        assert absorb(state, [before, at_since], 0.5, 8, 1.0, 1.0) == (5.0, -5.0)
+        assert absorb(state, [before], 0.5, 8, 1.0, 1.0) == (1.0, 1.0)
+
+    def test_empty_inbox_returns_the_given_pair(self):
+        state = ConsensusState(node=1, r=1.0, s=1.0)
+        assert absorb(state, [], 0.5, 0, 2.5, -0.5) == (2.5, -0.5)
+        assert absorb(state, [], 0.5, 0, -math.inf, math.inf) == (-math.inf, math.inf)
 
     def test_five_node_average_reaches_400(self):
         # initial values summing to 2000 average to 400 at every node
