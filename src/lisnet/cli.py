@@ -34,6 +34,7 @@ from .scenario import (
     Infeasible,
     LisUnit,
     PowerProfile,
+    Scenario,
     bounds_at,  # noqa: F401  traced here by perfbench/tracer.py
     day_instants,
     instant_rows,
@@ -196,27 +197,11 @@ def _write(fields: Sequence[Field], obj: Any, omit_defaults: bool = False) -> di
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
-    """A fully validated scenario, round-trippable to the YAML schema."""
+class ScenarioConfig(Scenario):
+    """A scenario with its name and output directory, round-trippable to the YAML schema."""
 
     name: str
-    seed: int
-    rho: float
-    diameter_bound: int | None
-    graph: Graph
-    delay: DelayModel
-    circulation: frozenset[int]
-    fleet: tuple[LisUnit, ...]
-    dispatch: DispatchSchedule
-    start_hours: float | None
-    end_hours: float | None
     out_dir: str | None
-
-    def __post_init__(self):
-        if not 0 < self.rho < math.inf:
-            raise ConfigurationError("rho must be finite and positive")
-        if self.diameter_bound is not None and self.diameter_bound < 1:
-            raise ConfigurationError(f"diameter must be at least 1, got {self.diameter_bound}")
 
     @classmethod
     def from_dict(cls, doc: Any) -> "ScenarioConfig":
@@ -255,40 +240,20 @@ class ScenarioConfig:
         circulation = frozenset(
             _as_int(i, "node id") for i in _as_list(dem.get("circulation", []), "circulation")
         )
-        if not circulation:
-            raise ConfigurationError("demand circulation must name at least one node")
-        missing = circulation - set(graph.nodes)
-        if missing:
-            raise ConfigurationError(
-                f"demand circulation nodes {sorted(missing)} are not in the graph"
-            )
-
         fleet = tuple(
             LisUnit(**_section(entry, f"fleet[{index}]", _FLEET_ENTRY))
             for index, entry in enumerate(_as_list(top.get("fleet"), "fleet"))
         )
-        if sorted(u.uid for u in fleet) != sorted(graph.nodes):
-            raise ConfigurationError("fleet ids must match graph nodes exactly")
 
         dis = _section(top.get("dispatch", {}), "dispatch", _DISPATCH)
         dispatch = DispatchSchedule(
-            demand=demand,
-            consensus_period=dis["dispatch.consensus_period"],
-            dispatch_period=dis["dispatch.dispatch_period"],
-            epsilon=dis["dispatch.epsilon"],
+            demand, dis["dispatch.consensus_period"], dis["dispatch.dispatch_period"],
+            dis["dispatch.epsilon"],
         )
         return cls(
-            name=top["name"],
-            seed=top["seed"],
-            rho=top["rho"],
-            diameter_bound=top["diameter_bound"],
-            graph=graph,
-            delay=delay,
-            circulation=circulation,
-            fleet=fleet,
-            dispatch=dispatch,
-            start_hours=dis["start_hours"],
-            end_hours=dis["end_hours"],
+            fleet=fleet, graph=graph, dispatch=dispatch, delay=delay, rho=top["rho"],
+            seed=top["seed"], circulation=circulation, diameter_bound=top["diameter_bound"],
+            start_hours=dis["start_hours"], end_hours=dis["end_hours"], name=top["name"],
             out_dir=_section(top.get("output", {}), "output", _OUTPUT)["out_dir"],
         )
 
@@ -454,16 +419,8 @@ def _override(doc: dict[str, Any], args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _check_feasibility(config: ScenarioConfig, args: argparse.Namespace) -> int:
-    if args.cycle_only:
-        instants = [args.at_hours]
-    else:
-        instants = day_instants(
-            config.fleet, config.dispatch, config.start_hours, config.end_hours
-        )
-    plans = [
-        plan_instant(config.fleet, config.graph, config.dispatch, t, config.circulation)
-        for t in instants
-    ]
+    instants = [args.at_hours] if args.cycle_only else day_instants(config)
+    plans = [plan_instant(config, t) for t in instants]
     bad = [plan for plan in plans if isinstance(plan, Infeasible)]
     for plan in bad:
         print(f"infeasible at t={plan.t_hours:g} h: {plan.reason}")
@@ -476,18 +433,13 @@ def _check_feasibility(config: ScenarioConfig, args: argparse.Namespace) -> int:
 
 def _run_single_cycle(config, args, out_dir: Path) -> int:
     t = args.at_hours
-    plan = plan_instant(config.fleet, config.graph, config.dispatch, t, config.circulation)
+    plan = plan_instant(config, t)
     if isinstance(plan, Infeasible):
         print(f"infeasible at t={t:g} h: {plan.reason}", file=sys.stderr)
         return 1
     result = run_instant(
-        plan.graph,
-        plan.problem,
-        config.delay,
-        config.rho,
-        diameter_bound=config.diameter_bound,
-        seed=config.seed,
-        record_steps=args.verbose_trace,
+        plan.graph, plan.problem, config.delay, config.rho,
+        diameter_bound=config.diameter_bound, seed=config.seed, record_steps=args.verbose_trace,
     )
     oracle = closed_form_oracle(plan.problem)
     commands = result.commands.commands
@@ -517,24 +469,8 @@ def _run_single_cycle(config, args, out_dir: Path) -> int:
     return _write_outputs(out_dir, lines, results, summary)
 
 
-def _run_config_day(config: ScenarioConfig, record_steps: bool = False):
-    return run_day(
-        list(config.fleet),
-        config.graph,
-        config.dispatch,
-        config.delay,
-        config.rho,
-        demand_nodes=config.circulation,
-        seed=config.seed,
-        start_hours=config.start_hours,
-        end_hours=config.end_hours,
-        diameter_bound=config.diameter_bound,
-        record_steps=record_steps,
-    )
-
-
 def _run_full_day(config: ScenarioConfig, out_dir: Path, record_steps: bool) -> int:
-    day = _run_config_day(config, record_steps)
+    day = run_day(config, record_steps=record_steps)
     feasible = [r for r in day.records if r.feasible]
     deviations = [abs(r.total_delivered - r.demand) for r in feasible]
     per_cycle = [
@@ -628,7 +564,7 @@ def replicate_fig1(seed: int = 0) -> tuple[bool, list[str]]:
 
 def replicate_six_lis_day(seed: int = 0) -> tuple[bool, list[str]]:
     """Full-day dispatch of the six-unit fleet against the 7 kW demand band."""
-    day = _run_config_day(replace(default_config(), seed=seed))
+    day = run_day(replace(default_config(), seed=seed))
     feasible = [r for r in day.records if r.feasible]
     worst = max(abs(r.total_delivered - r.demand) for r in feasible)
     thetas = sorted(r.theta for r in feasible)

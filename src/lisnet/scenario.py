@@ -2,8 +2,9 @@
 
 A fleet mixes renewable units, whose capacity window is pinned to the power
 their tracker currently extracts (so the network must absorb everything
-they have), and dispatchable units with static windows. ``plan_instant``
-turns the fleet at one dispatch instant into an apportioning problem on the
+they have), and dispatchable units with static windows. A ``Scenario`` holds
+the fleet, its graph and everything else one run needs. ``plan_instant``
+turns a scenario at one dispatch instant into an apportioning problem on the
 participants' subgraph, or says why the instant is infeasible;
 ``run_instant`` solves such a problem with one consensus-and-terminate
 cycle. The day runner does both at every instant and pushes the resulting
@@ -16,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .apportioning import ApportionProblem, ordered_sum
 from .errors import ConfigurationError
@@ -105,6 +106,7 @@ class LisUnit:
     lag_seconds: float | None = None
 
     def __post_init__(self):
+        # a field the unit's kind or tracking never reads is an error, not ignored
         if self.kind == NON_RES:
             if self.pi_min is None or self.pi_max is None:
                 raise ConfigurationError(f"unit {self.uid}: static bounds required")
@@ -112,9 +114,16 @@ class LisUnit:
                 raise ConfigurationError(
                     f"unit {self.uid}: bounds [{self.pi_min}, {self.pi_max}] invalid"
                 )
+            if self.profile is not None:
+                raise ConfigurationError(f"unit {self.uid}: a non_res unit takes no profile")
         elif self.kind == RES:
             if self.profile is None:
                 raise ConfigurationError(f"unit {self.uid}: renewable needs a profile")
+            if self.pi_min is not None or self.pi_max is not None:
+                raise ConfigurationError(
+                    f"unit {self.uid}: a res unit takes no pi_min or pi_max; "
+                    "its window follows its profile"
+                )
         else:
             raise ConfigurationError(f"unit {self.uid}: unknown kind {self.kind!r}")
         if self.tracking == TRACK_LAG:
@@ -126,6 +135,8 @@ class LisUnit:
             raise ConfigurationError(
                 f"unit {self.uid}: unknown tracking mode {self.tracking!r}"
             )
+        elif self.lag_seconds is not None:
+            raise ConfigurationError(f"unit {self.uid}: lag_seconds needs tracking: lag")
 
 
 def bounds_at(
@@ -184,6 +195,58 @@ class DispatchSchedule:
         return int(self.dispatch_period / self.consensus_period)
 
 
+@dataclass(frozen=True)
+class Scenario:
+    """Everything one run needs: the fleet on its graph, the day, the cycle settings.
+
+    Every check that ties two fields together is made here, so a value built
+    with ``dataclasses.replace`` is held to the same rules as one read from a
+    document. ``start_hours`` and ``end_hours`` left as None take the span
+    every renewable profile covers.
+    """
+
+    fleet: tuple[LisUnit, ...]
+    graph: Graph
+    dispatch: DispatchSchedule
+    delay: DelayModel
+    rho: float
+    seed: int
+    circulation: frozenset[int]
+    diameter_bound: int | None
+    start_hours: float | None
+    end_hours: float | None
+
+    def __post_init__(self):
+        if not 0 < self.rho < math.inf:
+            raise ConfigurationError("rho must be finite and positive")
+        if self.diameter_bound is not None and self.diameter_bound < 1:
+            raise ConfigurationError(f"diameter must be at least 1, got {self.diameter_bound}")
+        if sorted(u.uid for u in self.fleet) != sorted(self.graph.nodes):
+            raise ConfigurationError("fleet ids must match graph nodes exactly")
+        if not self.circulation:
+            raise ConfigurationError("demand circulation must name at least one node")
+        missing = self.circulation - set(self.graph.nodes)
+        if missing:
+            raise ConfigurationError(
+                f"demand circulation nodes {sorted(missing)} are not in the graph"
+            )
+        start, end = self.day
+        if not -math.inf < start <= end < math.inf:
+            raise ConfigurationError("day must be finite and end at or after its start")
+
+    @property
+    def day(self) -> tuple[float, float]:
+        """The first and last hour of the day, with the profiles' span as default."""
+        profiles = [u.profile for u in self.fleet if u.kind == RES]
+        start = self.start_hours
+        if start is None:
+            start = max(p.start for p in profiles) if profiles else 0.0
+        end = self.end_hours
+        if end is None:
+            end = min(p.end for p in profiles) if profiles else start
+        return start, end
+
+
 @dataclass
 class DispatchRecord:
     """Everything decided and delivered at one dispatch instant."""
@@ -236,13 +299,7 @@ class Infeasible:
     reason: str
 
 
-def plan_instant(
-    fleet: Sequence[LisUnit],
-    graph: Graph,
-    dispatch: DispatchSchedule,
-    t_hours: float,
-    circulation: Iterable[int] | None,
-) -> InstantPlan | Infeasible:
+def plan_instant(scenario: Scenario, t_hours: float) -> InstantPlan | Infeasible:
     """The consensus instance for one dispatch instant, or why there is none.
 
     Participants are the units whose window is open at ``t_hours``. The
@@ -252,12 +309,12 @@ def plan_instant(
     that participate, or at the lowest participant when none does.
     """
     window = {}
-    for unit in sorted(fleet, key=lambda u: u.uid):
-        b = bounds_at(unit, t_hours, dispatch.epsilon)
+    for unit in sorted(scenario.fleet, key=lambda u: u.uid):
+        b = bounds_at(unit, t_hours, scenario.dispatch.epsilon)
         if b is not None:
             window[unit.uid] = b
     participants = tuple(window)
-    demand = dispatch.demand_at(t_hours)
+    demand = scenario.dispatch.demand_at(t_hours)
     lo = ordered_sum(b[0] for b in window.values())
     hi = ordered_sum(b[1] for b in window.values())
     infeasible = partial(Infeasible, t_hours, demand, participants)
@@ -265,11 +322,11 @@ def plan_instant(
         return infeasible("no unit offers capacity")
     if not lo <= demand <= hi:
         return infeasible(f"demand {demand:g} W outside [{lo:g}, {hi:g}] W")
-    subgraph = graph.induced(participants)
+    subgraph = scenario.graph.induced(participants)
     if not subgraph.is_connected():
         return infeasible(f"participants {list(participants)} are not connected")
-    circulating = set(circulation or ()) & set(participants) or {participants[0]}
-    problem = ApportionProblem(demand, window, frozenset(circulating))
+    circulating = scenario.circulation.intersection(participants) or frozenset(participants[:1])
+    problem = ApportionProblem(demand, window, circulating)
     return InstantPlan(demand, participants, problem, subgraph)
 
 
@@ -322,42 +379,19 @@ def instant_rows(
     return lines
 
 
-def day_instants(
-    fleet: Sequence[LisUnit],
-    dispatch: DispatchSchedule,
-    start_hours: float | None = None,
-    end_hours: float | None = None,
-) -> list[float]:
-    """Dispatch instants of a day, both ends included.
+def day_instants(scenario: Scenario) -> list[float]:
+    """Dispatch instants of the day: its start, then one per dispatch period.
 
-    The day defaults to the span every renewable profile covers.
+    The last instant is the last one at or before the day's end; an instant
+    that misses the end by float rounding, within 1e-9 of a period, counts.
     """
-    profiles = [u.profile for u in fleet if u.kind == RES]
-    if start_hours is None:
-        start_hours = max(p.start for p in profiles) if profiles else 0.0
-    if end_hours is None:
-        end_hours = min(p.end for p in profiles) if profiles else start_hours
-    if not -math.inf < start_hours <= end_hours < math.inf:
-        raise ConfigurationError("day must be finite and end at or after its start")
-    step_hours = dispatch.dispatch_period / 3600.0
-    count = int(round((end_hours - start_hours) / step_hours)) + 1
-    return [start_hours + index * step_hours for index in range(count)]
+    start, end = scenario.day
+    step_hours = scenario.dispatch.dispatch_period / 3600.0
+    count = math.floor((end - start) / step_hours + 1e-9) + 1
+    return [start + index * step_hours for index in range(count)]
 
 
-def run_day(
-    fleet: Sequence[LisUnit],
-    graph: Graph,
-    schedule: DispatchSchedule,
-    delay_model: DelayModel,
-    rho: float,
-    *,
-    demand_nodes: frozenset[int] | set[int] | None = None,
-    seed: int = 0,
-    start_hours: float | None = None,
-    end_hours: float | None = None,
-    diameter_bound: int | None = None,
-    record_steps: bool = False,
-) -> DayResult:
+def run_day(scenario: Scenario, *, record_steps: bool = False) -> DayResult:
     """Repeated dispatch over a day: plan, solve, and track at each instant.
 
     Infeasible instants are flagged and the previous commands held. A cycle
@@ -366,37 +400,31 @@ def run_day(
     the record; this happens when a renewable sits a cycle out and the
     shrunken graph both slows mixing and lengthens the checkpoint period.
     """
-    units = {u.uid: u for u in fleet}
-    if set(units) != set(graph.nodes):
-        raise ConfigurationError("fleet ids must match the graph's nodes")
-    rng = random.Random(seed)
+    units = {u.uid: u for u in scenario.fleet}
+    dispatch = scenario.dispatch
+    rng = random.Random(scenario.seed)
     records: list[DispatchRecord] = []
     trace_lines: list[bytes] = []
     prev_commands = {uid: 0.0 for uid in units}
     prev_delivered = prev_commands
     worst_leak = 0.0
-    for index, t in enumerate(day_instants(fleet, schedule, start_hours, end_hours)):
+    for index, t in enumerate(day_instants(scenario)):
         cycle_seed = rng.randrange(2**32)
-        plan = plan_instant(fleet, graph, schedule, t, demand_nodes)
+        plan = plan_instant(scenario, t)
         result: CycleResult | None = None
         if isinstance(plan, InstantPlan):
             result = run_instant(
-                plan.graph,
-                plan.problem,
-                delay_model,
-                rho,
-                diameter_bound=diameter_bound,
-                seed=cycle_seed,
-                record_steps=record_steps,
+                plan.graph, plan.problem, scenario.delay, scenario.rho,
+                diameter_bound=scenario.diameter_bound, seed=cycle_seed, record_steps=record_steps,
             )
             commands = {uid: 0.0 for uid in units} | result.commands.commands
             worst_leak = max(worst_leak, result.max_conservation_error)
         else:
             commands = dict(prev_commands)
-        overrun = result is not None and result.steps > schedule.iteration_budget
+        overrun = result is not None and result.steps > dispatch.iteration_budget
         delivered = {
             uid: track(
-                units[uid], commands[uid], schedule.dispatch_period, prev_delivered[uid]
+                units[uid], commands[uid], dispatch.dispatch_period, prev_delivered[uid]
             )
             for uid in sorted(units)
         }

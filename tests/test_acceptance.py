@@ -9,6 +9,7 @@ addition to the dedicated conservation criterion.
 import random
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 
@@ -36,20 +37,9 @@ def criterion(number, name):
 
 @pytest.fixture(scope="module")
 def day_outcome():
-    config = default_config()
+    config = replace(default_config(), seed=0, start_hours=0.0, end_hours=8.0)
     started = time.perf_counter()
-    day = run_day(
-        list(config.fleet),
-        config.graph,
-        config.dispatch,
-        config.delay,
-        config.rho,
-        demand_nodes=config.circulation,
-        seed=0,
-        start_hours=0.0,
-        end_hours=8.0,
-        diameter_bound=config.diameter_bound,
-    )
+    day = run_day(config)
     elapsed = time.perf_counter() - started
     return day, elapsed
 

@@ -1,10 +1,12 @@
 import copy
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -22,7 +24,8 @@ from lisnet.cli import (
     write_trace_csv,
 )
 from lisnet.errors import ConfigurationError
-from lisnet.scenario import PowerProfile, instant_rows
+from lisnet.scenario import PowerProfile, day_instants, instant_rows
+from lisnet.topology import Graph
 from reference import read_trace_csv
 
 
@@ -289,6 +292,21 @@ class TestRunCommand:
         code = main(["run", "--config", str(config_path), "--check-feasibility"])
         assert code == 0
         assert "feasible at all" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [["--check-feasibility"], []], ids=["check", "day"])
+    def test_dispatch_period_that_does_not_divide_the_day_runs(
+        self, tmp_path, config_path, flags
+    ):
+        # 6000 s instants fall at 0, 1.67, ..., 6.67 h; an instant at 8.33 h
+        # would lie past the renewable profile
+        code = main([
+            "run", "--config", str(config_path), "--dispatch-period", "6000",
+            "--out-dir", str(tmp_path), *flags,
+        ])
+        assert code == 0
+        if not flags:
+            results = json.loads((tmp_path / "results.json").read_text())
+            assert results["cycles"] == 5
 
     def test_check_feasibility_rejects_excess_demand(self, config_path, capsys):
         code = main([
@@ -570,6 +588,18 @@ class TestRunCommand:
             ),
             (lambda doc: doc.__setitem__("diameter", 0), "diameter must be at least 1, got 0"),
             (lambda doc: doc.__setitem__("diameter", -4), "diameter must be at least 1, got -4"),
+            (
+                lambda doc: doc["fleet"][1].update(pi_min=0.0, pi_max=1000.0),
+                "unit 2: a res unit takes no pi_min or pi_max",
+            ),
+            (
+                lambda doc: doc["fleet"][0].__setitem__("profile", [[0.0, 0.0], [8.0, 0.0]]),
+                "unit 1: a non_res unit takes no profile",
+            ),
+            (
+                lambda doc: doc["fleet"][0].__setitem__("lag_seconds", 5.0),
+                "unit 1: lag_seconds needs tracking: lag",
+            ),
         ],
         ids=[
             "rho", "demand-watts", "epsilon", "short-edge", "fleet-id-missing", "fleet-scalar",
@@ -580,7 +610,8 @@ class TestRunCommand:
             "delay-bound-non-edge", "delay-bound-self-link",
             "delay-bound-negative", "fixed-delay-non-edge", "fixed-delay-self-link",
             "fixed-delay-unknown-node", "fixed-delay-link-twice", "diameter-zero",
-            "diameter-negative",
+            "diameter-negative", "res-with-bounds", "non-res-with-profile",
+            "lag-seconds-without-lag",
         ],
     )
     def test_malformed_value_or_shape_is_a_configuration_error(
@@ -713,6 +744,45 @@ class TestRunCommand:
         ])
         assert code == 0
         assert (target / "trace.csv").exists()
+
+
+class TestScenarioValue:
+    """A scenario built with ``dataclasses.replace`` meets the reader's rules."""
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"circulation": frozenset({99})}, r"circulation nodes \[99\] are not in the graph"),
+            ({"circulation": frozenset()}, "circulation must name at least one node"),
+            ({"graph": Graph.cycle(5)}, "fleet ids must match graph nodes"),
+            ({"rho": 0.0}, "rho must be finite and positive"),
+            ({"diameter_bound": 0}, "diameter must be at least 1, got 0"),
+            ({"start_hours": 5.0, "end_hours": 4.0}, "day must be finite and end at or after"),
+        ],
+        ids=["circulation-outside", "circulation-empty", "fleet-graph", "rho-zero",
+             "diameter-zero", "day-backwards"],
+    )
+    def test_broken_cross_field_rule_raises(self, changes, message):
+        with pytest.raises(ConfigurationError, match=message):
+            replace(default_config(), **changes)
+
+    def test_replaced_value_keeps_its_document_form(self):
+        config = default_config()
+        shorter = replace(config, end_hours=1.0)
+        assert type(shorter) is ScenarioConfig
+        expected = config.to_dict()
+        expected["dispatch"]["end_hours"] = 1.0
+        assert shorter.to_dict() == expected
+
+    @pytest.mark.parametrize("period", [60.0, 100.0, 5400.0, 6000.0, 3700.0])
+    def test_day_ends_at_the_last_instant_at_or_before_its_end(self, period):
+        config = default_config()
+        config = replace(config, dispatch=replace(config.dispatch, dispatch_period=period))
+        step = period / 3600.0
+        instants = day_instants(config)
+        assert len(instants) == math.floor(8.0 / step) + 1
+        assert instants == [index * step for index in range(len(instants))]
+        assert instants[-1] <= 8.0
 
 
 class TestEntryPointsAgree:

@@ -10,6 +10,7 @@ from lisnet.scenario import (
     DispatchSchedule,
     LisUnit,
     PowerProfile,
+    Scenario,
     bounds_at,
     run_day,
     six_lis_fleet,
@@ -123,19 +124,21 @@ class TestDispatchSchedule:
 
 
 class TestRunDay:
-    def _short_day(self, **kwargs):
-        defaults = dict(
-            fleet=six_lis_fleet(),
+    def _short_day(self, record_steps=False, **kwargs):
+        fields = dict(
+            fleet=tuple(six_lis_fleet()),
             graph=Graph.cycle(6),
-            schedule=DispatchSchedule(demand=7000.0, dispatch_period=600.0),
-            delay_model=DelayModel.stochastic(3),
+            dispatch=DispatchSchedule(demand=7000.0, dispatch_period=600.0),
+            delay=DelayModel.stochastic(3),
             rho=0.02,
-            demand_nodes={2},
             seed=0,
+            circulation=frozenset({2}),
             diameter_bound=3,
+            start_hours=None,
+            end_hours=None,
         )
-        defaults.update(kwargs)
-        return run_day(**defaults)
+        fields.update(kwargs)
+        return run_day(Scenario(**fields), record_steps=record_steps)
 
     def test_demand_met_at_every_instant(self):
         day = self._short_day()
@@ -189,7 +192,7 @@ class TestRunDay:
         # a five-node path both mixes slower and stretches the checkpoint
         # period, so this cycle cannot fit a 60 s dispatch slot
         tight = self._short_day(
-            schedule=DispatchSchedule(demand=7000.0, dispatch_period=60.0)
+            dispatch=DispatchSchedule(demand=7000.0, dispatch_period=60.0)
         )
         assert tight.records[0].budget_exceeded
         assert tight.budget_exceeded_count == 2  # both zero-output endpoints
@@ -198,7 +201,7 @@ class TestRunDay:
     def test_infeasible_instant_holds_previous_command(self):
         ramp = PowerProfile(((0.0, 7000.0), (4.0, 9000.0), (8.0, 7000.0)))
         day = self._short_day(
-            schedule=DispatchSchedule(demand=ramp, dispatch_period=1800.0)
+            dispatch=DispatchSchedule(demand=ramp, dispatch_period=1800.0)
         )
         assert day.infeasible_count > 0
         held = None
@@ -213,11 +216,11 @@ class TestRunDay:
         assert day.records[0].theta is not None  # cycle still ran
 
     def test_lag_tracking_converges_within_day(self):
-        fleet = [
+        fleet = tuple(
             LisUnit(uid=u.uid, kind=u.kind, pi_min=u.pi_min, pi_max=u.pi_max,
                     profile=u.profile, tracking="lag", lag_seconds=5.0)
             for u in six_lis_fleet()
-        ]
+        )
         day = self._short_day(fleet=fleet)
         # 600 s interval with a 5 s time constant: output reaches the command
         for rec in day.records[1:]:
@@ -227,7 +230,7 @@ class TestRunDay:
         # a tuple row with its boxed floats costs about 208 B; its CSV line
         # about 138 B
         day = self._short_day(
-            schedule=DispatchSchedule(demand=7000.0),
+            dispatch=DispatchSchedule(demand=7000.0),
             start_hours=4.0,
             end_hours=4.05,
             record_steps=True,
