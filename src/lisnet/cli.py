@@ -37,11 +37,13 @@ from .scenario import (
     Scenario,
     bounds_at,  # noqa: F401  traced here by perfbench/tracer.py
     day_instants,
+    instant_index,
     instant_rows,
     plan_instant,
     run_day,
     run_instant,
     six_lis_fleet,
+    solve_instant,
 )
 from .topology import Edge, Graph, build_weights, edge_key
 from .topology import diameter  # noqa: F401  traced here by perfbench/tracer.py
@@ -377,22 +379,25 @@ def _resolve_out_dir(flag: str | None, config: ScenarioConfig) -> Path:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.at_hours is None:
-        args.at_hours = 0.0
-    elif not args.cycle_only:
-        raise ConfigurationError("--at-hours needs --cycle-only")
-    elif not math.isfinite(args.at_hours):
-        raise ConfigurationError(f"--at-hours must be finite, got {args.at_hours}")
+    if args.at_hours is not None:
+        if not args.cycle_only:
+            raise ConfigurationError("--at-hours needs --cycle-only")
+        if not math.isfinite(args.at_hours):
+            raise ConfigurationError(f"--at-hours must be finite, got {args.at_hours}")
     config = ScenarioConfig.load(args.config) if args.config else default_config()
     if any(getattr(args, flag) is not None for flag in OVERRIDE_FLAGS):
         config = ScenarioConfig.from_dict(_override(config.to_dict(), args))
+    # the position in the day of the --cycle-only instant, by default the first
+    index = None
+    if args.cycle_only:
+        index = 0 if args.at_hours is None else instant_index(config, args.at_hours)
 
     if args.check_feasibility:
-        return _check_feasibility(config, args)
+        return _check_feasibility(config, index)
 
     out_dir = _resolve_out_dir(args.out_dir, config)
-    if args.cycle_only:
-        return _run_single_cycle(config, args, out_dir)
+    if index is not None:
+        return _run_single_cycle(config, index, out_dir, args.verbose_trace)
     return _run_full_day(config, out_dir, args.verbose_trace)
 
 
@@ -418,8 +423,10 @@ def _override(doc: dict[str, Any], args: argparse.Namespace) -> dict[str, Any]:
     return doc
 
 
-def _check_feasibility(config: ScenarioConfig, args: argparse.Namespace) -> int:
-    instants = [args.at_hours] if args.cycle_only else day_instants(config)
+def _check_feasibility(config: ScenarioConfig, index: int | None) -> int:
+    instants = [t for t, _ in day_instants(config)]
+    if index is not None:
+        instants = instants[index : index + 1]
     plans = [plan_instant(config, t) for t in instants]
     bad = [plan for plan in plans if isinstance(plan, Infeasible)]
     for plan in bad:
@@ -431,20 +438,19 @@ def _check_feasibility(config: ScenarioConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_single_cycle(config, args, out_dir: Path) -> int:
-    t = args.at_hours
-    plan = plan_instant(config, t)
-    if isinstance(plan, Infeasible):
+def _run_single_cycle(
+    config: ScenarioConfig, index: int, out_dir: Path, record_steps: bool
+) -> int:
+    t, cycle_seed = day_instants(config)[index]
+    plan, result = solve_instant(config, t, cycle_seed, record_steps=record_steps)
+    if result is None:
         print(f"infeasible at t={t:g} h: {plan.reason}", file=sys.stderr)
         return 1
-    result = run_instant(
-        plan.graph, plan.problem, config.delay, config.rho,
-        diameter_bound=config.diameter_bound, seed=config.seed, record_steps=args.verbose_trace,
-    )
     oracle = closed_form_oracle(plan.problem)
     commands = result.commands.commands
     summary = [
-        f"scenario: {config.name} (single cycle at t={t:g} h, seed {config.seed})",
+        f"scenario: {config.name} (single cycle at t={t:g} h, "
+        f"instant {index} of the seed-{config.seed} day)",
         f"demand: {plan.demand:g} W, threshold rho={config.rho:g}",
         f"terminated at checkpoint theta={result.theta} after {result.steps} iterations",
         f"total command: {result.commands.total:.3f} W "
@@ -456,6 +462,7 @@ def _run_single_cycle(config, args, out_dir: Path) -> int:
     results = {
         "scenario": config.to_dict(),
         "mode": "cycle",
+        "index": index,
         "at_hours": t,
         "theta": result.theta,
         "iterations": result.steps,
@@ -465,7 +472,7 @@ def _run_single_cycle(config, args, out_dir: Path) -> int:
         "demand": plan.demand,
         "max_conservation_error": result.max_conservation_error,
     }
-    lines = instant_rows(0, result.trace_rows, commands, commands)
+    lines = instant_rows(index, result.trace_rows, commands, commands)
     return _write_outputs(out_dir, lines, results, summary)
 
 
@@ -649,12 +656,12 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     if args.count is not None and args.suite != "oracle-sweep":
         raise ConfigurationError(f"--count applies to oracle-sweep only, not {args.suite}")
     if args.suite == "fig1-misconvergence":
-        passed, lines = replicate_fig1(args.seed or 0)
+        passed, lines = replicate_fig1(args.seed)
     elif args.suite == "six-lis-day":
-        passed, lines = replicate_six_lis_day(args.seed or 0)
+        passed, lines = replicate_six_lis_day(args.seed)
     else:
         count = 200 if args.count is None else args.count
-        passed, lines = replicate_oracle_sweep(args.seed or 0, count)
+        passed, lines = replicate_oracle_sweep(args.seed, count)
     print("\n".join(lines))
     return 0 if passed else 1
 
@@ -699,8 +706,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--at-hours",
         type=float,
         dest="at_hours",
-        help="instant in hours for --cycle-only, also when checked with "
-        "--check-feasibility (default 0)",
+        help="the day's dispatch instant, in hours, for --cycle-only, also when "
+        "checked with --check-feasibility (default: the day's first instant)",
     )
     run.add_argument(
         "--check-feasibility",

@@ -3,18 +3,21 @@
 A fleet mixes renewable units, whose capacity window is pinned to the power
 their tracker currently extracts (so the network must absorb everything
 they have), and dispatchable units with static windows. A ``Scenario`` holds
-the fleet, its graph and everything else one run needs. ``plan_instant``
-turns a scenario at one dispatch instant into an apportioning problem on the
-participants' subgraph, or says why the instant is infeasible;
-``run_instant`` solves such a problem with one consensus-and-terminate
-cycle. The day runner does both at every instant and pushes the resulting
-commands through each unit's tracking model.
+the fleet, its graph and everything else one run needs. ``day_instants``
+lists the day's dispatch instants, each with its cycle seed.
+``plan_instant`` turns a scenario at one dispatch instant into an
+apportioning problem on the participants' subgraph, or says why the instant
+is infeasible; ``run_instant`` solves such a problem with one
+consensus-and-terminate cycle, and ``solve_instant`` does both. The day
+runner solves every instant and pushes the resulting commands through each
+unit's tracking model.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Mapping
@@ -202,7 +205,8 @@ class Scenario:
     Every check that ties two fields together is made here, so a value built
     with ``dataclasses.replace`` is held to the same rules as one read from a
     document. ``start_hours`` and ``end_hours`` left as None take the span
-    every renewable profile covers.
+    every renewable profile covers, and the day must lie inside each of
+    them and inside a demand shape.
     """
 
     fleet: tuple[LisUnit, ...]
@@ -233,6 +237,14 @@ class Scenario:
         start, end = self.day
         if not -math.inf < start <= end < math.inf:
             raise ConfigurationError("day must be finite and end at or after its start")
+        profiles = [(f"unit {u.uid}'s profile", u.profile) for u in self.fleet if u.kind == RES]
+        if isinstance(self.dispatch.demand, PowerProfile):
+            profiles.append(("the demand shape", self.dispatch.demand))
+        for what, p in profiles:
+            if not p.start <= start <= end <= p.end:
+                raise ConfigurationError(
+                    f"day [{start}, {end}] h lies outside {what} [{p.start}, {p.end}] h"
+                )
 
     @property
     def day(self) -> tuple[float, float]:
@@ -379,16 +391,51 @@ def instant_rows(
     return lines
 
 
-def day_instants(scenario: Scenario) -> list[float]:
-    """Dispatch instants of the day: its start, then one per dispatch period.
+def day_instants(scenario: Scenario) -> list[tuple[float, int]]:
+    """The day's dispatch instants as ``(t_hours, cycle_seed)``, in order.
 
-    The last instant is the last one at or before the day's end; an instant
-    that misses the end by float rounding, within 1e-9 of a period, counts.
+    The day's start, then one instant per dispatch period up to the last at
+    or before its end; one that misses the end by float rounding, within
+    1e-9 of a period, counts. Each seed is the next ``randrange(2**32)`` of
+    ``Random(scenario.seed)``, feasible instant or not: the one seed source.
     """
     start, end = scenario.day
     step_hours = scenario.dispatch.dispatch_period / 3600.0
     count = math.floor((end - start) / step_hours + 1e-9) + 1
-    return [start + index * step_hours for index in range(count)]
+    rng = random.Random(scenario.seed)
+    return [(start + index * step_hours, rng.randrange(2**32)) for index in range(count)]
+
+
+def instant_index(scenario: Scenario, t_hours: float) -> int:
+    """The position in ``day_instants`` of the instant at ``t_hours``.
+
+    An hour within 1e-9 of a period of an instant names it; any other hour
+    is a ``ConfigurationError`` that names the nearest instants.
+    """
+    hours = [t for t, _ in day_instants(scenario)]
+    tolerance = 1e-9 * scenario.dispatch.dispatch_period / 3600.0
+    above = bisect_left(hours, t_hours)
+    nearest = range(max(above - 1, 0), min(above + 1, len(hours)))
+    for index in nearest:
+        if abs(hours[index] - t_hours) <= tolerance:
+            return index
+    raise ConfigurationError(
+        f"{t_hours!r} h is not a dispatch instant of the day; nearest instants: "
+        + ", ".join(f"{hours[index]!r} h" for index in nearest)
+    )
+
+
+def solve_instant(
+    scenario: Scenario, t_hours: float, cycle_seed: int, *, record_steps: bool = False
+) -> tuple[InstantPlan | Infeasible, CycleResult | None]:
+    """The plan at ``t_hours`` and, when it is feasible, its cycle's result."""
+    plan = plan_instant(scenario, t_hours)
+    if isinstance(plan, Infeasible):
+        return plan, None
+    return plan, run_instant(
+        plan.graph, plan.problem, scenario.delay, scenario.rho,
+        diameter_bound=scenario.diameter_bound, seed=cycle_seed, record_steps=record_steps,
+    )
 
 
 def run_day(scenario: Scenario, *, record_steps: bool = False) -> DayResult:
@@ -402,21 +449,14 @@ def run_day(scenario: Scenario, *, record_steps: bool = False) -> DayResult:
     """
     units = {u.uid: u for u in scenario.fleet}
     dispatch = scenario.dispatch
-    rng = random.Random(scenario.seed)
     records: list[DispatchRecord] = []
     trace_lines: list[bytes] = []
     prev_commands = {uid: 0.0 for uid in units}
     prev_delivered = prev_commands
     worst_leak = 0.0
-    for index, t in enumerate(day_instants(scenario)):
-        cycle_seed = rng.randrange(2**32)
-        plan = plan_instant(scenario, t)
-        result: CycleResult | None = None
-        if isinstance(plan, InstantPlan):
-            result = run_instant(
-                plan.graph, plan.problem, scenario.delay, scenario.rho,
-                diameter_bound=scenario.diameter_bound, seed=cycle_seed, record_steps=record_steps,
-            )
+    for index, (t, cycle_seed) in enumerate(day_instants(scenario)):
+        plan, result = solve_instant(scenario, t, cycle_seed, record_steps=record_steps)
+        if result is not None:
             commands = {uid: 0.0 for uid in units} | result.commands.commands
             worst_leak = max(worst_leak, result.max_conservation_error)
         else:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -24,7 +25,7 @@ from lisnet.cli import (
     write_trace_csv,
 )
 from lisnet.errors import ConfigurationError
-from lisnet.scenario import PowerProfile, day_instants, instant_rows
+from lisnet.scenario import DispatchSchedule, PowerProfile, day_instants, instant_rows, run_day
 from lisnet.topology import Graph
 from reference import read_trace_csv
 
@@ -229,7 +230,7 @@ class TestTraceDigests:
             ([],
              "f7ef53c2f19e9d6ced1f7d72a9c1153cf4d99e3b5c62926e9b8ef7c9a6e5e8a5"),
             (["--cycle-only", "--at-hours", "4", "--verbose-trace"],
-             "11fdbb577f237d4eb459c3c834b3ef29b1b296355cb70e6a156e018f7e2e84ea"),
+             "c968327e2041c1158c8f200f289c1f52254ae70f8842f60107da40d9f5dee657"),
         ],
         ids=["verbose-day", "checkpoint-day", "verbose-cycle"],
     )
@@ -251,8 +252,8 @@ class TestResultsDigests:
         "flags, digest",
         [
             ([], "93b16bbd4aa788b67c048842bec3270f2e3b96828781346d8066dbae9868968d"),
-            (["--cycle-only", "--at-hours", "1"],
-             "4777c21cf8ff11ef744b5acc7b448bd7297cfbc07c0ce26822330e8ae96c7f54"),
+            (["--cycle-only", "--at-hours", "4.05"],
+             "5ad4f379eda58528917d918d74175cdcf8183eb8e711ed6f9c5f5108678412ad"),
         ],
         ids=["checkpoint-day", "cycle"],
     )
@@ -411,6 +412,30 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert "configuration error" in captured.err and str(out) in captured.err
         assert captured.out == ""  # the summary is printed only once all three are written
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["dispatch"].__setitem__("end_hours", 9.0), "unit 2's profile"),
+            (lambda doc: doc["demand"].update(shape=[[0, 7000], [6, 7000]], watts=None),
+             "the demand shape"),
+        ],
+        ids=["profile", "demand-shape"],
+    )
+    @pytest.mark.parametrize(
+        "flags", [[], ["--cycle-only", "--at-hours", "4"]], ids=["day", "cycle"]
+    )
+    def test_day_past_a_profile_exits_two_before_any_output(
+        self, tmp_path, config_path, capsys, edit, message, flags
+    ):
+        doc = yaml.safe_load(config_path.read_text())
+        edit(doc)
+        config_path.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(config_path), "--out-dir", str(out), *flags])
+        assert code == 2
+        assert f"lies outside {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_rho_exits_two(self, tmp_path, config_path, capsys):
         # rho 0 never freezes, so a dispatch run must not start with it
@@ -758,9 +783,13 @@ class TestScenarioValue:
             ({"rho": 0.0}, "rho must be finite and positive"),
             ({"diameter_bound": 0}, "diameter must be at least 1, got 0"),
             ({"start_hours": 5.0, "end_hours": 4.0}, "day must be finite and end at or after"),
+            ({"end_hours": 9.0},
+             re.escape("day [0.0, 9.0] h lies outside unit 2's profile [0.0, 8.0] h")),
+            ({"dispatch": DispatchSchedule(PowerProfile(((1.0, 7000.0), (8.0, 7000.0))))},
+             re.escape("day [0.0, 8.0] h lies outside the demand shape [1.0, 8.0] h")),
         ],
         ids=["circulation-outside", "circulation-empty", "fleet-graph", "rho-zero",
-             "diameter-zero", "day-backwards"],
+             "diameter-zero", "day-backwards", "day-past-profile", "day-past-demand-shape"],
     )
     def test_broken_cross_field_rule_raises(self, changes, message):
         with pytest.raises(ConfigurationError, match=message):
@@ -779,10 +808,16 @@ class TestScenarioValue:
         config = default_config()
         config = replace(config, dispatch=replace(config.dispatch, dispatch_period=period))
         step = period / 3600.0
-        instants = day_instants(config)
-        assert len(instants) == math.floor(8.0 / step) + 1
-        assert instants == [index * step for index in range(len(instants))]
-        assert instants[-1] <= 8.0
+        hours = [t for t, _ in day_instants(config)]
+        assert len(hours) == math.floor(8.0 / step) + 1
+        assert hours == [index * step for index in range(len(hours))]
+        assert hours[-1] <= 8.0
+
+    def test_each_instant_takes_the_next_seed_of_the_day_stream(self):
+        config = replace(default_config(), seed=5)
+        rng = random.Random(5)
+        seeds = [seed for _, seed in day_instants(config)]
+        assert seeds == [rng.randrange(2**32) for _ in seeds]
 
 
 class TestEntryPointsAgree:
@@ -832,6 +867,85 @@ class TestEntryPointsAgree:
             "--out-dir", str(tmp_path),
         ])
         assert code == 0
+
+    @pytest.fixture(scope="class")
+    def default_day(self):
+        return run_day(default_config())
+
+    @staticmethod
+    def assert_cycle_is_the_record(out, record):
+        results = json.loads((out / "results.json").read_text())
+        assert results["index"] == record.index
+        assert results["at_hours"] == record.t_hours
+        assert results["commands"] == {str(i): record.commands[i] for i in record.participants}
+        assert all(
+            record.commands[i] == 0.0 for i in record.commands if i not in record.participants
+        )
+        assert results["theta"] == record.theta
+        assert results["iterations"] == record.iterations
+        assert results["total_command"] == record.total_command
+
+    @pytest.mark.parametrize("index", [0, 240, 480], ids=["0h", "4h", "8h"])
+    def test_cycle_only_reproduces_the_day_record(self, tmp_path, default_day, index):
+        # at 0 h and 8 h unit 2 has no power and sits out
+        record = default_day.records[index]
+        assert record.feasible and (2 in record.participants) == (index == 240)
+        code = main([
+            "run", "--cycle-only", "--at-hours", repr(record.t_hours), "--out-dir", str(tmp_path),
+        ])
+        assert code == 0
+        self.assert_cycle_is_the_record(tmp_path, record)
+        # every unit tracks instantly, so the cycle's trace rows are the day's too
+        prefix = b"%d," % index
+        day_rows = [line for line in default_day.trace_lines if line.startswith(prefix)]
+        assert (tmp_path / "trace.csv").read_bytes().splitlines(keepends=True)[2:] == day_rows
+
+    def test_cycle_only_reproduces_the_last_record_of_a_short_day(self, tmp_path):
+        config = default_config()
+        config = replace(config, dispatch=replace(config.dispatch, dispatch_period=6000.0))
+        record = run_day(config).records[-1]
+        assert record.t_hours == 6.666666666666667
+        code = main([
+            "run", "--dispatch-period", "6000", "--cycle-only", "--at-hours", "6.666666666666667",
+            "--out-dir", str(tmp_path),
+        ])
+        assert code == 0
+        self.assert_cycle_is_the_record(tmp_path, record)
+
+    def test_seed_zero_cycle_at_four_hours_is_the_day_record(self, tmp_path, capsys):
+        code = main([
+            "run", "--seed", "0", "--cycle-only", "--at-hours", "4", "--out-dir", str(tmp_path),
+        ])
+        assert code == 0
+        results = json.loads((tmp_path / "results.json").read_text())
+        assert results["total_command"] == 6999.944722423164
+        assert (results["theta"], results["iterations"], results["index"]) == (3, 45, 240)
+        assert "instant 240 of the seed-0 day" in capsys.readouterr().out
+
+    def test_an_hour_off_an_instant_by_float_rounding_names_it(self, tmp_path):
+        # the fourth 180 s instant is 3 * (180 / 3600) = 0.15000000000000002 h
+        code = main([
+            "run", "--dispatch-period", "180", "--cycle-only", "--at-hours", "0.15",
+            "--out-dir", str(tmp_path),
+        ])
+        assert code == 0
+        results = json.loads((tmp_path / "results.json").read_text())
+        assert (results["index"], results["at_hours"]) == (3, 0.15000000000000002)
+
+    @pytest.mark.parametrize("flags", [[], ["--check-feasibility"]], ids=["run", "check"])
+    def test_an_hour_between_instants_exits_two(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        code = main([
+            "run", "--cycle-only", "--at-hours", "4.01", "--out-dir", str(out), *flags,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (
+            "4.01 h is not a dispatch instant of the day; "
+            "nearest instants: 4.0 h, 4.016666666666667 h"
+        ) in captured.err
+        assert not out.exists()
 
 
 class TestReplicateCommand:
