@@ -472,7 +472,10 @@ def _run_single_cycle(
         "demand": plan.demand,
         "max_conservation_error": result.max_conservation_error,
     }
-    lines = instant_rows(index, result.trace_rows, commands, commands)
+    # a lone cycle has no earlier delivered power for a lag unit to track from
+    tracking = {u.uid: u.tracking for u in config.fleet}
+    delivered = {i: c if tracking[i] == TRACK_INSTANT else None for i, c in commands.items()}
+    lines = instant_rows(index, result.trace_rows, commands, delivered)
     return _write_outputs(out_dir, lines, results, summary)
 
 

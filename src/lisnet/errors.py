@@ -18,7 +18,7 @@ class ProtocolError(LisnetError, RuntimeError):
 
 
 class InvariantError(LisnetError, RuntimeError):
-    """A runtime invariant (positivity, conservation, simultaneity) broke."""
+    """A runtime invariant (finiteness, positivity, conservation, delay bound) broke."""
 
 
 class NonTerminationError(LisnetError, RuntimeError):

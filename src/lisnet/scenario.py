@@ -51,6 +51,7 @@ TRACE_COLUMNS = (
 TRACE_HEADER = "# lisnet-trace v1 columns=" + ",".join(TRACE_COLUMNS)
 # "%.17g" prints a float with the 17 significant digits that round-trip it
 _FROZEN_LINE = b"%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d,true,%.17g,%.17g\n"
+_UNTRACKED_LINE = b"%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d,true,%.17g,\n"
 _LIVE_LINE = b"%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d,false,,\n"
 
 
@@ -354,7 +355,8 @@ def run_instant(
 ) -> CycleResult:
     """One cycle on ``graph``: equal-split weights, schedule from the diameter.
 
-    The diameter is raised to ``diameter_bound`` when one is configured.
+    ``diameter_bound`` is the known bound D; the schedule uses the larger
+    of D and the graph's own diameter.
     """
     d_bound = diameter(graph)
     if diameter_bound is not None:
@@ -371,23 +373,28 @@ def instant_rows(
     index: int,
     cycle_rows: Iterable[tuple],
     commands: Mapping[int, float],
-    delivered: Mapping[int, float],
+    delivered: Mapping[int, float | None],
 ) -> list[bytes]:
     """One instant's trace rows as ``TRACE_COLUMNS`` CSV lines.
 
     Each of the cycle's ``CycleResult.trace_rows`` gets the instant's index
     in front; a frozen row also gets its node's command and delivered power,
-    and a live row leaves those two cells empty.
+    and a live row leaves those two cells empty. A delivered power of None
+    (not known to the caller) leaves its cell empty too.
     """
     lines = []
     append = lines.append
     for step, node, r, s, ratio, z, y, theta, frozen in cycle_rows:
-        if frozen:
-            append(_FROZEN_LINE % (
-                index, step, node, r, s, ratio, z, y, theta, commands[node], delivered[node]
+        if not frozen:
+            append(_LIVE_LINE % (index, step, node, r, s, ratio, z, y, theta))
+        elif (power := delivered[node]) is None:
+            append(_UNTRACKED_LINE % (
+                index, step, node, r, s, ratio, z, y, theta, commands[node]
             ))
         else:
-            append(_LIVE_LINE % (index, step, node, r, s, ratio, z, y, theta))
+            append(_FROZEN_LINE % (
+                index, step, node, r, s, ratio, z, y, theta, commands[node], power
+            ))
     return lines
 
 

@@ -178,10 +178,6 @@ class NodeMachine:
         self._buf_z = -math.inf
         self._buf_y = math.inf
 
-    @property
-    def node(self) -> int:
-        return self.state.node
-
     def emit(self) -> list[tuple]:
         """Envelope tuples of the current state; a frozen node emits nothing."""
         term = self.term
@@ -202,7 +198,7 @@ class NodeMachine:
         term = self.term
         if term.frozen:
             if inbox:
-                raise ProtocolError(f"frozen node {self.node} received traffic")
+                raise ProtocolError(f"frozen node {self.state.node} received traffic")
             return None
         period_len = self._checkpoint_len
         state = self.state

@@ -14,7 +14,13 @@ from dataclasses import replace
 import pytest
 
 from lisnet.apportioning import ApportionProblem
-from lisnet.cli import default_config, main, replicate_fig1, replicate_oracle_sweep
+from lisnet.cli import (
+    default_config,
+    main,
+    replicate_fig1,
+    replicate_oracle_sweep,
+    replicate_six_lis_day,
+)
 from lisnet.consensus import ConsensusState
 from lisnet.netsim import DelayModel, Simulation, run_cycle, simulate_averaging
 from lisnet.scenario import PowerProfile, run_day
@@ -36,12 +42,8 @@ def criterion(number, name):
 
 
 @pytest.fixture(scope="module")
-def day_outcome():
-    config = replace(default_config(), seed=0, start_hours=0.0, end_hours=8.0)
-    started = time.perf_counter()
-    day = run_day(config)
-    elapsed = time.perf_counter() - started
-    return day, elapsed
+def day():
+    return run_day(replace(default_config(), seed=0, start_hours=0.0, end_hours=8.0))
 
 
 def test_criterion_1_averaging_correct_under_delays():
@@ -52,23 +54,20 @@ def test_criterion_1_averaging_correct_under_delays():
         assert time.perf_counter() - started < 1.0
 
 
-def test_criterion_2_six_lis_day_replication(day_outcome):
+def test_criterion_2_six_lis_day_replication():
     with criterion(2, "six-LIS day tracks 7 kW within 150 W"):
-        day, elapsed = day_outcome
-        assert elapsed < 60.0
-        assert len(day.records) == 481
-        assert day.infeasible_count == 0
-        for rec in day.records:
-            assert rec.feasible
-            assert abs(rec.total_delivered - 7000.0) <= 150.0, (
-                rec.index,
-                rec.total_delivered,
-            )
+        # the suite passes only when no instant is infeasible and the worst
+        # feasible |delivered - 7000 W| is at most 150 W: every instant then
+        # tracks the demand; it also bounds every instant's theta by 100
+        started = time.perf_counter()
+        passed, lines = replicate_six_lis_day(seed=0)
+        assert passed, lines
+        assert time.perf_counter() - started < 60.0
+        assert any("over 481 instants" in line for line in lines), lines
 
 
-def test_criterion_3_res_prioritization(day_outcome):
+def test_criterion_3_res_prioritization(day):
     with criterion(3, "renewable prioritized, dispatchables proportional"):
-        day, _ = day_outcome
         profile = PowerProfile.sunny_day()
         caps = {1: 1500.0, 3: 1000.0, 4: 1200.0, 5: 1500.0, 6: 2000.0}
         for rec in day.records:
@@ -118,11 +117,10 @@ def test_criterion_5_oracle_equivalence_sweep():
         assert time.perf_counter() - started < 30.0
 
 
-def test_criterion_6_conservation_every_step(day_outcome, monkeypatch):
+def test_criterion_6_conservation_every_step(day, monkeypatch):
     with criterion(6, "mass conserved to 1e-9 on every step of every run"):
         # the per-step audit raises on any breach, so the runs above already
         # enforce this; spot-check the recorded worst cases explicitly
-        day, _ = day_outcome
         assert day.max_conservation_error <= 1e-9
         audits = 0
         audit = Simulation.audit
@@ -154,11 +152,9 @@ def test_criterion_6_conservation_every_step(day_outcome, monkeypatch):
             assert audits == 1001
 
 
-def test_criterion_7_finite_simultaneous_termination(day_outcome):
+def test_criterion_7_finite_simultaneous_termination():
     with criterion(7, "finite simultaneous termination, short canonical cycle"):
-        day, _ = day_outcome
-        for rec in day.records:
-            assert rec.theta is not None and rec.theta <= 100
+        # criterion 2's suite checks that every instant of the day freezes by theta 100
         # canonical cycle: full fleet at the renewable plateau terminates
         # within three checkpoint periods, about 45 one-second iterations
         graph = Graph.cycle(6)

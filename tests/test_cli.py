@@ -24,7 +24,7 @@ from lisnet.cli import (
     replicate_oracle_sweep,
     write_trace_csv,
 )
-from lisnet.errors import ConfigurationError
+from lisnet.errors import ConfigurationError, InvariantError
 from lisnet.scenario import DispatchSchedule, PowerProfile, day_instants, instant_rows, run_day
 from lisnet.topology import Graph
 from reference import read_trace_csv
@@ -458,6 +458,17 @@ class TestRunCommand:
         assert {c["total_command"] for c in results["per_cycle"]} == {0.0}
         assert read_trace_csv(out / "trace.csv") == []
         assert "no feasible instants" in (out / "summary.txt").read_text()
+
+    def test_a_run_that_breaks_an_invariant_exits_one(self, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise InvariantError("mass leak at step 7")
+
+        monkeypatch.setattr("lisnet.scenario.run_cycle", broken)
+        code = main(["run", "--cycle-only", "--out-dir", str(tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "run failed: mass leak at step 7\n"
 
     def test_cycle_only_excess_demand_is_infeasible_not_malformed(
         self, tmp_path, config_path, capsys
@@ -899,6 +910,33 @@ class TestEntryPointsAgree:
         prefix = b"%d," % index
         day_rows = [line for line in default_day.trace_lines if line.startswith(prefix)]
         assert (tmp_path / "trace.csv").read_bytes().splitlines(keepends=True)[2:] == day_rows
+
+    def test_a_lone_cycle_leaves_a_lag_units_delivered_power_empty(self, tmp_path):
+        # the day tracks unit 1 from its previous delivered power; a lone
+        # cycle has none, so it claims no delivered power for that unit
+        doc = default_config().to_dict()
+        doc["fleet"][0].update(tracking="lag", lag_seconds=30.0)
+        path = tmp_path / "lag.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        day = run_day(ScenarioConfig.from_dict(doc))
+        out = tmp_path / "out"
+        code = main([
+            "run", "--config", str(path), "--cycle-only", "--at-hours", "4", "--out-dir", str(out),
+        ])
+        assert code == 0
+        self.assert_cycle_is_the_record(out, day.records[240])
+        day_rows = [line for line in day.trace_lines if line.startswith(b"240,")]
+        cycle_rows = (out / "trace.csv").read_bytes().splitlines(keepends=True)[2:]
+        assert len(cycle_rows) == len(day_rows) == 18
+        untracked = 0
+        for cycle_row, day_row in zip(cycle_rows, day_rows):
+            cells, day_cells = cycle_row.split(b","), day_row.split(b",")
+            if cells[2] == b"1" and cells[9] == b"true":
+                assert cells[-1] == b"\n" and day_cells[-1] != b"\n"
+                cells, day_cells = cells[:-1], day_cells[:-1]
+                untracked += 1
+            assert cells == day_cells
+        assert untracked == 1
 
     def test_cycle_only_reproduces_the_last_record_of_a_short_day(self, tmp_path):
         config = default_config()

@@ -82,6 +82,23 @@ class TestAbsorb:
             absorb(state, [fine, stray], w.self_weight(1), 0, 1.0, 1.0)
         assert state == ConsensusState(node=1, r=1.0, s=1.0)
 
+    @pytest.mark.parametrize(
+        "share_r, share_s, message",
+        [
+            (math.inf, 0.1, "non-finite state"),
+            (0.1, math.nan, "non-finite state"),
+            (0.1, -2.0, "denominator state -1.5 not positive"),
+            (0.1, -0.5, "denominator state 0.0 not positive"),
+        ],
+        ids=["r-inf", "s-nan", "s-negative", "s-zero"],
+    )
+    def test_an_unusable_state_is_rejected_untouched(self, share_r, share_s, message):
+        state = ConsensusState(node=1, r=1.0, s=1.0)
+        share = Envelope(src=2, dst=1, send_step=0, payload_r=share_r, payload_s=share_s)
+        with pytest.raises(InvariantError, match=f"node 1: {message} at k=1"):
+            absorb(state, [share], 0.5, 0, 1.0, 1.0)
+        assert state == ConsensusState(node=1, r=1.0, s=1.0)
+
     def test_extremes_from_the_period_start_on(self):
         # since = 8: the envelope sent at 8 counts, the one sent at 7 is stale
         state = ConsensusState(node=1, r=1.0, s=1.0, k=9)

@@ -6,7 +6,7 @@ import pytest
 from lisnet import netsim
 from lisnet.apportioning import ApportionProblem, closed_form_oracle, init_states
 from lisnet.consensus import ConsensusState
-from lisnet.errors import ConfigurationError, InvariantError, NonTerminationError
+from lisnet.errors import ConfigurationError, InvariantError, NonTerminationError, ProtocolError
 from lisnet.netsim import (
     FIXED,
     STOCHASTIC,
@@ -500,6 +500,20 @@ class TestRunCycle:
         with pytest.raises(NonTerminationError, match="within 90 steps"):
             sim.run_until_frozen(90)
         assert sim.step_index == 90
+
+    @pytest.mark.parametrize("tau_bar", [0, 1, 3])
+    def test_a_split_freeze_raises_before_the_cycle_ends(self, tau_bar):
+        # a one-hop schedule on a six-node path of diameter 5: node 3 freezes
+        # before a neighbour does, whose next share reaches it within tau_bar
+        g = path_graph(6)
+        problem = ApportionProblem(
+            9000.0, {i: (0.0, 1000.0 * i) for i in g.nodes}, frozenset({1})
+        )
+        with pytest.raises(ProtocolError, match="frozen node 3 received traffic"):
+            run_cycle(
+                g, build_weights(g), problem, DelayModel.stochastic(tau_bar),
+                CheckpointSchedule(1, tau_bar), 0.05, seed=0,
+            )
 
     def test_post_freeze_window_gap_below_threshold(self, audit_log):
         g = Graph.cycle(6)

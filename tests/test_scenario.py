@@ -4,16 +4,22 @@ import sys
 import pytest
 
 from lisnet.apportioning import closed_form_oracle, ApportionProblem
+from lisnet.cli import default_config
 from lisnet.errors import ConfigurationError
 from lisnet.netsim import DelayModel
 from lisnet.scenario import (
     DispatchSchedule,
+    Infeasible,
     LisUnit,
     PowerProfile,
     Scenario,
     bounds_at,
+    day_instants,
+    plan_instant,
     run_day,
+    run_instant,
     six_lis_fleet,
+    solve_instant,
     track,
 )
 from lisnet.topology import Graph
@@ -122,6 +128,44 @@ class TestDispatchSchedule:
         with pytest.raises(ConfigurationError):
             DispatchSchedule(demand=7000.0, epsilon=0.0)
 
+    def test_dispatch_period_covers_a_consensus_iteration(self):
+        fits = DispatchSchedule(7000.0, consensus_period=2.0, dispatch_period=2.0)
+        assert fits.iteration_budget == 1
+        with pytest.raises(ConfigurationError, match="at least one consensus iteration"):
+            DispatchSchedule(7000.0, consensus_period=2.0, dispatch_period=1.5)
+
+
+class TestPlanInstant:
+    def test_a_fleet_without_capacity_is_infeasible(self):
+        # two renewables: nothing to offer at hour 0, 2 kW at the plateau
+        fleet = (res_unit(1), res_unit(2))
+        scenario = Scenario(
+            fleet=fleet, graph=Graph.from_edges([1, 2], [(1, 2)]),
+            dispatch=DispatchSchedule(demand=1999.0), delay=DelayModel.stochastic(3),
+            rho=0.02, seed=0, circulation=frozenset({1}), diameter_bound=None,
+            start_hours=None, end_hours=None,
+        )
+        assert plan_instant(scenario, 0.0) == Infeasible(0.0, 1999.0, (), "no unit offers capacity")
+        assert not isinstance(plan_instant(scenario, 4.0), Infeasible)
+
+
+class TestRunInstant:
+    @pytest.mark.parametrize(
+        "bound, theta, steps", [(None, 3, 45), (3, 3, 45), (6, 2, 54)]
+    )
+    def test_a_diameter_bound_above_the_graph_lengthens_the_checkpoint(
+        self, bound, theta, steps
+    ):
+        # the full fleet's 6-cycle has diameter 3: L = D(1 + 3) + 3 is 15,
+        # or 27 under a bound of 6
+        config = default_config()
+        t, seed = day_instants(config)[240]
+        plan = plan_instant(config, t)
+        result = run_instant(
+            plan.graph, plan.problem, config.delay, config.rho, diameter_bound=bound, seed=seed,
+        )
+        assert (result.theta, result.steps) == (theta, steps)
+
 
 class TestRunDay:
     def _short_day(self, record_steps=False, **kwargs):
@@ -211,9 +255,20 @@ class TestRunDay:
             held = rec.commands
 
     def test_demand_circulation_falls_back_to_lowest_participant(self):
-        day = self._short_day()
-        assert 2 not in day.records[0].participants
-        assert day.records[0].theta is not None  # cycle still ran
+        # at hour 0 of the built-in day unit 2, its circulation node, sits out
+        config = default_config()
+        t, seed = day_instants(config)[0]
+        plan, result = solve_instant(config, t, seed)
+        assert plan.participants == (1, 3, 4, 5, 6)
+        assert plan.problem.demand_set == {1}
+        lowest = ApportionProblem(plan.demand, plan.problem.bounds, frozenset({1}))
+        again = run_instant(
+            plan.graph, lowest, config.delay, config.rho,
+            diameter_bound=config.diameter_bound, seed=seed,
+        )
+        assert again.commands.commands == result.commands.commands
+        assert (again.theta, again.steps) == (result.theta, result.steps) == (4, 76)
+        assert result.commands.total == 7001.241940516251
 
     def test_lag_tracking_converges_within_day(self):
         fleet = tuple(
