@@ -42,7 +42,6 @@ from .scenario import (
     plan_instant,
     run_day,
     run_instant,
-    six_lis_fleet,
     solve_instant,
 )
 from .topology import Edge, Graph, build_weights, edge_key
@@ -294,9 +293,24 @@ class ScenarioConfig(Scenario):
     def load(cls, path: str | Path) -> "ScenarioConfig":
         import yaml
 
-        loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml when built with it
+        class Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):  # libyaml when built with it
+            def construct_mapping(self, node, deep=False):
+                # a key written twice is an error; one merged in by << may be written again
+                written = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+                mapping = super().construct_mapping(node, deep)
+                if len(mapping) == len(node.value):  # no key repeated, merged or not
+                    return mapping
+                seen = set()
+                for key_node in written:
+                    key = self.construct_object(key_node)  # cached: built by super()
+                    if key in seen:
+                        line = key_node.start_mark.line + 1
+                        raise ConfigurationError(f"duplicate key {key!r} on line {line}")
+                    seen.add(key)
+                return mapping
+
         try:
-            doc = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=loader)
+            doc = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=Loader)
             return cls.from_dict(doc)
         except (OSError, UnicodeDecodeError, yaml.YAMLError, ConfigurationError) as exc:
             raise ConfigurationError(f"{path}: {exc}") from exc
@@ -321,7 +335,15 @@ def default_config() -> ScenarioConfig:
                 "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]],
             },
             "demand": {"watts": 7000.0, "circulation": [2]},
-            "fleet": [_write(_FLEET_ENTRY, u, omit_defaults=True) for u in six_lis_fleet()],
+            "fleet": [
+                {"id": 1, "kind": "non_res", "pi_min": 0.0, "pi_max": 1500.0},
+                # sunny: a ramp to 1 kW over three hours, two held, down by hour eight
+                {"id": 2, "kind": "res", "profile": [[0, 0], [3, 1000], [5, 1000], [8, 0]]},
+                {"id": 3, "kind": "non_res", "pi_min": 0.0, "pi_max": 1000.0},
+                {"id": 4, "kind": "non_res", "pi_min": 0.0, "pi_max": 1200.0},
+                {"id": 5, "kind": "non_res", "pi_min": 0.0, "pi_max": 1500.0},
+                {"id": 6, "kind": "non_res", "pi_min": 0.0, "pi_max": 2000.0},
+            ],
         }
     )
 

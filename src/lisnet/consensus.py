@@ -35,7 +35,8 @@ class ConsensusState:
 
 def emit(
     state: ConsensusState,
-    shares: Iterable[tuple[int, float]],
+    neighbors: Iterable[int],
+    weight: float,
     z: float = 0.0,
     y: float = 0.0,
 ) -> list[tuple]:
@@ -46,18 +47,20 @@ def emit(
     and the sender's running extremes ``z`` and ``y``, which ride on the
     same links and delays for the stopping rule.
 
-    ``shares`` holds ``(j, weights.weight(j, node))`` for each out-neighbor
-    j, in sending order (see :meth:`WeightMatrix.shares`). The share
-    retained locally is the diagonal weight times the state; it is applied
-    by :func:`absorb`, not here, so emit stays a pure read.
+    ``weight`` is the node's share weight (see :func:`topology.build_weights`):
+    each share to ``neighbors``, in sending order, carries it times the
+    state. The share kept locally has the same weight; :func:`absorb`
+    applies it, so emit stays a pure read.
     """
-    node, k, r, s = state.node, state.k, state.r, state.s
+    node, k = state.node, state.k
+    share_r = weight * state.r
+    share_s = weight * state.s
     # a loop, not a comprehension: on 3.11 a comprehension runs in a frame
     # of its own, which costs more than the few shares of a node
     out = []
     append = out.append
-    for j, w in shares:
-        append((node, j, k, w * r, w * s, z, y))
+    for j in neighbors:
+        append((node, j, k, share_r, share_s, z, y))
     return out
 
 
@@ -71,7 +74,7 @@ def absorb(
 ) -> tuple[float, float]:
     """Fold the shares due this round into the retained share; advance ``k``.
 
-    ``self_weight`` is the node's diagonal weight. ``delivered`` must hold
+    ``self_weight`` is the node's share weight. ``delivered`` must hold
     exactly the envelopes due at this node this round; shares not yet
     arrived simply contribute nothing, which is what keeps conservation
     exact through the start-up transient.

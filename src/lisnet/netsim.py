@@ -30,7 +30,7 @@ from .apportioning import (
 from .consensus import ConsensusState
 from .errors import ConfigurationError, InvariantError, NonTerminationError
 from .termination import CheckpointSchedule, NodeMachine
-from .topology import Graph, WeightMatrix, diameter, edge_key
+from .topology import Graph, diameter, edge_key
 
 CONSERVATION_TOL = 1e-9
 
@@ -254,8 +254,9 @@ class Mailbox:
 class Simulation:
     """Drives one node machine per graph node in lockstep rounds over a delay channel.
 
-    ``states`` holds each node's initial consensus state, keyed by node;
-    each machine copies its own, so the caller's states are never changed.
+    ``weights`` maps each node to its share weight and ``states`` to its
+    initial consensus state; each machine copies its own state, so the
+    caller's states are never changed.
     The simulator builds every node's ``NodeMachine`` on ``schedule`` with
     stopping threshold ``rho`` (the default 0 never freezes).
     ``trace_rows`` are the checkpoint events, or with ``record_steps``
@@ -265,7 +266,7 @@ class Simulation:
     def __init__(
         self,
         graph: Graph,
-        weights: WeightMatrix,
+        weights: Mapping[int, float],
         states: Mapping[int, ConsensusState],
         delay_model: DelayModel,
         schedule: CheckpointSchedule,
@@ -279,7 +280,7 @@ class Simulation:
         ):
             raise ConfigurationError("states must be keyed by exactly the graph's nodes")
         self.machines = {
-            i: NodeMachine(states[i], weights, graph.neighbors(i), schedule, rho)
+            i: NodeMachine(states[i], weights[i], graph.neighbors(i), schedule, rho)
             for i in sorted(graph.nodes)
         }
         # the step's iteration order, built once; each machine updates its
@@ -428,7 +429,7 @@ class CycleResult:
 
 def simulate_averaging(
     graph: Graph,
-    weights: WeightMatrix,
+    weights: Mapping[int, float],
     r0: Mapping[int, float],
     s0: Mapping[int, float],
     delay_model: DelayModel,
@@ -448,7 +449,7 @@ def simulate_averaging(
 
 def run_cycle(
     graph: Graph,
-    weights: WeightMatrix,
+    weights: Mapping[int, float],
     problem: ApportionProblem,
     delay_model: DelayModel,
     schedule: CheckpointSchedule,

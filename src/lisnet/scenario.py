@@ -72,11 +72,6 @@ class PowerProfile:
         if any(w < 0 for _, w in self.points):
             raise ConfigurationError("profile power must be non-negative")
 
-    @classmethod
-    def sunny_day(cls) -> "PowerProfile":
-        """Ramp to 1 kW over three hours, hold two, ramp back down by hour eight."""
-        return cls(((0.0, 0.0), (3.0, 1000.0), (5.0, 1000.0), (8.0, 0.0)))
-
     @property
     def start(self) -> float:
         return self.points[0][0]
@@ -503,14 +498,3 @@ def run_day(scenario: Scenario, *, record_steps: bool = False) -> DayResult:
         trace_lines=trace_lines,
     )
 
-
-def six_lis_fleet() -> list[LisUnit]:
-    """The canonical six-unit validation fleet: unit 2 renewable, rest static."""
-    return [
-        LisUnit(uid=1, kind=NON_RES, pi_min=0.0, pi_max=1500.0),
-        LisUnit(uid=2, kind=RES, profile=PowerProfile.sunny_day()),
-        LisUnit(uid=3, kind=NON_RES, pi_min=0.0, pi_max=1000.0),
-        LisUnit(uid=4, kind=NON_RES, pi_min=0.0, pi_max=1200.0),
-        LisUnit(uid=5, kind=NON_RES, pi_min=0.0, pi_max=1500.0),
-        LisUnit(uid=6, kind=NON_RES, pi_min=0.0, pi_max=2000.0),
-    ]

@@ -31,7 +31,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .consensus import ConsensusState, absorb, emit
 from .errors import ConfigurationError, ProtocolError
-from .topology import WeightMatrix
 
 
 @dataclass(frozen=True)
@@ -152,14 +151,14 @@ class NodeMachine:
     """
 
     __slots__ = (
-        "state", "rho", "term", "_shares", "_self_weight", "_epoch_len",
+        "state", "rho", "term", "_neighbors", "_weight", "_epoch_len",
         "_checkpoint_len", "_buf_z", "_buf_y",
     )
 
     def __init__(
         self,
         state: ConsensusState,
-        weights: WeightMatrix,
+        weight: float,
         neighbors: Iterable[int],
         schedule: CheckpointSchedule,
         rho: float = 0.0,
@@ -170,9 +169,9 @@ class NodeMachine:
         self.rho = rho
         q = state.ratio()
         self.term = TerminationState(z=q, y=q)
-        # weights and schedule lengths are resolved once; advance runs per step
-        self._shares = weights.shares(state.node, sorted(neighbors))
-        self._self_weight = weights.self_weight(state.node)
+        # neighbors and schedule lengths are resolved once; advance runs per step
+        self._neighbors = sorted(neighbors)
+        self._weight = weight
         self._epoch_len = schedule.epoch_len
         self._checkpoint_len = schedule.checkpoint_len
         self._buf_z = -math.inf
@@ -183,7 +182,7 @@ class NodeMachine:
         term = self.term
         if term.frozen:
             return []
-        return emit(self.state, self._shares, term.z, term.y)
+        return emit(self.state, self._neighbors, self._weight, term.z, term.y)
 
     def advance(self, inbox: Sequence[tuple]) -> CheckpointEvent | None:
         """Absorb the envelopes due this round and roll one step forward.
@@ -206,7 +205,7 @@ class NodeMachine:
         # envelope due now was sent at or before the current step, which is
         # below theta * period_len, as the checkpoint there bumps theta
         buf_z, buf_y = absorb(
-            state, inbox, self._self_weight, (term.theta - 1) * period_len,
+            state, inbox, self._weight, (term.theta - 1) * period_len,
             self._buf_z, self._buf_y,
         )
         step = state.k

@@ -1,8 +1,8 @@
 """Communication graphs and distributed weight selection.
 
-Each node chooses the weights for its own outgoing shares from its local
-degree alone (one equal share per neighbor plus one kept for itself), which
-makes the weight matrix column stochastic without any global coordination.
+Each node weighs every share it sends, and the one it keeps, by one number
+from its local degree alone, 1/(deg + 1), which makes the weights column
+stochastic without any global coordination.
 The diameter computation is a simulator-side convenience; deployed nodes
 are expected to be configured with a known upper bound instead.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import ConfigurationError
 
@@ -101,38 +101,15 @@ class Graph:
         return Graph(tuple(sorted(kept)), edges)
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
-    """Sparse weight matrix; ``entries[(i, j)]`` weighs node j's share at node i."""
+def build_weights(g: Graph) -> dict[int, float]:
+    """Each node's share weight: j sends deg(j) shares and keeps one, all 1/(deg(j) + 1).
 
-    entries: Mapping[Edge, float]
-
-    def weight(self, i: int, j: int) -> float:
-        return self.entries.get((i, j), 0.0)
-
-    def self_weight(self, i: int) -> float:
-        return self.entries.get((i, i), 0.0)
-
-    def shares(self, j: int, neighbors: Iterable[int]) -> tuple[tuple[int, float], ...]:
-        """``(i, weight(i, j))`` for each out-neighbor i: node j's sending weights."""
-        return tuple((i, self.weight(i, j)) for i in neighbors)
-
-
-def build_weights(g: Graph) -> WeightMatrix:
-    """Equal-split weights: every share leaving node j weighs 1/(deg(j) + 1).
-
-    Column stochastic by construction, with a strictly positive diagonal,
-    so the matrix is primitive whenever the graph is connected.
+    The weight matrix is thus column stochastic, with a strictly positive
+    diagonal, and primitive whenever the graph is connected.
     """
     if not g.is_connected():
         raise ConfigurationError("weight selection requires a connected graph")
-    entries: dict[Edge, float] = {}
-    for j in g.nodes:
-        share = 1.0 / (g.degree(j) + 1)
-        entries[(j, j)] = share
-        for i in g.neighbors(j):
-            entries[(i, j)] = share
-    return WeightMatrix(entries)
+    return {j: 1.0 / (g.degree(j) + 1) for j in g.nodes}
 
 
 def diameter(g: Graph) -> int:

@@ -6,15 +6,18 @@ that is, which behaviour a correct suite must see break. The runner copies
 the project's ``src/``, ``tests/``, ``configs/`` and ``pyproject.toml`` into
 a temporary directory, checks that tier-1 passes there unmutated, then
 applies each mutant in turn and runs tier-1 with ``-x``. The checkout is
-never edited.
+never edited. A mutant's run that takes ``TIMEOUT_FACTOR`` times as long as
+the unmutated run is stopped and counts as killed: a mutant that keeps
+cycles from freezing would otherwise run each to its step cap for hours.
 
 Run from anywhere with the test dependencies installed (the runner itself
 uses only the standard library)::
 
     python tests/mutants.py
 
-Exit status 0 when every mutant is killed, 1 when one survives, when a
-row's snippet is not found exactly once, or when the unmutated copy fails.
+Exit status 0 when every mutant is killed or times out, 1 when one
+survives, when a row's snippet is not found exactly once, or when the
+unmutated copy fails.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "configs", "pyproject.toml")
 TIER1 = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors")
+TIMEOUT_FACTOR = 10
 
 
 class Mutant(NamedTuple):
@@ -95,20 +99,84 @@ MUTANTS = (
         '        print(f"run failed: {exc}", file=sys.stderr)\n        return 0\n',
         "a run that breaks an invariant exits 0, as if it had succeeded",
     ),
+    Mutant(
+        "src/lisnet/consensus.py",
+        "        if sent >= since:\n",
+        "        if sent > since:\n",
+        "extremes sent at the first step of a checkpoint period are dropped as "
+        "stale, so nodes test different extremes and the default day splits "
+        "its freeze: a frozen node receives traffic",
+    ),
+    Mutant(
+        "src/lisnet/termination.py",
+        "    if term.z - term.y < rho:\n",
+        "    if term.z - term.y <= rho:\n",
+        "with rho 0 a node whose extremes agree freezes, so plain averaging "
+        "stops at a checkpoint and a live neighbour's traffic raises",
+    ),
+    Mutant(
+        "src/lisnet/termination.py",
+        "        return self.diameter * (1 + self.tau_bar) + self.tau_bar\n",
+        "        return self.diameter * (1 + self.tau_bar)\n",
+        "without the flush allowance the last epoch's extremes miss the "
+        "checkpoint: the default day's worst cycle needs 5 checkpoints, above "
+        "the six-LIS suite's bound",
+    ),
+    Mutant(
+        "src/lisnet/netsim.py",
+        "        if mailbox.oldest_age(k) > self.delay_model.tau_bar:\n",
+        "        if mailbox.oldest_age(k) > self.delay_model.tau_bar + 1:\n",
+        "an envelope held one step past the delay bound goes unreported",
+    ),
+    Mutant(
+        "src/lisnet/netsim.py",
+        "        if caps:\n",
+        "        if False:\n",
+        "per-edge delay bounds are ignored: a capped edge draws delays up to tau_bar",
+    ),
+    Mutant(
+        "src/lisnet/apportioning.py",
+        "    q = min(max(q, 0.0), 1.0)\n",
+        "    q = q\n",
+        "a quotient above 1 commands more than a unit's upper bound: 2400 W "
+        "for a 2000 W unit",
+    ),
+    Mutant(
+        "src/lisnet/netsim.py",
+        "CONSERVATION_TOL = 1e-9\n",
+        "CONSERVATION_TOL = 1.0\n",
+        "a mass leak above 1e-9 relative passes the audit",
+    ),
+    Mutant(
+        "src/lisnet/topology.py",
+        "    return {j: 1.0 / (g.degree(j) + 1) for j in g.nodes}\n",
+        "    return {j: 1.0 / (g.degree(j) + 2) for j in g.nodes}\n",
+        "the weights leaving a node sum to (deg + 1)/(deg + 2), so mass leaks "
+        "at the first step and the audit raises",
+    ),
+    Mutant(
+        "src/lisnet/cli.py",
+        "                if len(mapping) == len(node.value):  # no key repeated, merged or not\n",
+        "                if True:\n",
+        "a key written twice in a scenario document loads, and its last value wins",
+    ),
 )
 
 
-def tier1(tree: Path) -> bool:
-    """Whether tier-1 passes in ``tree``; its output is dropped."""
+def tier1(tree: Path, timeout: float | None = None) -> str:
+    """Tier-1's verdict in ``tree``: passed, failed or timed out; its output is dropped."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(tree / "src"), env.get("PYTHONPATH")) if p
     )
-    done = subprocess.run(
-        [sys.executable, *TIER1], cwd=tree, env=env,
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
-    return done.returncode == 0
+    try:
+        done = subprocess.run(
+            [sys.executable, *TIER1], cwd=tree, env=env, timeout=timeout,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+    except subprocess.TimeoutExpired:
+        return "timed out"
+    return "passed" if done.returncode == 0 else "failed"
 
 
 def main() -> int:
@@ -121,9 +189,12 @@ def main() -> int:
                 shutil.copytree(source, tree / name, ignore=shutil.ignore_patterns("__pycache__"))
             else:
                 shutil.copy2(source, tree / name)
-        if not tier1(tree):
+        started = time.perf_counter()
+        if tier1(tree) != "passed":
             print("tier-1 fails without any mutant; the gate proves nothing")
             return 1
+        timeout = TIMEOUT_FACTOR * (time.perf_counter() - started)
+        print(f"unmutated: passed; each mutant may take {timeout:.0f} s")
         for number, mutant in enumerate(MUTANTS, 1):
             target = tree / mutant.file
             original = target.read_text()
@@ -135,12 +206,12 @@ def main() -> int:
             target.write_text(original.replace(mutant.line, mutant.replacement))
             started = time.perf_counter()
             try:
-                survived = tier1(tree)
+                verdict = tier1(tree, timeout)
             finally:
                 target.write_text(original)
-            verdict = "SURVIVED" if survived else "killed"
+            verdict = {"passed": "SURVIVED", "failed": "killed"}.get(verdict, verdict)
             print(f"{label}: {verdict} in {time.perf_counter() - started:.1f} s")
-            if survived:
+            if verdict == "SURVIVED":
                 failures.append(f"{label} survived; expected: {mutant.why}")
     for failure in failures:
         print(f"FAIL {failure}")

@@ -23,7 +23,7 @@ from lisnet.cli import (
 )
 from lisnet.consensus import ConsensusState
 from lisnet.netsim import DelayModel, Simulation, run_cycle, simulate_averaging
-from lisnet.scenario import PowerProfile, run_day
+from lisnet.scenario import run_day
 from lisnet.termination import CheckpointSchedule
 from lisnet.topology import Graph, build_weights, diameter
 
@@ -68,7 +68,7 @@ def test_criterion_2_six_lis_day_replication():
 
 def test_criterion_3_res_prioritization(day):
     with criterion(3, "renewable prioritized, dispatchables proportional"):
-        profile = PowerProfile.sunny_day()
+        profile = default_config().fleet[1].profile
         caps = {1: 1500.0, 3: 1000.0, 4: 1200.0, 5: 1500.0, 6: 2000.0}
         for rec in day.records:
             available = profile.power_at(rec.t_hours)

@@ -372,6 +372,42 @@ class TestRunCommand:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("seed: 0\n", "seed: 0\nseed: 5\n", r"duplicate key 'seed' on line 3"),
+            (
+                "  nodes: [1, 2, 3, 4, 5, 6]\n",
+                '  nodes: [1, 2, 3, 4, 5, 6]\n  delay_bounds: {"1-2": 2, "1-2": 3}\n',
+                r"duplicate key '1-2' on line 8",
+            ),
+            ("seed: 0\n", "seed: 0\n? [1, 2]\n: 3\n", "found unhashable key"),
+        ],
+        ids=["top-level", "nested", "unhashable"],
+    )
+    def test_a_repeated_or_unhashable_key_exits_two(self, tmp_path, capsys, old, new, message):
+        # the last value of a repeated key must not win silently
+        shipped = Path(__file__).parent.parent / "configs" / "six_lis.yaml"
+        path = tmp_path / "scenario.yaml"
+        path.write_text(shipped.read_text().replace(old, new, 1))
+        code = main(["run", "--config", str(path), "--check-feasibility"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(path) in err
+        assert re.search(message, err), err
+
+    def test_a_key_merged_in_may_be_written_again(self, tmp_path):
+        # a YAML merge (<<) is a default the mapping overrides, not a repeat
+        shipped = Path(__file__).parent.parent / "configs" / "six_lis.yaml"
+        path = tmp_path / "scenario.yaml"
+        text = shipped.read_text().replace("  - id: 5\n", "  - &five\n    id: 5\n", 1)
+        text = text.replace(
+            "  - id: 6\n    kind: non_res\n    pi_min: 0.0\n", "  - <<: *five\n    id: 6\n", 1
+        )
+        path.write_text(text)
+        assert "<<" in text
+        assert ScenarioConfig.load(path).to_dict() == default_config().to_dict()
+
     @pytest.mark.parametrize("kind", ["missing-file", "directory", "not-utf-8"])
     @pytest.mark.parametrize("flags", [[], ["--check-feasibility"]], ids=["day", "check"])
     def test_unreadable_config_exits_two(self, tmp_path, capsys, kind, flags):

@@ -15,7 +15,7 @@ class TestEmit:
         g = Graph.cycle(3)
         w = build_weights(g)
         state = ConsensusState(node=1, r=3.0, s=0.6)
-        out = emit(state, w.shares(1, g.neighbors(1)))
+        out = emit(state, g.neighbors(1), w[1])
         assert [dst for _, dst, *_ in out] == [2, 3]
         for src, _, send_step, payload_r, payload_s, _, _ in out:
             assert src == 1
@@ -26,12 +26,12 @@ class TestEmit:
     def test_isolated_node_emits_nothing(self):
         g = Graph.from_edges([1], [])
         w = build_weights(g)
-        assert emit(ConsensusState(node=1, r=5.0, s=1.0), w.shares(1, g.neighbors(1))) == []
+        assert emit(ConsensusState(node=1, r=5.0, s=1.0), g.neighbors(1), w[1]) == []
 
     def test_zero_numerator(self):
         g = Graph.cycle(3)
         w = build_weights(g)
-        out = emit(ConsensusState(node=2, r=0.0, s=0.5), w.shares(2, g.neighbors(2)))
+        out = emit(ConsensusState(node=2, r=0.0, s=0.5), g.neighbors(2), w[2])
         for _, _, _, payload_r, payload_s, _, _ in out:
             assert payload_r == 0.0
             assert payload_s == pytest.approx(0.5 / 3.0)
@@ -40,7 +40,7 @@ class TestEmit:
         g = Graph.cycle(3)
         w = build_weights(g)
         out = emit(
-            ConsensusState(node=1, r=1.0, s=1.0), w.shares(1, g.neighbors(1)), z=4.0, y=-2.0
+            ConsensusState(node=1, r=1.0, s=1.0), g.neighbors(1), w[1], z=4.0, y=-2.0
         )
         assert all(z == 4.0 and y == -2.0 for *_, z, y in out)
 
@@ -50,7 +50,7 @@ class TestAbsorb:
         g = Graph.cycle(3)
         w = build_weights(g)
         state = ConsensusState(node=1, r=3.0, s=0.9)
-        absorb(state, [], w.self_weight(1), 0, -math.inf, math.inf)
+        absorb(state, [], w[1], 0, -math.inf, math.inf)
         assert state.r == pytest.approx(1.0)
         assert state.s == pytest.approx(0.3)
         assert state.k == 1
@@ -64,9 +64,9 @@ class TestAbsorb:
             2: ConsensusState(node=2, r=0.0, s=1.0),
         }
         for _ in range(3):
-            outbound = {i: emit(states[i], w.shares(i, g.neighbors(i))) for i in states}
-            absorb(states[1], outbound[2], w.self_weight(1), 0, 0.0, 0.0)
-            absorb(states[2], outbound[1], w.self_weight(2), 0, 0.0, 0.0)
+            outbound = {i: emit(states[i], g.neighbors(i), w[i]) for i in states}
+            absorb(states[1], outbound[2], w[1], 0, 0.0, 0.0)
+            absorb(states[2], outbound[1], w[2], 0, 0.0, 0.0)
         assert states[1].r == pytest.approx(2.0)
         assert states[2].r == pytest.approx(2.0)
         assert states[1].ratio() == pytest.approx(2.0)
@@ -79,7 +79,7 @@ class TestAbsorb:
         stray = Envelope(src=2, dst=3, send_step=0, payload_r=0.1, payload_s=0.1)
         state = ConsensusState(node=1, r=1.0, s=1.0)
         with pytest.raises(ProtocolError):
-            absorb(state, [fine, stray], w.self_weight(1), 0, 1.0, 1.0)
+            absorb(state, [fine, stray], w[1], 0, 1.0, 1.0)
         assert state == ConsensusState(node=1, r=1.0, s=1.0)
 
     @pytest.mark.parametrize(

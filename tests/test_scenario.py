@@ -18,20 +18,24 @@ from lisnet.scenario import (
     plan_instant,
     run_day,
     run_instant,
-    six_lis_fleet,
     solve_instant,
     track,
 )
 from lisnet.topology import Graph
 
 
+def sunny_day() -> PowerProfile:
+    """The built-in day's renewable profile, unit 2's."""
+    return default_config().fleet[1].profile
+
+
 def res_unit(uid=2):
-    return LisUnit(uid=uid, kind="res", profile=PowerProfile.sunny_day())
+    return LisUnit(uid=uid, kind="res", profile=sunny_day())
 
 
 class TestPowerProfile:
     def test_sunny_day_shape(self):
-        p = PowerProfile.sunny_day()
+        p = sunny_day()
         assert p.power_at(0.0) == 0.0
         assert p.power_at(1.5) == pytest.approx(500.0)
         assert p.power_at(3.0) == 1000.0
@@ -41,7 +45,7 @@ class TestPowerProfile:
 
     def test_outside_domain_rejected(self):
         with pytest.raises(ConfigurationError):
-            PowerProfile.sunny_day().power_at(9.0)
+            sunny_day().power_at(9.0)
 
     def test_must_increase(self):
         with pytest.raises(ConfigurationError):
@@ -170,7 +174,7 @@ class TestRunInstant:
 class TestRunDay:
     def _short_day(self, record_steps=False, **kwargs):
         fields = dict(
-            fleet=tuple(six_lis_fleet()),
+            fleet=default_config().fleet,
             graph=Graph.cycle(6),
             dispatch=DispatchSchedule(demand=7000.0, dispatch_period=600.0),
             delay=DelayModel.stochastic(3),
@@ -193,7 +197,7 @@ class TestRunDay:
 
     def test_renewable_priority_band(self):
         day = self._short_day()
-        profile = PowerProfile.sunny_day()
+        profile = sunny_day()
         for rec in day.records:
             available = profile.power_at(rec.t_hours)
             if 2 in rec.participants:
@@ -217,7 +221,7 @@ class TestRunDay:
         for hours in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
             bounds = {
                 uid: bounds_at(unit, hours, epsilon=1.0)
-                for uid, unit in ((u.uid, u) for u in six_lis_fleet())
+                for uid, unit in ((u.uid, u) for u in default_config().fleet)
             }
             oracle = closed_form_oracle(
                 ApportionProblem(7000.0, bounds, frozenset({2}))
@@ -274,7 +278,7 @@ class TestRunDay:
         fleet = tuple(
             LisUnit(uid=u.uid, kind=u.kind, pi_min=u.pi_min, pi_max=u.pi_max,
                     profile=u.profile, tracking="lag", lag_seconds=5.0)
-            for u in six_lis_fleet()
+            for u in default_config().fleet
         )
         day = self._short_day(fleet=fleet)
         # 600 s interval with a 5 s time constant: output reaches the command

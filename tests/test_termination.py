@@ -24,7 +24,7 @@ def probe_machine(neighbors=()):
     g = path_graph(2) if neighbors else Graph.from_edges([1], [])
     return NodeMachine(
         ConsensusState(node=1, r=1.0, s=2.0),
-        build_weights(g),
+        build_weights(g)[1],
         neighbors,
         CheckpointSchedule(diameter=3, tau_bar=3),
         rho=0.0,
@@ -163,7 +163,7 @@ class TestNodeMachine:
         problem = ApportionProblem(100.0, {1: (0.0, 200.0)}, frozenset({1}))
         state = init_states(problem)[1]
         sched = CheckpointSchedule(diameter=1, tau_bar=0)
-        machine = NodeMachine(state, w, g.neighbors(1), sched, rho=1e-6)
+        machine = NodeMachine(state, w[1], g.neighbors(1), sched, rho=1e-6)
         assert machine.emit() == []
         machine.advance([])
         assert machine.term.frozen
@@ -178,7 +178,7 @@ class TestNodeMachine:
         problem = ApportionProblem(100.0, {1: (0.0, 200.0)}, frozenset({1}))
         machine = NodeMachine(
             init_states(problem)[1],
-            w,
+            w[1],
             g.neighbors(1),
             CheckpointSchedule(1, 0),
             rho=math.inf,
@@ -213,9 +213,9 @@ class TestNodeMachine:
         state = ConsensusState(node=1, r=1.0, s=2.0)
         for rho in (-1e-9, math.nan):
             with pytest.raises(ConfigurationError):
-                NodeMachine(state, w, (), CheckpointSchedule(1, 0), rho=rho)
+                NodeMachine(state, w[1], (), CheckpointSchedule(1, 0), rho=rho)
         # rho 0 is plain ratio consensus: the machine never freezes
-        assert NodeMachine(state, w, (), CheckpointSchedule(1, 0), rho=0.0).rho == 0.0
+        assert NodeMachine(state, w[1], (), CheckpointSchedule(1, 0), rho=0.0).rho == 0.0
 
     @pytest.mark.parametrize("rho", [0.0, -1.0])
     def test_cycle_rejects_nonpositive_threshold(self, rho):

@@ -34,11 +34,6 @@ def star_graph(leaves: int) -> Graph:
     return Graph.from_edges(range(1, leaves + 2), [(1, i) for i in range(2, leaves + 2)])
 
 
-def column(w, j: int) -> dict[int, float]:
-    """Entries of column j: the weights node j puts on its outgoing shares."""
-    return {i: value for (i, jj), value in w.entries.items() if jj == j}
-
-
 class TestGraph:
     def test_neighbors_sorted(self):
         g = Graph.cycle(6)
@@ -79,40 +74,42 @@ class TestGraph:
 class TestBuildWeights:
     def test_six_cycle_all_thirds(self):
         w = build_weights(Graph.cycle(6))
-        expected = 1.0 / 3.0
-        for (i, j), value in w.entries.items():
-            assert value == expected, (i, j)
+        assert w == {j: 1.0 / 3.0 for j in range(1, 7)}
 
     def test_single_node_self_weight_one(self):
         w = build_weights(Graph.from_edges([1], []))
-        assert w.self_weight(1) == 1.0
+        assert w == {1: 1.0}
 
     def test_star_center_column(self):
+        # the centre sends five shares and keeps one, all of weight 1/6
         g = star_graph(5)
         w = build_weights(g)
-        center = column(w, 1)
-        assert len(center) == 6
-        assert all(v == pytest.approx(1 / 6, abs=0) for v in center.values())
+        assert g.degree(1) + 1 == 6
+        assert w[1] == pytest.approx(1 / 6, abs=0)
+        assert all(w[leaf] == 0.5 for leaf in range(2, 7))
 
     def test_disconnected_rejected(self):
         with pytest.raises(ConfigurationError):
             build_weights(Graph.from_edges([1, 2, 3], [(1, 2)]))
 
     def test_columns_sum_to_one_on_random_graphs(self):
+        # node j's column: deg(j) shares sent and one kept, each of weight w[j]
         rng = random.Random(7)
         for _ in range(40):
             g = Graph.random_connected(rng, rng.randint(1, 12))
             w = build_weights(g)
+            assert set(w) == set(g.nodes)
             for j in g.nodes:
-                assert abs(sum(column(w, j).values()) - 1.0) <= 1e-12
+                assert abs(sum([w[j]] * (g.degree(j) + 1)) - 1.0) <= 1e-12
 
     def test_column_depends_only_on_local_degree(self):
-        # adding an edge far from node 1 leaves column 1 untouched
+        # adding an edge far from node 1 leaves nodes 1 and 2 untouched
         g1 = Graph.from_edges(range(1, 7), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)])
         g2 = Graph.from_edges(range(1, 7), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 6)])
         w1, w2 = build_weights(g1), build_weights(g2)
-        assert column(w1, 1) == column(w2, 1)
-        assert column(w1, 2) == column(w2, 2)
+        assert w1[1] == w2[1]
+        assert w1[2] == w2[2]
+        assert w1[4] != w2[4]
 
 
 class TestDiameter:
