@@ -69,22 +69,21 @@ REQUIRED = object()
 
 
 def _as_int(value: Any, what: str) -> int:
-    """An integer field; a non-integral number is malformed, never truncated."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
-    try:
+    """An integer field: an int or an integral float, never truncated; not a bool or a string."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{what} must be an integer, got {value!r}") from exc
+    raise ConfigurationError(f"{what} must be an integer, got {value!r}")
 
 
 def _as_float(value: Any, what: str) -> float:
-    """A number field; finiteness is left to the object that takes it."""
-    if isinstance(value, bool):
+    """A number field, not a bool or a string; finiteness is left to the object that takes it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
         raise ConfigurationError(f"{what} must be a number, got {value!r}") from exc
 
 
@@ -113,6 +112,15 @@ def _pairs(value: Any, what: str) -> Sequence[Any]:
     return items
 
 
+def _distinct(items: Sequence[Any], what: str, key: Callable[[Any], Any] = lambda x: x) -> None:
+    """Reject the first of ``items`` whose ``key`` an earlier item already had."""
+    seen = set()
+    for item in items:
+        if key(item) in seen:
+            raise ConfigurationError(f"{what} {item!r} is listed twice")
+        seen.add(key(item))
+
+
 def _as_profile(value: Any, what: str) -> PowerProfile:
     points = _pairs(value, what)
     return PowerProfile(tuple((_as_float(t, what), _as_float(w, what)) for t, w in points))
@@ -124,9 +132,9 @@ def _links(value: Any, name: str, graph: Graph, directed: bool = False) -> dict[
     links = {}
     for key, v in _as_mapping(value, name).items():
         parts = str(key).replace(" ", "").split(sep)
-        if len(parts) != 2:
+        if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
             raise ConfigurationError(f"cannot parse edge {key!r} (expected 'a{sep}b')")
-        link = _as_int(parts[0], "edge end"), _as_int(parts[1], "edge end")
+        link = int(parts[0]), int(parts[1])
         # a cap or a delay applies only on a graph edge, so any other key is an error
         if edge_key(*link) not in graph.edges:
             raise ConfigurationError(f"{name} key {key!r} is not a graph edge")
@@ -211,10 +219,13 @@ class ScenarioConfig(Scenario):
         )
         gsec = _section(top.get("graph"), "graph", (), ("nodes", "edges", "delay_bounds"))
         nodes = [_as_int(i, "node id") for i in _as_list(gsec.get("nodes"), "graph nodes")]
-        edges = _pairs(gsec.get("edges"), "graph edges")
-        graph = Graph.from_edges(
-            nodes, [(_as_int(a, "edge end"), _as_int(b, "edge end")) for a, b in edges]
-        )
+        edges = [
+            (_as_int(a, "edge end"), _as_int(b, "edge end"))
+            for a, b in _pairs(gsec.get("edges"), "graph edges")
+        ]
+        # either direction names the same undirected edge
+        _distinct(edges, "graph edge", lambda edge: edge_key(*edge))
+        graph = Graph.from_edges(nodes, edges)
         bounds = _links(gsec.get("delay_bounds", {}), "delay_bounds", graph)
 
         # which model takes fixed delays or probabilities is DelayModel's rule
@@ -238,9 +249,10 @@ class ScenarioConfig(Scenario):
             demand = _as_float(dem["watts"], "demand watts")
         else:
             demand = _as_profile(dem["shape"], "demand shape")
-        circulation = frozenset(
+        circulation = [
             _as_int(i, "node id") for i in _as_list(dem.get("circulation", []), "circulation")
-        )
+        ]
+        _distinct(circulation, "circulation node")
         fleet = tuple(
             LisUnit(**_section(entry, f"fleet[{index}]", _FLEET_ENTRY))
             for index, entry in enumerate(_as_list(top.get("fleet"), "fleet"))
@@ -253,7 +265,8 @@ class ScenarioConfig(Scenario):
         )
         return cls(
             fleet=fleet, graph=graph, dispatch=dispatch, delay=delay, rho=top["rho"],
-            seed=top["seed"], circulation=circulation, diameter_bound=top["diameter_bound"],
+            seed=top["seed"], circulation=frozenset(circulation),
+            diameter_bound=top["diameter_bound"],
             start_hours=dis["start_hours"], end_hours=dis["end_hours"], name=top["name"],
             out_dir=_section(top.get("output", {}), "output", _OUTPUT)["out_dir"],
         )

@@ -42,7 +42,8 @@ def emit(
 ) -> list[tuple]:
     """Weighted shares of ``state`` for every out-neighbor, as envelope tuples.
 
-    An envelope is ``(src, dst, send_step, payload_r, payload_s, payload_z,
+    ``state`` is the node's machine, a ``termination.NodeMachine``. An
+    envelope is ``(src, dst, send_step, payload_r, payload_s, payload_z,
     payload_y)``: the sender-weighted shares of r and s at ``send_step``,
     and the sender's running extremes ``z`` and ``y``, which ride on the
     same links and delays for the stopping rule.
@@ -79,11 +80,11 @@ def absorb(
     arrived simply contribute nothing, which is what keeps conservation
     exact through the start-up transient.
 
-    Updates ``state`` in place. In the same pass, returns the largest
-    ``payload_z`` and the smallest ``payload_y`` among ``z``, ``y`` and the
-    envelopes sent at or after step ``since``. A rejected round (a
-    misaddressed envelope, a non-finite or non-positive result) raises
-    before ``state`` is touched.
+    Updates ``state``, the node's machine, in place. In the same pass,
+    returns the largest ``payload_z`` and the smallest ``payload_y`` among
+    ``z``, ``y`` and the envelopes sent at or after step ``since``. A
+    rejected round (a misaddressed envelope, a non-finite or non-positive
+    result) raises before ``state`` is touched.
     """
     node = state.node
     r = self_weight * state.r

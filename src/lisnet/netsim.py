@@ -283,19 +283,17 @@ class Simulation:
             i: NodeMachine(states[i], weights[i], graph.neighbors(i), schedule, rho)
             for i in sorted(graph.nodes)
         }
-        # the step's iteration order, built once; each machine updates its
-        # state object in place, so the states stay live
+        # the step's iteration order, built once
         self._machines = list(self.machines.values())
         self._nodes = list(self.machines)
-        self._states = [m.state for m in self._machines]
         self.delay_model = delay_model
         self.rng = random.Random(seed)
         self.mailbox = Mailbox()
         self.step_index = 0
         self._record_steps = record_steps
         # conserved totals, summed in node order like every audit after them
-        self._target_r = ordered_sum(state.r for state in self._states)
-        self._target_s = ordered_sum(state.s for state in self._states)
+        self._target_r = ordered_sum(m.r for m in self._machines)
+        self._target_s = ordered_sum(m.s for m in self._machines)
         self._scale_r = max(1.0, abs(self._target_r))
         self._scale_s = max(1.0, abs(self._target_s))
         self.max_conservation_error = 0.0
@@ -308,7 +306,7 @@ class Simulation:
             self._record_step_rows()
 
     def ratios(self) -> dict[int, float]:
-        return {i: m.state.ratio() for i, m in self.machines.items()}
+        return {i: m.ratio() for i, m in self.machines.items()}
 
     def audit(self) -> None:
         """Enforce mass conservation over held and in-flight mass.
@@ -324,9 +322,9 @@ class Simulation:
         k = self.step_index
         node_r = 0.0
         node_s = 0.0
-        for state in self._states:
-            node_r += state.r
-            node_s += state.s
+        for m in self._machines:
+            node_r += m.r
+            node_s += m.s
         flight_r, flight_s = self.mailbox.pending_mass()
         total_r = node_r + flight_r
         total_s = node_s + flight_s
@@ -350,10 +348,7 @@ class Simulation:
         k = self.step_index
         append = self.trace_rows.append
         for i, m in self.machines.items():
-            state = m.state
-            term = m.term
-            append((k, i, state.r, state.s, state.ratio(),
-                    term.z, term.y, term.theta, term.frozen))
+            append((k, i, m.r, m.s, m.ratio(), m.z, m.y, m.theta, m.frozen))
 
     def step(self) -> None:
         """One lockstep round: emit everywhere, deliver, absorb everywhere."""
@@ -471,14 +466,11 @@ def run_cycle(
     sim.run_until_frozen(1000 * schedule.checkpoint_len)
     # a frozen machine never absorbs again: its state is its snapshot r*, s*
     commands = ReferenceCommand(
-        {
-            i: reference_command(problem, m.state.r, m.state.s, i)
-            for i, m in machines.items()
-        }
+        {i: reference_command(problem, m.r, m.s, i) for i, m in machines.items()}
     )
     return CycleResult(
         commands=commands,
-        theta=next(iter(machines.values())).term.theta,
+        theta=next(iter(machines.values())).theta,
         steps=sim.step_index,
         trace_rows=sim.trace_rows,
         max_conservation_error=sim.max_conservation_error,

@@ -17,7 +17,9 @@ Because every node evaluates the same propagated extremes on the same
 schedule, the freeze decision is unanimous: all nodes stop at the same
 checkpoint with no extra signalling.
 
-Every simulated node runs this one machine, ``NodeMachine``. Plain ratio
+Every simulated node runs this one machine, ``NodeMachine``: the node's
+``ConsensusState`` together with its extremes ``z`` and ``y``, its
+checkpoint index ``theta`` and its ``frozen`` flag. Plain ratio
 consensus (the Fig. 1 averaging demo) is the same machine with ``rho`` 0:
 z never falls below y, so no node ever freezes, and the extremes still
 propagate and reseed at every checkpoint.
@@ -60,28 +62,13 @@ class CheckpointSchedule:
         return self.diameter * (1 + self.tau_bar) + self.tau_bar
 
 
-@dataclass(slots=True)
-class TerminationState:
-    """Running extremes and schedule counters.
-
-    :func:`epoch_update` and :func:`checkpoint` update it in place. A
-    frozen node never absorbs again, so its consensus state is its frozen
-    snapshot r*, s*.
-    """
-
-    z: float
-    y: float
-    theta: int = 1
-    frozen: bool = False
-
-
-def epoch_update(term: TerminationState, z: float, y: float) -> TerminationState:
+def epoch_update(term: NodeMachine, z: float, y: float) -> None:
     """Merge the largest ``z`` and smallest ``y`` heard over the closing epoch.
 
     Raises ``term.z`` to a larger ``z`` and lowers ``term.y`` to a smaller
-    ``y``, in place, and returns ``term``; an epoch that heard nothing passes
-    -inf and inf. Call only at an epoch boundary, with values emitted during
-    the previous epoch window.
+    ``y``, in place; an epoch that heard nothing passes -inf and inf. Call
+    only at an epoch boundary, with values emitted during the previous
+    epoch window.
     """
     if term.frozen:
         raise ProtocolError("epoch update on a frozen node")
@@ -89,30 +76,23 @@ def epoch_update(term: TerminationState, z: float, y: float) -> TerminationState
         term.z = z
     if y < term.y:
         term.y = y
-    return term
 
 
-def checkpoint(
-    term: TerminationState,
-    current_r: float,
-    current_s: float,
-    rho: float,
-) -> TerminationState:
+def checkpoint(term: NodeMachine, current_r: float, current_s: float, rho: float) -> None:
     """Freeze below threshold, otherwise reseed both extremes and continue.
 
-    Updates ``term`` in place and returns it: a freeze keeps the tested
-    extremes and ``theta``, a reseed overwrites them, so read what was
-    tested before the call. ``rho`` of 0 never freezes, since z >= y. Call
-    only at a checkpoint boundary.
+    Updates ``term`` in place: a freeze keeps the tested extremes and
+    ``theta``, a reseed overwrites them, so read what was tested before the
+    call. ``rho`` of 0 never freezes, since z >= y. Call only at a
+    checkpoint boundary.
     """
     if term.frozen:
         raise ProtocolError("checkpoint on a frozen node")
     if term.z - term.y < rho:
         term.frozen = True
-        return term
+        return
     term.z = term.y = current_r / current_s
     term.theta += 1
-    return term
 
 
 class CheckpointEvent(NamedTuple):
@@ -136,7 +116,7 @@ class CheckpointEvent(NamedTuple):
     frozen: bool
 
 
-class NodeMachine:
+class NodeMachine(ConsensusState):
     """One node's full protocol loop: consensus plus stopping bookkeeping.
 
     The machine is driven in lockstep rounds by a simulator: every round it
@@ -145,13 +125,15 @@ class NodeMachine:
     ``schedule``; with ``rho`` 0 it propagates and reseeds the extremes but
     never freezes.
 
-    The machine works on its own copy of ``state`` and updates it and
-    ``term`` in place every step, so ``machine.state`` and ``machine.term``
-    stay the same objects for the machine's life.
+    The machine is the node's only state: the consensus states ``r``, ``s``
+    and ``k``, copied from ``state`` so the caller's object is never
+    changed, and beside them the running extremes ``z`` and ``y``, the
+    checkpoint index ``theta`` and ``frozen``. A frozen node never absorbs
+    again, so its ``r`` and ``s`` are its frozen snapshot r*, s*.
     """
 
     __slots__ = (
-        "state", "rho", "term", "_neighbors", "_weight", "_epoch_len",
+        "z", "y", "theta", "frozen", "rho", "_neighbors", "_weight", "_epoch_len",
         "_checkpoint_len", "_buf_z", "_buf_y",
     )
 
@@ -165,10 +147,11 @@ class NodeMachine:
     ):
         if not rho >= 0.0:
             raise ConfigurationError(f"stopping threshold must be non-negative, got {rho}")
-        self.state = state = ConsensusState(state.node, state.r, state.s, state.k)
+        ConsensusState.__init__(self, state.node, state.r, state.s, state.k)
         self.rho = rho
-        q = state.ratio()
-        self.term = TerminationState(z=q, y=q)
+        self.z = self.y = self.ratio()
+        self.theta = 1
+        self.frozen = False
         # neighbors and schedule lengths are resolved once; advance runs per step
         self._neighbors = sorted(neighbors)
         self._weight = weight
@@ -179,10 +162,9 @@ class NodeMachine:
 
     def emit(self) -> list[tuple]:
         """Envelope tuples of the current state; a frozen node emits nothing."""
-        term = self.term
-        if term.frozen:
+        if self.frozen:
             return []
-        return emit(self.state, self._neighbors, self._weight, term.z, term.y)
+        return emit(self, self._neighbors, self._weight, self.z, self.y)
 
     def advance(self, inbox: Sequence[tuple]) -> CheckpointEvent | None:
         """Absorb the envelopes due this round and roll one step forward.
@@ -194,24 +176,22 @@ class NodeMachine:
         length == theta - 1) are merged; older ones are stale. Returns the
         checkpoint event when one fired.
         """
-        term = self.term
-        if term.frozen:
+        if self.frozen:
             if inbox:
-                raise ProtocolError(f"frozen node {self.state.node} received traffic")
+                raise ProtocolError(f"frozen node {self.node} received traffic")
             return None
         period_len = self._checkpoint_len
-        state = self.state
         # sent >= since is the test sent // period_len == theta - 1: every
         # envelope due now was sent at or before the current step, which is
         # below theta * period_len, as the checkpoint there bumps theta
         buf_z, buf_y = absorb(
-            state, inbox, self._weight, (term.theta - 1) * period_len,
+            self, inbox, self._weight, (self.theta - 1) * period_len,
             self._buf_z, self._buf_y,
         )
-        step = state.k
+        step = self.k
         if step % self._epoch_len == 0:
             # an empty buffer's -inf and inf never win a comparison
-            epoch_update(term, buf_z, buf_y)
+            epoch_update(self, buf_z, buf_y)
             buf_z = -math.inf
             buf_y = math.inf
         # not nested under the epoch test: checkpoint_len is a multiple of
@@ -223,8 +203,8 @@ class NodeMachine:
         # the extremes reseed (or the node freezes and never reads them again)
         self._buf_z = -math.inf
         self._buf_y = math.inf
-        z, y, theta = term.z, term.y, term.theta
-        checkpoint(term, state.r, state.s, self.rho)
+        z, y, theta = self.z, self.y, self.theta
+        checkpoint(self, self.r, self.s, self.rho)
         return CheckpointEvent(
-            step, state.node, state.r, state.s, state.ratio(), z, y, theta, term.frozen,
+            step, self.node, self.r, self.s, self.ratio(), z, y, theta, self.frozen,
         )

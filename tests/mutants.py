@@ -62,7 +62,7 @@ MUTANTS = (
     ),
     Mutant(
         "src/lisnet/termination.py",
-        '                raise ProtocolError(f"frozen node {self.state.node} received traffic")\n',
+        '                raise ProtocolError(f"frozen node {self.node} received traffic")\n',
         "                pass\n",
         "a split freeze goes unreported: the frozen node drops its neighbour's "
         "shares, so the audit reports a mass leak instead",
@@ -159,6 +159,25 @@ MUTANTS = (
         "                if len(mapping) == len(node.value):  # no key repeated, merged or not\n",
         "                if True:\n",
         "a key written twice in a scenario document loads, and its last value wins",
+    ),
+    Mutant(
+        "src/lisnet/termination.py",
+        "        if self.frozen:\n            return []\n",
+        "        if False:\n            return []\n",
+        "a frozen node keeps sending shares it never absorbs back, so mass appears",
+    ),
+    Mutant(
+        "src/lisnet/cli.py",
+        "    if isinstance(value, int) and not isinstance(value, bool):\n        return value\n",
+        "    if isinstance(value, (int, str)) and not isinstance(value, bool):\n"
+        "        return int(value)\n",
+        "a quoted integer such as seed: \"7\" loads as the number 7",
+    ),
+    Mutant(
+        "src/lisnet/cli.py",
+        '        _distinct(edges, "graph edge", lambda edge: edge_key(*edge))\n',
+        "        pass\n",
+        "an edge listed twice, as [1, 6] and [6, 1], loads silently",
     ),
 )
 

@@ -672,6 +672,26 @@ class TestRunCommand:
                 lambda doc: doc["fleet"][0].__setitem__("lag_seconds", 5.0),
                 "unit 1: lag_seconds needs tracking: lag",
             ),
+            # a quoted number is a string, never converted
+            (lambda doc: doc.__setitem__("seed", "7"), "seed must be an integer, got '7'"),
+            (lambda doc: doc.__setitem__("rho", "0.05"), r"rho must be a number, got '0\.05'"),
+            (lambda doc: doc.__setitem__("tau_bar", "2"), "tau_bar must be an integer, got '2'"),
+            (
+                lambda doc: doc["graph"]["nodes"].__setitem__(0, "1"),
+                "node id must be an integer, got '1'",
+            ),
+            (
+                lambda doc: doc["graph"].__setitem__("delay_bounds", {"1-+2": 1}),
+                r"cannot parse edge '1-\+2'",
+            ),
+            (
+                lambda doc: doc["graph"]["edges"].append([6, 1]),
+                r"graph edge \(6, 1\) is listed twice",
+            ),
+            (
+                lambda doc: doc["demand"].__setitem__("circulation", [2, 2]),
+                "circulation node 2 is listed twice",
+            ),
         ],
         ids=[
             "rho", "demand-watts", "epsilon", "short-edge", "fleet-id-missing", "fleet-scalar",
@@ -683,7 +703,8 @@ class TestRunCommand:
             "delay-bound-negative", "fixed-delay-non-edge", "fixed-delay-self-link",
             "fixed-delay-unknown-node", "fixed-delay-link-twice", "diameter-zero",
             "diameter-negative", "res-with-bounds", "non-res-with-profile",
-            "lag-seconds-without-lag",
+            "lag-seconds-without-lag", "quoted-seed", "quoted-rho", "quoted-tau-bar",
+            "quoted-node-id", "delay-bound-signed-end", "edge-twice", "circulation-node-twice",
         ],
     )
     def test_malformed_value_or_shape_is_a_configuration_error(

@@ -203,4 +203,4 @@ class TestAsymptotics:
         )
         for _ in range(200):
             sim.step()
-            assert all(m.state.s > 0.0 for m in sim.machines.values())
+            assert all(m.s > 0.0 for m in sim.machines.values())

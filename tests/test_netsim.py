@@ -50,7 +50,7 @@ def audit_log(monkeypatch):
 
     def logged(self):
         audit(self)
-        log.append((self.step_index, [(m.state.r, m.state.s) for m in self.machines.values()]))
+        log.append((self.step_index, [(m.r, m.s) for m in self.machines.values()]))
 
     monkeypatch.setattr(Simulation, "audit", logged)
     return log
@@ -318,7 +318,7 @@ class TestConservationAndDelivery:
             sim = simulate_averaging(g, w, r0, s0, model_builder(g), seed=1)
             for _ in range(300):
                 sim.step()
-                node_r = sum(m.state.r for m in sim.machines.values())
+                node_r = sum(m.r for m in sim.machines.values())
                 flight_r, _ = sim.mailbox.pending_mass()
                 assert node_r + flight_r == pytest.approx(sum(r0.values()), abs=1e-6)
             # the simulation audits every step internally, and once at construction
@@ -351,7 +351,7 @@ class TestConservationAndDelivery:
         assert sim.audit() is None
         assert sim.step_index == 0
         assert sim.mailbox.pending_mass() == (0.0, 0.0)
-        assert sum(m.state.r for m in sim.machines.values()) == 40.0
+        assert sum(m.r for m in sim.machines.values()) == 40.0
         assert sim.max_conservation_error == 0.0
 
     def test_states_keyed_off_the_graph_nodes_rejected(self):
@@ -664,7 +664,7 @@ class TestAuditMatchesReference:
             for _ in range(150):
                 now = sim.step_index
                 assert sim.mailbox.oldest_age(now) == oldest_age_scan(sim.mailbox._pending, now)
-                frozen = sum(m.term.frozen for m in sim.machines.values())
+                frozen = sum(m.frozen for m in sim.machines.values())
                 assert sim._frozen == frozen
                 if frozen == len(sim.machines):
                     break

@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,7 +12,6 @@ from lisnet.netsim import FIXED, DelayModel, Simulation, run_cycle
 from lisnet.termination import (
     CheckpointSchedule,
     NodeMachine,
-    TerminationState,
     checkpoint,
     epoch_update,
 )
@@ -41,7 +41,7 @@ class TestCheckpointSchedule:
         real_update = termination.epoch_update
 
         def counted(term, z, y):
-            merges.append(machine.state.k)
+            merges.append(machine.k)
             return real_update(term, z, y)
 
         monkeypatch.setattr(termination, "epoch_update", counted)
@@ -56,14 +56,14 @@ class TestCheckpointSchedule:
             machine = probe_machine(neighbors=(2,))
             for _ in range(16):
                 machine.advance([])
-            assert (machine.term.theta, machine.term.z, machine.term.y) == (2, 0.5, 0.5)
+            assert (machine.theta, machine.z, machine.y) == (2, 0.5, 0.5)
             envelope = Envelope(2, 1, send_step, 0.0, 0.0, payload_z=9.0, payload_y=-9.0)
             machine.advance([envelope])  # absorbed at step 17, merged at 20
             for _ in range(3):
-                assert (machine.term.z, machine.term.y) == (0.5, 0.5)
+                assert (machine.z, machine.y) == (0.5, 0.5)
                 machine.advance([])
-            assert machine.state.k == 20
-            assert (machine.term.z, machine.term.y) == merged
+            assert machine.k == 20
+            assert (machine.z, machine.y) == merged
 
     def test_checkpoint_event_reports_the_tested_extremes(self):
         # the extremes merged at step 4 are what the step-15 checkpoint
@@ -74,7 +74,7 @@ class TestCheckpointSchedule:
         assert (event.step, event.z, event.y, event.theta, event.frozen) == (
             15, 9.0, -9.0, 1, False,
         )
-        assert (machine.term.z, machine.term.y, machine.term.theta) == (0.5, 0.5, 2)
+        assert (machine.z, machine.y, machine.theta) == (0.5, 0.5, 2)
 
     def test_rejects_degenerate(self):
         with pytest.raises(ConfigurationError):
@@ -83,42 +83,45 @@ class TestCheckpointSchedule:
             CheckpointSchedule(diameter=1, tau_bar=-1)
 
 
+def extremes(z, y, theta=1, frozen=False):
+    """The four fields that epoch_update and checkpoint read and write."""
+    return SimpleNamespace(z=z, y=y, theta=theta, frozen=frozen)
+
+
 class TestEpochUpdate:
     def test_takes_max_and_min(self):
-        term = TerminationState(z=2.0, y=2.0)
-        nxt = epoch_update(term, 5.0, 1.0)
-        assert (nxt.z, nxt.y) == (5.0, 1.0)
+        term = extremes(2.0, 2.0)
+        epoch_update(term, 5.0, 1.0)
+        assert (term.z, term.y) == (5.0, 1.0)
         epoch_update(term, 3.0, 4.0)  # a smaller z or a larger y moves nothing
         assert (term.z, term.y) == (5.0, 1.0)
 
     def test_no_neighbors_keeps_values(self):
         # an epoch that heard nothing passes the empty buffer's -inf and inf
-        term = TerminationState(z=2.0, y=-1.0)
-        nxt = epoch_update(term, -math.inf, math.inf)
-        assert (nxt.z, nxt.y) == (2.0, -1.0)
+        term = extremes(2.0, -1.0)
+        epoch_update(term, -math.inf, math.inf)
+        assert (term.z, term.y) == (2.0, -1.0)
 
     def test_frozen_rejected(self):
-        term = TerminationState(z=1.0, y=1.0, frozen=True)
+        term = extremes(1.0, 1.0, frozen=True)
         with pytest.raises(ProtocolError):
             epoch_update(term, 2.0, 0.0)
-        assert term == TerminationState(z=1.0, y=1.0, frozen=True)
+        assert term == extremes(1.0, 1.0, frozen=True)
 
     def test_path_propagation_in_diameter_epochs(self):
         # synchronous epoch merges on a 4-node path: the 9 reaches everyone
         # after 3 rounds and no earlier
         g = path_graph(4)
         values = {1: 0.0, 2: 0.0, 3: 0.0, 4: 9.0}
-        terms = {i: TerminationState(z=values[i], y=values[i]) for i in g.nodes}
+        terms = {i: extremes(values[i], values[i]) for i in g.nodes}
         for round_index in range(3):
             snapshot = {i: terms[i].z for i in g.nodes}
-            terms = {
-                i: epoch_update(
+            for i in g.nodes:
+                epoch_update(
                     terms[i],
                     max(snapshot[j] for j in g.neighbors(i)),
                     min(snapshot[j] for j in g.neighbors(i)),
                 )
-                for i in g.nodes
-            }
             if round_index < 2:
                 assert terms[1].z != 9.0
         assert all(terms[i].z == 9.0 for i in g.nodes)
@@ -126,33 +129,34 @@ class TestEpochUpdate:
 
 class TestCheckpoint:
     def test_freezes_below_threshold(self):
-        term = TerminationState(z=0.5001, y=0.5000)
-        nxt = checkpoint(term, current_r=3.0, current_s=6.0, rho=1e-3)
-        assert nxt.frozen
-        assert nxt.z == 0.5001  # frozen values never move
+        term = extremes(0.5001, 0.5000)
+        checkpoint(term, current_r=3.0, current_s=6.0, rho=1e-3)
+        assert term.frozen
+        assert term.z == 0.5001  # frozen values never move
 
     def test_reseeds_above_threshold(self):
-        term = TerminationState(z=0.9, y=0.1)
-        nxt = checkpoint(term, current_r=3.0, current_s=6.0, rho=1e-3)
-        assert not nxt.frozen
-        assert nxt.z == nxt.y == pytest.approx(0.5)
-        assert nxt.theta == 2
+        term = extremes(0.9, 0.1)
+        checkpoint(term, current_r=3.0, current_s=6.0, rho=1e-3)
+        assert not term.frozen
+        assert term.z == term.y == pytest.approx(0.5)
+        assert term.theta == 2
 
     def test_infinite_threshold_always_freezes(self):
-        term = TerminationState(z=100.0, y=-100.0)
-        assert checkpoint(term, 1.0, 2.0, math.inf).frozen
+        term = extremes(100.0, -100.0)
+        checkpoint(term, 1.0, 2.0, math.inf)
+        assert term.frozen
 
     def test_probe_mode_never_freezes(self):
-        term = TerminationState(z=0.5, y=0.5)
-        nxt = checkpoint(term, 1.0, 2.0, rho=0.0)
-        assert not nxt.frozen
-        assert nxt.theta == 2
+        term = extremes(0.5, 0.5)
+        checkpoint(term, 1.0, 2.0, rho=0.0)
+        assert not term.frozen
+        assert term.theta == 2
 
     def test_frozen_rejected(self):
-        term = TerminationState(z=1.0, y=1.0, frozen=True)
+        term = extremes(1.0, 1.0, frozen=True)
         with pytest.raises(ProtocolError):
             checkpoint(term, 1.0, 1.0, 1.0)
-        assert term == TerminationState(z=1.0, y=1.0, frozen=True)
+        assert term == extremes(1.0, 1.0, frozen=True)
 
 
 class TestNodeMachine:
@@ -166,26 +170,26 @@ class TestNodeMachine:
         machine = NodeMachine(state, w[1], g.neighbors(1), sched, rho=1e-6)
         assert machine.emit() == []
         machine.advance([])
-        assert machine.term.frozen
-        assert machine.term.theta == 1
-        assert machine.state.ratio() == pytest.approx(0.5)
-        command = reference_command(problem, machine.state.r, machine.state.s, 1)
+        assert machine.frozen
+        assert machine.theta == 1
+        assert machine.ratio() == pytest.approx(0.5)
+        command = reference_command(problem, machine.r, machine.s, 1)
         assert command == pytest.approx(100.0)
 
     def test_frozen_node_goes_silent(self):
-        g = Graph.from_edges([1], [])
-        w = build_weights(g)
+        # a frozen node never absorbs again, so one that kept sending to its
+        # neighbour would create mass
         problem = ApportionProblem(100.0, {1: (0.0, 200.0)}, frozenset({1}))
         machine = NodeMachine(
             init_states(problem)[1],
-            w[1],
-            g.neighbors(1),
+            build_weights(path_graph(2))[1],
+            (2,),
             CheckpointSchedule(1, 0),
             rho=math.inf,
         )
-        assert machine.emit() == []
+        assert [env[1] for env in machine.emit()] == [2]
         machine.advance([])
-        assert machine.term.frozen
+        assert machine.frozen
         assert machine.emit() == []
         stray = Envelope(src=2, dst=1, send_step=0, payload_r=0.0, payload_s=0.1)
         with pytest.raises(ProtocolError):
