@@ -65,6 +65,8 @@ class ApportionProblem:
                 f"demand {self.rho_d} outside feasible range "
                 f"[{self.total_min}, {self.total_max}]"
             )
+        if not self.total_span > 0.0:
+            raise FeasibilityError("fleet has zero collective span")
 
     @property
     def p(self) -> int:
@@ -85,6 +87,10 @@ class ApportionProblem:
     @property
     def total_span(self) -> float:
         return self.total_max - self.total_min
+
+    @property
+    def fraction(self) -> float:
+        return (self.rho_d - self.total_min) / self.total_span
 
 
 @dataclass(frozen=True)
@@ -117,10 +123,8 @@ def init_states(problem: ApportionProblem) -> dict[int, ConsensusState]:
     return states
 
 
-def reference_command(
-    problem: ApportionProblem, r_star: float, s_star: float, node: int
-) -> float:
-    """Command for ``node`` from its frozen quotient, clamped to its window.
+def frozen_fraction(r_star: float, s_star: float, node: int) -> float:
+    """The quotient ``node`` froze at, clamped to [0, 1].
 
     Early stopping can leave the quotient marginally outside [0, 1];
     clamping keeps the command inside the hardware's capacity window at the
@@ -128,10 +132,15 @@ def reference_command(
     """
     if s_star == 0.0:
         raise InvariantError(f"node {node}: frozen denominator is zero")
-    q = r_star / s_star
-    q = min(max(q, 0.0), 1.0)
+    return min(max(r_star / s_star, 0.0), 1.0)
+
+
+def reference_command(
+    problem: ApportionProblem, r_star: float, s_star: float, node: int
+) -> float:
+    """Command for ``node`` from its frozen quotient, clamped to its window."""
     lo, hi = problem.bounds[node]
-    return lo + q * (hi - lo)
+    return lo + frozen_fraction(r_star, s_star, node) * (hi - lo)
 
 
 def closed_form_oracle(problem: ApportionProblem) -> ReferenceCommand:
@@ -141,10 +150,7 @@ def closed_form_oracle(problem: ApportionProblem) -> ReferenceCommand:
     window, the fraction being the demand overshoot above the collective
     floor divided by the collective span.
     """
-    denom = problem.total_span
-    if denom == 0.0:
-        raise FeasibilityError("fleet has zero collective span")
-    q = (problem.rho_d - problem.total_min) / denom
+    q = problem.fraction
     commands = {}
     for i, (lo, hi) in sorted(problem.bounds.items()):
         commands[i] = lo + q * (hi - lo)

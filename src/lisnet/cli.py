@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 from .apportioning import ApportionProblem, closed_form_oracle, ordered_sum
-from .errors import ConfigurationError, LisnetError
+from .errors import ConfigurationError, InvariantError, LisnetError
 from .netsim import DelayModel, run_naive_averaging, simulate_averaging
 from .netsim import run_cycle  # noqa: F401  timed here by perfbench/iteration.py
 from .scenario import (
@@ -636,14 +636,11 @@ def replicate_six_lis_day(seed: int = 0) -> tuple[bool, list[str]]:
 
 
 def replicate_oracle_sweep(seed: int = 0, count: int = 200) -> tuple[bool, list[str]]:
-    """Random feasible problems: the distributed answer matches the closed form."""
+    """Random feasible problems: every cycle passes ``run_cycle``'s checks."""
     if count < 1:
         raise ConfigurationError(f"oracle-sweep needs at least 1 instance, got {count}")
     rng = random.Random(seed)
-    rho = 0.02
-    worst_node = 0.0
-    worst_total = 0.0
-    failures = 0
+    failures = []
     for case in range(count):
         n = rng.randint(2, 8)
         graph = Graph.random_connected(rng, n)
@@ -662,31 +659,14 @@ def replicate_oracle_sweep(seed: int = 0, count: int = 200) -> tuple[bool, list[
         picks = rng.randint(1, n)
         demand_set = frozenset(rng.sample(sorted(graph.nodes), picks))
         problem = ApportionProblem(rho_d, bounds, demand_set)
-        result = run_instant(graph, problem, model, rho, seed=rng.randrange(10**6))
-        oracle = closed_form_oracle(problem)
-        node_ok = True
-        for i in graph.nodes:
-            err = abs(result.commands[i] - oracle[i])
-            budget = rho * problem.span(i)
-            worst_node = max(worst_node, err / budget)
-            node_ok &= err <= budget
-        total_err = abs(result.commands.total - rho_d)
-        total_budget = rho * problem.total_span
-        worst_total = max(worst_total, total_err / total_budget)
-        if not (node_ok and total_err <= total_budget):
-            failures += 1
-    checks = [
-        (
-            "per-node commands within budget",
-            failures == 0 and worst_node <= 1.0,
-            f"worst node error = {worst_node:.3f} of budget over {count} instances",
-        ),
-        (
-            "aggregate demand within budget",
-            worst_total <= 1.0,
-            f"worst aggregate error = {worst_total:.3f} of budget",
-        ),
-    ]
+        try:
+            run_instant(graph, problem, model, 0.02, seed=rng.randrange(10**6))
+        except InvariantError as exc:
+            failures.append(f"instance {case}: {exc}")
+    detail = f"{len(failures)} of {count} instances failed"
+    if failures:
+        detail += f"; first at {failures[0]}"
+    checks = [("cycles pass run_cycle's checks", not failures, detail)]
     return _suite_report("oracle-sweep", checks)
 
 

@@ -312,9 +312,10 @@ def plan_instant(scenario: Scenario, t_hours: float) -> InstantPlan | Infeasible
 
     Participants are the units whose window is open at ``t_hours``. The
     instant is infeasible when nobody participates, when the demand lies
-    outside the participants' collective range, or when the participants do
-    not form a connected subgraph. Demand circulates at the requested nodes
-    that participate, or at the lowest participant when none does.
+    outside the participants' collective range, when that range rounds to a
+    single value, or when the participants do not form a connected
+    subgraph. Demand circulates at the requested nodes that participate, or
+    at the lowest participant when none does.
     """
     window = {}
     for unit in sorted(scenario.fleet, key=lambda u: u.uid):
@@ -330,6 +331,8 @@ def plan_instant(scenario: Scenario, t_hours: float) -> InstantPlan | Infeasible
         return infeasible("no unit offers capacity")
     if not lo <= demand <= hi:
         return infeasible(f"demand {demand:g} W outside [{lo:g}, {hi:g}] W")
+    if not lo < hi:
+        return infeasible(f"the windows sum to no span at {lo:g} W")
     subgraph = scenario.graph.induced(participants)
     if not subgraph.is_connected():
         return infeasible(f"participants {list(participants)} are not connected")

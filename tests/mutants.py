@@ -136,8 +136,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/lisnet/apportioning.py",
-        "    q = min(max(q, 0.0), 1.0)\n",
-        "    q = q\n",
+        "    return min(max(r_star / s_star, 0.0), 1.0)\n",
+        "    return r_star / s_star\n",
         "a quotient above 1 commands more than a unit's upper bound: 2400 W "
         "for a 2000 W unit",
     ),
@@ -178,6 +178,20 @@ MUTANTS = (
         '        _distinct(edges, "graph edge", lambda edge: edge_key(*edge))\n',
         "        pass\n",
         "an edge listed twice, as [1, 6] and [6, 1], loads silently",
+    ),
+    Mutant(
+        "src/lisnet/netsim.py",
+        "        if gap > rho:\n",
+        "        if False:\n",
+        "a cycle whose commands leave their rho budgets returns them: the "
+        "two-unit fleet dispatches 284.472 W of 300 W and exits 0",
+    ),
+    Mutant(
+        "src/lisnet/cli.py",
+        '            failures.append(f"instance {case}: {exc}")\n',
+        "            pass\n",
+        "oracle-sweep drops its failed instances: seed 2 passes with instance "
+        "185 1.227 rho spans from the closed form",
     ),
 )
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -47,6 +48,33 @@ class TestProblemValidation:
     def test_rejects_empty_circulation(self):
         with pytest.raises(FeasibilityError):
             ApportionProblem(50.0, {1: (0.0, 100.0)}, frozenset())
+
+    def test_rejects_a_problem_without_nodes(self):
+        with pytest.raises(FeasibilityError, match="no participating nodes"):
+            ApportionProblem(0.0, {}, frozenset({1}))
+
+    @pytest.mark.parametrize("demand", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_demand(self, demand):
+        with pytest.raises(FeasibilityError, match="demand must be finite"):
+            ApportionProblem(demand, {1: (0.0, 100.0)}, frozenset({1}))
+
+    @pytest.mark.parametrize(
+        "window", [(-math.inf, 100.0), (0.0, math.inf), (math.nan, 100.0), (0.0, math.nan)]
+    )
+    def test_rejects_non_finite_bounds(self, window):
+        with pytest.raises(FeasibilityError, match="node 2: bounds must be finite"):
+            ApportionProblem(50.0, {1: (0.0, 100.0), 2: window}, frozenset({1}))
+
+    def test_rejects_a_collective_span_lost_to_rounding(self):
+        # each window is one ulp wide, yet the summed floors and ceilings round
+        # to one value, so the closed form's fraction would be 0 / 0
+        bounds = {
+            1: (235.44577058503512, 235.44577058503515),
+            2: (2724.2140097339084, 2724.214009733909),
+            3: (6516.822180366255, 6516.822180366256),
+        }
+        with pytest.raises(FeasibilityError, match="zero collective span"):
+            ApportionProblem(9476.4819606852, bounds, frozenset({1}))
 
 
 class TestInitStates:

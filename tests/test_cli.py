@@ -506,6 +506,32 @@ class TestRunCommand:
         assert captured.out == ""
         assert captured.err == "run failed: mass leak at step 7\n"
 
+    @pytest.mark.parametrize("flags", [[], ["--cycle-only"]], ids=["day", "cycle"])
+    def test_a_command_outside_its_budget_exits_one(self, tmp_path, capsys, flags):
+        # a one-instant day on two units: the stopping rule freezes with unit 1
+        # at 184.47 W, 1.553 rho spans from the closed form's 200 W
+        doc = {
+            "name": "two-units",
+            "rho": 0.05,
+            "tau_bar": 3,
+            "graph": {"nodes": [1, 2], "edges": [[1, 2]]},
+            "delay": {"model": "fixed", "fixed_delays": {"1->2": 2, "2->1": 3}},
+            "demand": {"watts": 300.0, "circulation": [2]},
+            "fleet": [
+                {"id": 1, "kind": "non_res", "pi_min": 0.0, "pi_max": 200.0},
+                {"id": 2, "kind": "non_res", "pi_min": 0.0, "pi_max": 100.0},
+            ],
+        }
+        path = tmp_path / "two-units.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(path), "--out-dir", str(out), *flags])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("run failed: node 1: command 184.47221263104555 is")
+        assert list(out.iterdir()) == []  # no trace.csv, results.json or summary.txt
+
     def test_cycle_only_excess_demand_is_infeasible_not_malformed(
         self, tmp_path, config_path, capsys
     ):
@@ -1052,6 +1078,17 @@ class TestReplicateCommand:
     def test_oracle_sweep_small_count(self):
         passed, lines = replicate_oracle_sweep(seed=1, count=25)
         assert passed
+
+    def test_oracle_sweep_counts_a_failed_instance_and_exits_one(self, capsys):
+        code = main(["replicate", "oracle-sweep", "--seed", "2"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert (
+            "[FAIL] cycles pass run_cycle's checks: 1 of 200 instances "
+            "failed; first at instance 185: node 1: command 1716.616694317539 is 1.227"
+        ) in captured.out
+        assert "run failed" not in captured.out
+        assert captured.err == ""
 
     def test_cli_entry_point(self, capsys):
         code = main(["replicate", "fig1-misconvergence"])

@@ -10,15 +10,18 @@ at one checkpoint and keep every command inside its window.
 The two agreement invariants (the commands' total within rho of the
 demand's span, each command within rho of the closed form) do not hold
 yet: the stopping rule can certify a small gap while shares still in
-flight carry quotients outside it. ``small_instants`` aims at that defect
-with 2 to 4 units, and its property, like the two named instants below,
-is a strict xfail until the rule is mended.
+flight carry quotients outside it, and ``run_cycle`` then raises
+``InvariantError`` for the node it leaves too far from the closed form.
+``small_instants`` aims at that defect with 2 to 4 units. Its two
+properties, the agreement at the end of a cycle and the limit inside every
+checkpoint's tested extremes, and the two named instants below are strict
+xfails until the rule is mended.
 """
 
 import pytest
 
-from lisnet.apportioning import ApportionProblem, closed_form_oracle, ordered_sum
-from lisnet.errors import ConfigurationError
+from lisnet.apportioning import ApportionProblem, init_states, ordered_sum
+from lisnet.errors import ConfigurationError, InvariantError
 from lisnet.netsim import FIXED, STOCHASTIC, DelayModel
 from lisnet.scenario import run_instant
 from lisnet.topology import Graph, edge_key
@@ -105,16 +108,9 @@ def test_generated_instant_conserves_freezes_at_once_and_stays_in_windows(instan
         assert lo <= result.commands[i] <= hi
 
 
-def assert_agrees_with_the_closed_form(problem, commands, rho):
-    oracle = closed_form_oracle(problem)
-    assert abs(commands.total - problem.rho_d) <= rho * problem.total_span
-    for i in problem.bounds:
-        assert abs(commands[i] - oracle[i]) <= rho * problem.span(i)
-
-
 @pytest.mark.xfail(
     strict=True,
-    raises=AssertionError,
+    raises=InvariantError,
     reason="the stopping rule certifies a gap below rho while the quotients "
     "still oscillate under periodic delays",
 )
@@ -124,9 +120,7 @@ def test_stopping_rule_certifies_a_gap_the_quotients_do_not_have():
     # span below the closed form and the total 1.035 rho spans short
     problem = ApportionProblem(300.0, {1: (0.0, 200.0), 2: (0.0, 100.0)}, frozenset({2}))
     model = DelayModel(FIXED, 3, fixed_delays={(1, 2): 2, (2, 1): 3})
-    rho = 0.05
-    result = run_instant(path_graph(2), problem, model, rho)
-    assert_agrees_with_the_closed_form(problem, result.commands, rho)
+    run_instant(path_graph(2), problem, model, 0.05)
 
 
 @st.composite
@@ -175,20 +169,19 @@ STOPPING_RULE_DEFECT = (
 @hypothesis.given(small_instants())
 def small_instant_agrees_with_the_closed_form(instant):
     graph, problem, model, rho, seed = instant
-    result = run_instant(graph, problem, model, rho, seed=seed)
-    assert_agrees_with_the_closed_form(problem, result.commands, rho)
+    run_instant(graph, problem, model, rho, seed=seed)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=STOPPING_RULE_DEFECT)
+@pytest.mark.xfail(strict=True, raises=InvariantError, reason=STOPPING_RULE_DEFECT)
 def test_small_instant_agrees_with_the_closed_form():
     # called from a plain test, so that a counterexample ends the test as its
-    # AssertionError: for a failing @given test item, Hypothesis's pytest
+    # own exception: for a failing @given test item, Hypothesis's pytest
     # plugin also drafts a source patch, and where libcst is installed that
     # import warns, which aborts a -W error session
     small_instant_agrees_with_the_closed_form()
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=STOPPING_RULE_DEFECT)
+@pytest.mark.xfail(strict=True, raises=InvariantError, reason=STOPPING_RULE_DEFECT)
 def test_stopping_rule_misses_quotients_in_flight_at_a_reseed():
     # demand at the ceiling, uniform delays: the run freezes at theta 2
     # after 10 steps with unit 1 16.46 rho spans from the closed form and
@@ -196,6 +189,34 @@ def test_stopping_rule_misses_quotients_in_flight_at_a_reseed():
     windows = {1: (492.11950817731133, 866.4809802947459),
                2: (368.09794932262344, 1779.3073531457685)}
     problem = ApportionProblem(2645.788333440514, windows, frozenset({1, 2}))
-    rho = 0.005
-    result = run_instant(path_graph(2), problem, DelayModel.stochastic(2), rho, seed=1826482775)
-    assert_agrees_with_the_closed_form(problem, result.commands, rho)
+    run_instant(path_graph(2), problem, DelayModel.stochastic(2), 0.005, seed=1826482775)
+
+
+# The settings of the agreement property above. The limit leaves a tested
+# [y, z] about 36 times as often as the commands leave their budgets, so the
+# first counterexample comes within a few examples rather than about 180
+@hypothesis.settings(
+    DETERMINISTIC,
+    max_examples=600,
+    phases=[hypothesis.Phase.explicit, hypothesis.Phase.generate],
+    report_multiple_bugs=False,
+)
+@hypothesis.given(small_instants())
+def small_instant_keeps_the_limit_inside_every_checkpoint(instant):
+    graph, problem, model, rho, seed = instant
+    states = init_states(problem).values()
+    limit = ordered_sum(st.r for st in states) / ordered_sum(st.s for st in states)
+    tol = 1e-12 * max(1.0, abs(limit))
+    result = run_instant(graph, problem, model, rho, seed=seed)
+    for step, node, _, _, _, z, y, theta, _ in result.trace_rows:
+        assert y - tol <= limit <= z + tol, (step, node, theta, y, limit, z)
+
+
+# a checkpoint that loses the limit ends in AssertionError; a cycle whose
+# commands also leave their budgets ends in run_cycle's InvariantError first
+@pytest.mark.xfail(
+    strict=True, raises=(AssertionError, InvariantError), reason=STOPPING_RULE_DEFECT
+)
+def test_small_instant_keeps_the_limit_inside_every_checkpoint():
+    # called from a plain test for the reason given above
+    small_instant_keeps_the_limit_inside_every_checkpoint()

@@ -152,6 +152,29 @@ class TestPlanInstant:
         assert plan_instant(scenario, 0.0) == Infeasible(0.0, 1999.0, (), "no unit offers capacity")
         assert not isinstance(plan_instant(scenario, 4.0), Infeasible)
 
+    def test_windows_that_sum_to_no_span_are_infeasible(self):
+        # each window is one ulp wide, yet the summed floors and ceilings
+        # round to one value, so the closed form's fraction would be 0 / 0
+        windows = [
+            (235.44577058503512, 235.44577058503515),
+            (2724.2140097339084, 2724.214009733909),
+            (6516.822180366255, 6516.822180366256),
+        ]
+        fleet = tuple(
+            LisUnit(uid=i, kind="non_res", pi_min=lo, pi_max=hi)
+            for i, (lo, hi) in enumerate(windows, start=1)
+        )
+        scenario = Scenario(
+            fleet=fleet, graph=Graph.cycle(3),
+            dispatch=DispatchSchedule(demand=9476.4819606852), delay=DelayModel.stochastic(3),
+            rho=0.02, seed=0, circulation=frozenset({1}), diameter_bound=None,
+            start_hours=None, end_hours=None,
+        )
+        plan = plan_instant(scenario, 0.0)
+        assert plan == Infeasible(
+            0.0, 9476.4819606852, (1, 2, 3), "the windows sum to no span at 9476.48 W"
+        )
+
 
 class TestRunInstant:
     @pytest.mark.parametrize(

@@ -60,6 +60,11 @@ class TestGraph:
         with pytest.raises(ConfigurationError, match="two delay bounds"):
             DelayModel(STOCHASTIC, 2, bounds={(1, 2): 2, (2, 1): 0})
 
+    def test_rejects_an_edge_that_is_not_normalized(self):
+        # from_edges normalizes; the constructor takes edges as they are
+        with pytest.raises(ConfigurationError, match=r"edge \(2, 1\) is not normalized"):
+            Graph((1, 2), frozenset({(2, 1)}))
+
     def test_connectivity(self):
         assert Graph.cycle(5).is_connected()
         assert not Graph.from_edges([1, 2, 3], [(1, 2)]).is_connected()
@@ -69,6 +74,10 @@ class TestGraph:
         sub = g.induced([1, 3, 4, 5, 6])
         assert sub.edges == frozenset({(3, 4), (4, 5), (5, 6), (1, 6)})
         assert sub.is_connected()
+
+    def test_induced_on_unknown_nodes_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"unknown nodes \[7, 9\]"):
+            Graph.cycle(6).induced([1, 9, 7])
 
 
 class TestBuildWeights:
