@@ -365,13 +365,8 @@ def default_config() -> ScenarioConfig:
 # output writers
 
 
-# Joined in chunks: one join over the whole trace would add a copy of the
-# file at peak, and writelines is slower
-_TRACE_CHUNK_LINES = 4096
-
-
-def write_trace_csv(path: Path, lines: Sequence[bytes]) -> None:
-    """Write the trace file: its header, then ``lines`` as built by ``instant_rows``.
+def write_trace_csv(path: Path, chunks: Sequence[bytes]) -> None:
+    """Write the trace file: its header, then ``chunks`` as built by ``instant_rows``.
 
     Every node runs the stopping machine, so ``z``, ``y`` and ``theta`` are
     never empty; without ``--verbose-trace`` the lines are the cycles'
@@ -379,18 +374,17 @@ def write_trace_csv(path: Path, lines: Sequence[bytes]) -> None:
     """
     with open(path, "wb") as out:
         out.write(f"{TRACE_HEADER}\n{','.join(TRACE_COLUMNS)}\n".encode())
-        for start in range(0, len(lines), _TRACE_CHUNK_LINES):
-            out.write(b"".join(lines[start : start + _TRACE_CHUNK_LINES]))
+        out.writelines(chunks)
 
 
 def write_results_json(path: Path, payload: Mapping[str, Any]) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_outputs(out_dir: Path, lines: Sequence[bytes], results: dict, summary: list) -> int:
+def _write_outputs(out_dir: Path, chunks: Sequence[bytes], results: dict, summary: list) -> int:
     """Write ``trace.csv``, ``results.json`` and ``summary.txt``, then print the summary."""
     try:
-        write_trace_csv(out_dir / "trace.csv", lines)
+        write_trace_csv(out_dir / "trace.csv", chunks)
         write_results_json(out_dir / "results.json", results)
         (out_dir / "summary.txt").write_text("\n".join(summary) + "\n")
     except OSError as exc:
@@ -510,8 +504,8 @@ def _run_single_cycle(
     # a lone cycle has no earlier delivered power for a lag unit to track from
     tracking = {u.uid: u.tracking for u in config.fleet}
     delivered = {i: c if tracking[i] == TRACK_INSTANT else None for i, c in commands.items()}
-    lines = instant_rows(index, result.trace_rows, commands, delivered)
-    return _write_outputs(out_dir, lines, results, summary)
+    chunks = [instant_rows(index, result.trace_rows, commands, delivered)]
+    return _write_outputs(out_dir, chunks, results, summary)
 
 
 def _run_full_day(config: ScenarioConfig, out_dir: Path, record_steps: bool) -> int:
@@ -551,7 +545,7 @@ def _run_full_day(config: ScenarioConfig, out_dir: Path, record_steps: bool) -> 
         f"{max(deviations):.3f} W" if deviations else "no feasible instants",
         f"max conservation error: {day.max_conservation_error:.3e}",
     ]
-    return _write_outputs(out_dir, day.trace_lines, results, summary)
+    return _write_outputs(out_dir, day.trace_chunks, results, summary)
 
 
 # ---------------------------------------------------------------------------

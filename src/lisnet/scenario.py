@@ -277,14 +277,15 @@ class DispatchRecord:
 class DayResult:
     """Full-day dispatch trace plus run-wide audit summaries.
 
-    ``trace_lines`` are every instant's ``instant_rows``, ready to write.
+    ``trace_chunks`` hold each feasible instant's ``instant_rows``, in order,
+    ready to write.
     """
 
     records: list[DispatchRecord]
     infeasible_count: int
     budget_exceeded_count: int
     max_conservation_error: float
-    trace_lines: list[bytes]
+    trace_chunks: list[bytes]
 
 
 @dataclass(frozen=True)
@@ -372,13 +373,14 @@ def instant_rows(
     cycle_rows: Iterable[tuple],
     commands: Mapping[int, float],
     delivered: Mapping[int, float | None],
-) -> list[bytes]:
-    """One instant's trace rows as ``TRACE_COLUMNS`` CSV lines.
+) -> bytes:
+    """One instant's trace rows as ``TRACE_COLUMNS`` CSV lines, joined.
 
     Each of the cycle's ``CycleResult.trace_rows`` gets the instant's index
     in front; a frozen row also gets its node's command and delivered power,
     and a live row leaves those two cells empty. A delivered power of None
-    (not known to the caller) leaves its cell empty too.
+    (not known to the caller) leaves its cell empty too. The lines come back
+    as one ``bytes``: a verbose day holds one object per instant, not per row.
     """
     lines = []
     append = lines.append
@@ -393,7 +395,7 @@ def instant_rows(
             append(_FROZEN_LINE % (
                 index, step, node, r, s, ratio, z, y, theta, commands[node], power
             ))
-    return lines
+    return b"".join(lines)
 
 
 def day_instants(scenario: Scenario) -> list[tuple[float, int]]:
@@ -455,7 +457,7 @@ def run_day(scenario: Scenario, *, record_steps: bool = False) -> DayResult:
     units = {u.uid: u for u in scenario.fleet}
     dispatch = scenario.dispatch
     records: list[DispatchRecord] = []
-    trace_lines: list[bytes] = []
+    trace_chunks: list[bytes] = []
     prev_commands = {uid: 0.0 for uid in units}
     prev_delivered = prev_commands
     worst_leak = 0.0
@@ -474,7 +476,7 @@ def run_day(scenario: Scenario, *, record_steps: bool = False) -> DayResult:
             for uid in sorted(units)
         }
         if result is not None:
-            trace_lines.extend(instant_rows(index, result.trace_rows, commands, delivered))
+            trace_chunks.append(instant_rows(index, result.trace_rows, commands, delivered))
         records.append(
             DispatchRecord(
                 index=index,
@@ -498,6 +500,6 @@ def run_day(scenario: Scenario, *, record_steps: bool = False) -> DayResult:
         infeasible_count=sum(not rec.feasible for rec in records),
         budget_exceeded_count=sum(rec.budget_exceeded for rec in records),
         max_conservation_error=worst_leak,
-        trace_lines=trace_lines,
+        trace_chunks=trace_chunks,
     )
 

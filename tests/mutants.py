@@ -193,6 +193,16 @@ MUTANTS = (
         "oracle-sweep drops its failed instances: seed 2 passes with instance "
         "185 1.227 rho spans from the closed form",
     ),
+    Mutant(
+        "src/lisnet/scenario.py",
+        "            trace_chunks.append(instant_rows(index, result.trace_rows, commands, delivered))\n",
+        "            trace_chunks.extend(\n"
+        "                instant_rows(index, result.trace_rows, commands, delivered)\n"
+        "                .splitlines(keepends=True)\n"
+        "            )\n",
+        "a verbose day holds every trace line as its own bytes object again, "
+        "135,494 of them on the default day; the files stay the same",
+    ),
 )
 
 

@@ -176,9 +176,11 @@ class TestConfigDocument:
 
 class TestTraceFormat:
     def test_write_and_strict_read(self, tmp_path):
-        lines = instant_rows(0, [(15, 1, 1.5, 0.5, 3.0, 3.25, 2.75, 1, True)], {1: 10.0}, {1: 10.0})
+        chunks = [
+            instant_rows(0, [(15, 1, 1.5, 0.5, 3.0, 3.25, 2.75, 1, True)], {1: 10.0}, {1: 10.0})
+        ]
         path = tmp_path / "trace.csv"
-        write_trace_csv(path, lines)
+        write_trace_csv(path, chunks)
         parsed = read_trace_csv(path)
         assert len(parsed) == 1
         assert parsed[0]["ratio"] == "3"
@@ -186,15 +188,15 @@ class TestTraceFormat:
 
     def test_rows_are_written_byte_for_byte(self, tmp_path):
         nan, inf = float("nan"), float("inf")
-        lines = [
-            *instant_rows(0, [(15, 1, 1.5, 0.5, 3.0, 3.25, 2.75, 1, True)], {1: 10.0}, {1: 9.5}),
-            *instant_rows(2, [(7, 3, -0.0, 1e-300, 1 / 3, 1e22, nan, 4, False)], {}, {}),
-            *instant_rows(
+        chunks = [
+            instant_rows(0, [(15, 1, 1.5, 0.5, 3.0, 3.25, 2.75, 1, True)], {1: 10.0}, {1: 9.5}),
+            instant_rows(2, [(7, 3, -0.0, 1e-300, 1 / 3, 1e22, nan, 4, False)], {}, {}),
+            instant_rows(
                 3, [(4, 5, 1e22, -0.0, nan, 1 / 3, 1e-300, 2, True)], {5: -inf}, {5: inf}
             ),
         ]
         path = tmp_path / "trace.csv"
-        write_trace_csv(path, lines)
+        write_trace_csv(path, chunks)
         assert path.read_text().splitlines() == [
             TRACE_HEADER,
             ",".join(TRACE_COLUMNS),
@@ -991,7 +993,8 @@ class TestEntryPointsAgree:
         self.assert_cycle_is_the_record(tmp_path, record)
         # every unit tracks instantly, so the cycle's trace rows are the day's too
         prefix = b"%d," % index
-        day_rows = [line for line in default_day.trace_lines if line.startswith(prefix)]
+        day_lines = b"".join(default_day.trace_chunks).splitlines(keepends=True)
+        day_rows = [line for line in day_lines if line.startswith(prefix)]
         assert (tmp_path / "trace.csv").read_bytes().splitlines(keepends=True)[2:] == day_rows
 
     def test_a_lone_cycle_leaves_a_lag_units_delivered_power_empty(self, tmp_path):
@@ -1008,7 +1011,8 @@ class TestEntryPointsAgree:
         ])
         assert code == 0
         self.assert_cycle_is_the_record(out, day.records[240])
-        day_rows = [line for line in day.trace_lines if line.startswith(b"240,")]
+        day_lines = b"".join(day.trace_chunks).splitlines(keepends=True)
+        day_rows = [line for line in day_lines if line.startswith(b"240,")]
         cycle_rows = (out / "trace.csv").read_bytes().splitlines(keepends=True)[2:]
         assert len(cycle_rows) == len(day_rows) == 18
         untracked = 0

@@ -1,5 +1,4 @@
 import math
-import sys
 
 import pytest
 
@@ -309,18 +308,21 @@ class TestRunDay:
             assert abs(rec.total_delivered - rec.total_command) <= 1.0
 
     def test_verbose_day_keeps_its_trace_as_written_bytes(self):
-        # a tuple row with its boxed floats costs about 208 B; its CSV line
-        # about 138 B
+        # one joined bytes per feasible instant: a CSV line of about 138 B
+        # kept as its own object costs 33 B more
         day = self._short_day(
             dispatch=DispatchSchedule(demand=7000.0),
             start_hours=4.0,
             end_hours=4.05,
             record_steps=True,
         )
-        lines = day.trace_lines
-        assert len(day.records) == 4 and len(lines) > 4 * 6
-        assert all(type(line) is bytes for line in lines)
-        assert sum(map(sys.getsizeof, lines)) / len(lines) < 160
+        feasible = [rec for rec in day.records if rec.feasible]
+        assert len(day.records) == len(feasible) == len(day.trace_chunks) == 4
+        for rec, chunk in zip(feasible, day.trace_chunks):
+            assert type(chunk) is bytes and chunk.endswith(b"\n")
+            # one row per participant per step, the starting state included
+            assert chunk.count(b"\n") == (rec.iterations + 1) * len(rec.participants)
+            assert all(line.startswith(b"%d," % rec.index) for line in chunk.splitlines())
 
     def test_fleet_graph_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
