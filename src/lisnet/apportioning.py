@@ -80,10 +80,6 @@ class ApportionProblem:
     def total_max(self) -> float:
         return ordered_sum(hi for _, hi in self.bounds.values())
 
-    def span(self, i: int) -> float:
-        lo, hi = self.bounds[i]
-        return hi - lo
-
     @property
     def total_span(self) -> float:
         return self.total_max - self.total_min

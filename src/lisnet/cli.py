@@ -30,7 +30,6 @@ from .scenario import (
     TRACE_COLUMNS,
     TRACE_HEADER,
     TRACK_INSTANT,
-    DispatchSchedule,
     Infeasible,
     LisUnit,
     PowerProfile,
@@ -153,9 +152,9 @@ _TOP = (
 )
 _DELAY = (("model", "delay.kind", _as_str, "stochastic"),)
 _DISPATCH = (
-    ("consensus_period", "dispatch.consensus_period", _as_float, 1.0),
-    ("dispatch_period", "dispatch.dispatch_period", _as_float, 60.0),
-    ("epsilon", "dispatch.epsilon", _as_float, 1.0),
+    ("consensus_period", "consensus_period", _as_float, 1.0),
+    ("dispatch_period", "dispatch_period", _as_float, 60.0),
+    ("epsilon", "epsilon", _as_float, 1.0),
     ("start_hours", "start_hours", _as_float, None),
     ("end_hours", "end_hours", _as_float, None),
 )
@@ -258,17 +257,12 @@ class ScenarioConfig(Scenario):
             for index, entry in enumerate(_as_list(top.get("fleet"), "fleet"))
         )
 
-        dis = _section(top.get("dispatch", {}), "dispatch", _DISPATCH)
-        dispatch = DispatchSchedule(
-            demand, dis["dispatch.consensus_period"], dis["dispatch.dispatch_period"],
-            dis["dispatch.epsilon"],
-        )
         return cls(
-            fleet=fleet, graph=graph, dispatch=dispatch, delay=delay, rho=top["rho"],
+            fleet=fleet, graph=graph, demand=demand, delay=delay, rho=top["rho"],
             seed=top["seed"], circulation=frozenset(circulation),
-            diameter_bound=top["diameter_bound"],
-            start_hours=dis["start_hours"], end_hours=dis["end_hours"], name=top["name"],
-            out_dir=_section(top.get("output", {}), "output", _OUTPUT)["out_dir"],
+            diameter_bound=top["diameter_bound"], name=top["name"],
+            **_section(top.get("dispatch", {}), "dispatch", _DISPATCH),
+            **_section(top.get("output", {}), "output", _OUTPUT),
         )
 
     def to_dict(self) -> dict[str, Any]:
@@ -288,7 +282,7 @@ class ScenarioConfig(Scenario):
             }
         elif self.delay.probabilities is not None:
             doc["delay"]["probabilities"] = list(self.delay.probabilities)
-        demand = self.dispatch.demand
+        demand = self.demand
         if isinstance(demand, PowerProfile):
             doc["demand"] = {"shape": [list(p) for p in demand.points]}
         else:

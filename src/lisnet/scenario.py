@@ -165,13 +165,30 @@ def track(unit: LisUnit, command: float, dt_seconds: float, previous: float = 0.
 
 
 @dataclass(frozen=True)
-class DispatchSchedule:
-    """Demand shape and timing for a day of repeated dispatch cycles."""
+class Scenario:
+    """Everything one run needs: the fleet on its graph, the day, the cycle settings.
 
+    Every check that ties two fields together is made here, so a value built
+    with ``dataclasses.replace`` is held to the same rules as one read from a
+    document. Units iterate once per ``consensus_period`` and take a command
+    once per ``dispatch_period``, in seconds. ``start_hours`` and
+    ``end_hours`` left as None take the span every renewable profile
+    covers, and the day must lie inside each of them and a demand shape.
+    """
+
+    fleet: tuple[LisUnit, ...]
+    graph: Graph
     demand: float | PowerProfile
-    consensus_period: float = 1.0
-    dispatch_period: float = 60.0
-    epsilon: float = 1.0
+    consensus_period: float
+    dispatch_period: float
+    epsilon: float
+    delay: DelayModel
+    rho: float
+    seed: int
+    circulation: frozenset[int]
+    diameter_bound: int | None
+    start_hours: float | None
+    end_hours: float | None
 
     def __post_init__(self):
         for name in ("consensus_period", "dispatch_period", "epsilon"):
@@ -183,40 +200,6 @@ class DispatchSchedule:
             )
         if not isinstance(self.demand, PowerProfile) and not math.isfinite(self.demand):
             raise ConfigurationError("demand must be finite")
-
-    def demand_at(self, t_hours: float) -> float:
-        if isinstance(self.demand, PowerProfile):
-            return self.demand.power_at(t_hours)
-        return float(self.demand)
-
-    @property
-    def iteration_budget(self) -> int:
-        return int(self.dispatch_period / self.consensus_period)
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Everything one run needs: the fleet on its graph, the day, the cycle settings.
-
-    Every check that ties two fields together is made here, so a value built
-    with ``dataclasses.replace`` is held to the same rules as one read from a
-    document. ``start_hours`` and ``end_hours`` left as None take the span
-    every renewable profile covers, and the day must lie inside each of
-    them and inside a demand shape.
-    """
-
-    fleet: tuple[LisUnit, ...]
-    graph: Graph
-    dispatch: DispatchSchedule
-    delay: DelayModel
-    rho: float
-    seed: int
-    circulation: frozenset[int]
-    diameter_bound: int | None
-    start_hours: float | None
-    end_hours: float | None
-
-    def __post_init__(self):
         if not 0 < self.rho < math.inf:
             raise ConfigurationError("rho must be finite and positive")
         if self.diameter_bound is not None and self.diameter_bound < 1:
@@ -234,13 +217,19 @@ class Scenario:
         if not -math.inf < start <= end < math.inf:
             raise ConfigurationError("day must be finite and end at or after its start")
         profiles = [(f"unit {u.uid}'s profile", u.profile) for u in self.fleet if u.kind == RES]
-        if isinstance(self.dispatch.demand, PowerProfile):
-            profiles.append(("the demand shape", self.dispatch.demand))
+        if isinstance(self.demand, PowerProfile):
+            profiles.append(("the demand shape", self.demand))
         for what, p in profiles:
             if not p.start <= start <= end <= p.end:
                 raise ConfigurationError(
                     f"day [{start}, {end}] h lies outside {what} [{p.start}, {p.end}] h"
                 )
+        step_hours = self.dispatch_period / 3600.0  # as day_instants steps the day
+        if not step_hours > 0.0 or math.isinf((end - start) / step_hours):
+            raise ConfigurationError(
+                f"day [{start}, {end}] h cannot be counted in dispatch periods of "
+                f"{self.dispatch_period!r} s"
+            )
 
     @property
     def day(self) -> tuple[float, float]:
@@ -320,11 +309,12 @@ def plan_instant(scenario: Scenario, t_hours: float) -> InstantPlan | Infeasible
     """
     window = {}
     for unit in sorted(scenario.fleet, key=lambda u: u.uid):
-        b = bounds_at(unit, t_hours, scenario.dispatch.epsilon)
+        b = bounds_at(unit, t_hours, scenario.epsilon)
         if b is not None:
             window[unit.uid] = b
     participants = tuple(window)
-    demand = scenario.dispatch.demand_at(t_hours)
+    demand = scenario.demand
+    demand = demand.power_at(t_hours) if isinstance(demand, PowerProfile) else float(demand)
     lo = ordered_sum(b[0] for b in window.values())
     hi = ordered_sum(b[1] for b in window.values())
     infeasible = partial(Infeasible, t_hours, demand, participants)
@@ -407,7 +397,7 @@ def day_instants(scenario: Scenario) -> list[tuple[float, int]]:
     ``Random(scenario.seed)``, feasible instant or not: the one seed source.
     """
     start, end = scenario.day
-    step_hours = scenario.dispatch.dispatch_period / 3600.0
+    step_hours = scenario.dispatch_period / 3600.0
     count = math.floor((end - start) / step_hours + 1e-9) + 1
     rng = random.Random(scenario.seed)
     return [(start + index * step_hours, rng.randrange(2**32)) for index in range(count)]
@@ -420,7 +410,7 @@ def instant_index(scenario: Scenario, t_hours: float) -> int:
     is a ``ConfigurationError`` that names the nearest instants.
     """
     hours = [t for t, _ in day_instants(scenario)]
-    tolerance = 1e-9 * scenario.dispatch.dispatch_period / 3600.0
+    tolerance = 1e-9 * scenario.dispatch_period / 3600.0
     above = bisect_left(hours, t_hours)
     nearest = range(max(above - 1, 0), min(above + 1, len(hours)))
     for index in nearest:
@@ -455,7 +445,8 @@ def run_day(scenario: Scenario, *, record_steps: bool = False) -> DayResult:
     shrunken graph both slows mixing and lengthens the checkpoint period.
     """
     units = {u.uid: u for u in scenario.fleet}
-    dispatch = scenario.dispatch
+    # a cycle fits when its steps take no longer than the dispatch period
+    budget = scenario.dispatch_period / scenario.consensus_period
     records: list[DispatchRecord] = []
     trace_chunks: list[bytes] = []
     prev_commands = {uid: 0.0 for uid in units}
@@ -468,10 +459,10 @@ def run_day(scenario: Scenario, *, record_steps: bool = False) -> DayResult:
             worst_leak = max(worst_leak, result.max_conservation_error)
         else:
             commands = dict(prev_commands)
-        overrun = result is not None and result.steps > dispatch.iteration_budget
+        overrun = result is not None and result.steps > budget
         delivered = {
             uid: track(
-                units[uid], commands[uid], dispatch.dispatch_period, prev_delivered[uid]
+                units[uid], commands[uid], scenario.dispatch_period, prev_delivered[uid]
             )
             for uid in sorted(units)
         }

@@ -83,8 +83,8 @@ MUTANTS = (
         "src/lisnet/scenario.py",
         "        if self.dispatch_period < self.consensus_period:\n",
         "        if False:\n",
-        "a dispatch period shorter than one consensus iteration loads, with an "
-        "iteration budget of 0",
+        "a dispatch period shorter than one consensus iteration loads, so even "
+        "a cycle of one step overruns it",
     ),
     Mutant(
         "src/lisnet/scenario.py",
@@ -202,6 +202,14 @@ MUTANTS = (
         "            )\n",
         "a verbose day holds every trace line as its own bytes object again, "
         "135,494 of them on the default day; the files stay the same",
+    ),
+    Mutant(
+        "src/lisnet/scenario.py",
+        "        overrun = result is not None and result.steps > budget\n",
+        "        overrun = result is not None and result.steps >= budget\n",
+        "a cycle of exactly the dispatch period's steps is flagged as an overrun: "
+        "28 theta-4 instants of 60 steps on the default day, the first two in "
+        "TestResultsDigests' seven-instant day",
     ),
 )
 

@@ -25,7 +25,7 @@ from lisnet.cli import (
     write_trace_csv,
 )
 from lisnet.errors import ConfigurationError, InvariantError
-from lisnet.scenario import DispatchSchedule, PowerProfile, day_instants, instant_rows, run_day
+from lisnet.scenario import PowerProfile, day_instants, instant_rows, run_day
 from lisnet.topology import Graph
 from reference import read_trace_csv
 
@@ -115,8 +115,8 @@ class TestConfigDocument:
         doc["demand"] = {"shape": [[0, 6000], [8, 8000]], "circulation": [2]}
         config_path.write_text(yaml.safe_dump(doc))
         config = ScenarioConfig.load(config_path)
-        assert isinstance(config.dispatch.demand, PowerProfile)
-        assert config.dispatch.demand_at(4.0) == pytest.approx(7000.0)
+        assert isinstance(config.demand, PowerProfile)
+        assert config.demand.power_at(4.0) == pytest.approx(7000.0)
 
     def test_fixed_delay_edges_parse(self, config_path):
         doc = yaml.safe_load(config_path.read_text())
@@ -263,6 +263,17 @@ class TestResultsDigests:
         out = tmp_path / "out"
         code = main(["run", "--config", str(four_instant_path), "--out-dir", str(out), *flags])
         assert code == 0
+        assert hashlib.sha256((out / "results.json").read_bytes()).hexdigest() == digest
+
+    def test_budget_boundary_digest(self, tmp_path, config_path):
+        # the day's first seven instants: instant 0 overruns in 76 steps, and
+        # instants 5 and 6 take exactly the 60 steps a 60 s period covers
+        doc = yaml.safe_load(config_path.read_text())
+        doc["dispatch"]["end_hours"] = 0.1
+        config_path.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--out-dir", str(out)]) == 0
+        digest = "170edd7bf431f6f1436176be87b26188bc4f5d93dfe4e1f822ac2750df4d1fd6"
         assert hashlib.sha256((out / "results.json").read_bytes()).hexdigest() == digest
 
 
@@ -867,6 +878,15 @@ class TestRunCommand:
         assert (target / "trace.csv").exists()
 
 
+def without_renewables() -> tuple:
+    """The built-in fleet with unit 2 dispatchable, so no profile bounds the day."""
+    return tuple(
+        replace(u, kind="non_res", profile=None, pi_min=0.0, pi_max=1000.0)
+        if u.kind == "res" else u
+        for u in default_config().fleet
+    )
+
+
 class TestScenarioValue:
     """A scenario built with ``dataclasses.replace`` meets the reader's rules."""
 
@@ -881,15 +901,59 @@ class TestScenarioValue:
             ({"start_hours": 5.0, "end_hours": 4.0}, "day must be finite and end at or after"),
             ({"end_hours": 9.0},
              re.escape("day [0.0, 9.0] h lies outside unit 2's profile [0.0, 8.0] h")),
-            ({"dispatch": DispatchSchedule(PowerProfile(((1.0, 7000.0), (8.0, 7000.0))))},
+            ({"demand": PowerProfile(((1.0, 7000.0), (8.0, 7000.0)))},
              re.escape("day [0.0, 8.0] h lies outside the demand shape [1.0, 8.0] h")),
+            # the count of 60 s periods in the day overflows to infinity
+            ({"fleet": without_renewables(), "end_hours": 1.0e308},
+             re.escape("day [0.0, 1e+308] h cannot be counted in dispatch periods of 60.0 s")),
+            # a period of 5e-324 s is 0.0 h
+            ({"dispatch_period": 5e-324, "consensus_period": 5e-324},
+             re.escape("day [0.0, 8.0] h cannot be counted in dispatch periods of 5e-324 s")),
         ],
         ids=["circulation-outside", "circulation-empty", "fleet-graph", "rho-zero",
-             "diameter-zero", "day-backwards", "day-past-profile", "day-past-demand-shape"],
+             "diameter-zero", "day-backwards", "day-past-profile", "day-past-demand-shape",
+             "day-of-too-many-periods", "period-of-zero-hours"],
     )
     def test_broken_cross_field_rule_raises(self, changes, message):
         with pytest.raises(ConfigurationError, match=message):
             replace(default_config(), **changes)
+
+    @pytest.mark.parametrize(
+        "fleet, dispatch, flags",
+        [
+            (without_renewables(), {"end_hours": 1.0e308}, []),
+            (default_config().fleet, {"consensus_period": 5e-324},
+             ["--dispatch-period", "5e-324"]),
+        ],
+        ids=["day-of-too-many-periods", "period-of-zero-hours"],
+    )
+    def test_a_day_that_cannot_be_stepped_exits_two(
+        self, tmp_path, capsys, fleet, dispatch, flags
+    ):
+        doc = replace(default_config(), fleet=fleet).to_dict()
+        doc["dispatch"].update(dispatch)
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(path), "--out-dir", str(out), *flags])
+        assert code == 2
+        assert "cannot be counted in dispatch periods" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_budget_beyond_float_range_flags_no_overrun(self, tmp_path):
+        # 1e306 s of 0.001 s iterations is more than a float holds
+        shipped = Path(__file__).parent.parent / "configs" / "six_lis.yaml"
+        path = tmp_path / "scenario.yaml"
+        path.write_text(shipped.read_text().replace(
+            "consensus_period: 1.0\n", "consensus_period: 0.001\n", 1
+        ))
+        code = main([
+            "run", "--config", str(path), "--dispatch-period", "1e306", "--out-dir", str(tmp_path),
+        ])
+        assert code == 0
+        results = json.loads((tmp_path / "results.json").read_text())
+        assert results["scenario"]["dispatch"]["consensus_period"] == 0.001
+        assert (results["cycles"], results["budget_exceeded_cycles"]) == (1, 0)
 
     def test_replaced_value_keeps_its_document_form(self):
         config = default_config()
@@ -901,8 +965,7 @@ class TestScenarioValue:
 
     @pytest.mark.parametrize("period", [60.0, 100.0, 5400.0, 6000.0, 3700.0])
     def test_day_ends_at_the_last_instant_at_or_before_its_end(self, period):
-        config = default_config()
-        config = replace(config, dispatch=replace(config.dispatch, dispatch_period=period))
+        config = replace(default_config(), dispatch_period=period)
         step = period / 3600.0
         hours = [t for t, _ in day_instants(config)]
         assert len(hours) == math.floor(8.0 / step) + 1
@@ -1026,8 +1089,7 @@ class TestEntryPointsAgree:
         assert untracked == 1
 
     def test_cycle_only_reproduces_the_last_record_of_a_short_day(self, tmp_path):
-        config = default_config()
-        config = replace(config, dispatch=replace(config.dispatch, dispatch_period=6000.0))
+        config = replace(default_config(), dispatch_period=6000.0)
         record = run_day(config).records[-1]
         assert record.t_hours == 6.666666666666667
         code = main([
@@ -1093,6 +1155,16 @@ class TestReplicateCommand:
         ) in captured.out
         assert "run failed" not in captured.out
         assert captured.err == ""
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the stopping rule certifies a gap below rho while shares in flight "
+        "carry older quotients: instance 185 ends 1.227 rho spans from the closed form",
+    )
+    def test_oracle_sweep_passes_on_seed_two(self):
+        passed, lines = replicate_oracle_sweep(seed=2)
+        assert passed, lines
 
     def test_cli_entry_point(self, capsys):
         code = main(["replicate", "fig1-misconvergence"])

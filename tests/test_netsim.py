@@ -481,13 +481,13 @@ class TestDeterminism:
             result = run_cycle(
                 g, w, problem, model, CheckpointSchedule(3, 3), rho, seed=seed,
             )
-            for i in g.nodes:
-                assert abs(result.commands[i] - oracle[i]) <= rho * problem.span(i)
+            for i, (lo, hi) in problem.bounds.items():
+                assert abs(result.commands[i] - oracle[i]) <= rho * (hi - lo)
             commands.append(result.commands)
         for first in commands:
             for second in commands:
-                for i in g.nodes:
-                    assert abs(first[i] - second[i]) <= 2 * rho * problem.span(i)
+                for i, (lo, hi) in problem.bounds.items():
+                    assert abs(first[i] - second[i]) <= 2 * rho * (hi - lo)
 
 
 class TestRunCycle:
@@ -592,8 +592,8 @@ class TestRunCycle:
                 CheckpointSchedule(3, 3), rho, seed=11,
             )
             oracle = closed_form_oracle(problem)
-            for i in g.nodes:
-                assert abs(result.commands[i] - oracle[i]) <= rho * problem.span(i)
+            for i, (lo, hi) in problem.bounds.items():
+                assert abs(result.commands[i] - oracle[i]) <= rho * (hi - lo)
             totals[frozenset(pick)] = result.commands.total
         spread = max(totals.values()) - min(totals.values())
         assert spread <= 2 * rho * (8200.0 - 999.0)

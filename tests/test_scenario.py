@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -7,7 +8,6 @@ from lisnet.cli import default_config
 from lisnet.errors import ConfigurationError
 from lisnet.netsim import DelayModel
 from lisnet.scenario import (
-    DispatchSchedule,
     Infeasible,
     LisUnit,
     PowerProfile,
@@ -116,26 +116,32 @@ class TestUnitValidation:
             LisUnit(uid=1, kind="non_res", pi_min=0.0, pi_max=1.0, tracking="lag")
 
 
-class TestDispatchSchedule:
+class TestScenarioDispatch:
     def test_demand_profiles(self):
-        flat = DispatchSchedule(demand=7000.0)
-        assert flat.demand_at(3.3) == 7000.0
-        shaped = DispatchSchedule(demand=PowerProfile(((0.0, 5000.0), (8.0, 9000.0))))
-        assert shaped.demand_at(4.0) == pytest.approx(7000.0)
-
-    def test_iteration_budget(self):
-        sched = DispatchSchedule(demand=7000.0, consensus_period=1.0, dispatch_period=60.0)
-        assert sched.iteration_budget == 60
+        config = default_config()
+        assert plan_instant(config, 3.3).demand == 7000.0
+        shaped = replace(config, demand=PowerProfile(((0.0, 5000.0), (8.0, 9000.0))))
+        assert plan_instant(shaped, 4.0).demand == pytest.approx(7000.0)
 
     def test_rejects_bad_epsilon(self):
-        with pytest.raises(ConfigurationError):
-            DispatchSchedule(demand=7000.0, epsilon=0.0)
+        with pytest.raises(ConfigurationError, match="epsilon must be finite and positive"):
+            replace(default_config(), epsilon=0.0)
 
     def test_dispatch_period_covers_a_consensus_iteration(self):
-        fits = DispatchSchedule(7000.0, consensus_period=2.0, dispatch_period=2.0)
-        assert fits.iteration_budget == 1
+        fits = replace(default_config(), consensus_period=2.0, dispatch_period=2.0)
         with pytest.raises(ConfigurationError, match="at least one consensus iteration"):
-            DispatchSchedule(7000.0, consensus_period=2.0, dispatch_period=1.5)
+            replace(fits, dispatch_period=1.5)
+
+    def test_a_cycle_of_exactly_the_budget_is_not_an_overrun(self):
+        # the seed-0 default day: a 60 s dispatch period covers 60 steps of
+        # 1 s, so a theta-4 cycle of 60 steps fits and one of 76 overruns
+        day = run_day(default_config())
+        fits = [rec for rec in day.records if rec.iterations == 60]
+        over = [rec for rec in day.records if rec.budget_exceeded]
+        assert len(fits) == 28 and {rec.theta for rec in fits} == {4}
+        assert not any(rec.budget_exceeded for rec in fits)
+        assert [rec.iterations for rec in over] == [76, 76]
+        assert day.budget_exceeded_count == 2
 
 
 class TestPlanInstant:
@@ -144,7 +150,8 @@ class TestPlanInstant:
         fleet = (res_unit(1), res_unit(2))
         scenario = Scenario(
             fleet=fleet, graph=Graph.from_edges([1, 2], [(1, 2)]),
-            dispatch=DispatchSchedule(demand=1999.0), delay=DelayModel.stochastic(3),
+            demand=1999.0, consensus_period=1.0, dispatch_period=60.0, epsilon=1.0,
+            delay=DelayModel.stochastic(3),
             rho=0.02, seed=0, circulation=frozenset({1}), diameter_bound=None,
             start_hours=None, end_hours=None,
         )
@@ -165,7 +172,8 @@ class TestPlanInstant:
         )
         scenario = Scenario(
             fleet=fleet, graph=Graph.cycle(3),
-            dispatch=DispatchSchedule(demand=9476.4819606852), delay=DelayModel.stochastic(3),
+            demand=9476.4819606852, consensus_period=1.0, dispatch_period=60.0,
+            epsilon=1.0, delay=DelayModel.stochastic(3),
             rho=0.02, seed=0, circulation=frozenset({1}), diameter_bound=None,
             start_hours=None, end_hours=None,
         )
@@ -198,7 +206,10 @@ class TestRunDay:
         fields = dict(
             fleet=default_config().fleet,
             graph=Graph.cycle(6),
-            dispatch=DispatchSchedule(demand=7000.0, dispatch_period=600.0),
+            demand=7000.0,
+            consensus_period=1.0,
+            dispatch_period=600.0,
+            epsilon=1.0,
             delay=DelayModel.stochastic(3),
             rho=0.02,
             seed=0,
@@ -261,18 +272,14 @@ class TestRunDay:
         assert abs(first.total_delivered - 7000.0) <= 150.0
         # a five-node path both mixes slower and stretches the checkpoint
         # period, so this cycle cannot fit a 60 s dispatch slot
-        tight = self._short_day(
-            dispatch=DispatchSchedule(demand=7000.0, dispatch_period=60.0)
-        )
+        tight = self._short_day(dispatch_period=60.0)
         assert tight.records[0].budget_exceeded
         assert tight.budget_exceeded_count == 2  # both zero-output endpoints
         assert abs(tight.records[0].total_delivered - 7000.0) <= 150.0
 
     def test_infeasible_instant_holds_previous_command(self):
         ramp = PowerProfile(((0.0, 7000.0), (4.0, 9000.0), (8.0, 7000.0)))
-        day = self._short_day(
-            dispatch=DispatchSchedule(demand=ramp, dispatch_period=1800.0)
-        )
+        day = self._short_day(demand=ramp, dispatch_period=1800.0)
         assert day.infeasible_count > 0
         held = None
         for rec in day.records:
@@ -311,7 +318,7 @@ class TestRunDay:
         # one joined bytes per feasible instant: a CSV line of about 138 B
         # kept as its own object costs 33 B more
         day = self._short_day(
-            dispatch=DispatchSchedule(demand=7000.0),
+            dispatch_period=60.0,
             start_hours=4.0,
             end_hours=4.05,
             record_steps=True,
