@@ -24,7 +24,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .apportioning import ApportionProblem, closed_form_oracle, ordered_sum
 from .errors import ConfigurationError, InvariantError, LisnetError
-from .netsim import DelayModel, run_naive_averaging, simulate_averaging
+from .netsim import DelayModel, collector_paused, run_naive_averaging, simulate_averaging
 from .netsim import run_cycle  # noqa: F401  timed here by perfbench/iteration.py
 from .scenario import (
     TRACE_COLUMNS,
@@ -742,7 +742,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # loading, planning, the cycles and the writers run without collections;
+        # the little cyclic garbage they leave waits for the collector's next run
+        with collector_paused():
+            return args.func(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

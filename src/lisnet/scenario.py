@@ -86,10 +86,11 @@ class PowerProfile:
                 f"time {t_hours} h outside profile domain "
                 f"[{self.start}, {self.end}] h"
             )
+        # t_hours <= end, so the last segment breaks the loop at the latest
         for (t0, w0), (t1, w1) in zip(self.points, self.points[1:]):
             if t_hours <= t1:
-                return w0 + (w1 - w0) * (t_hours - t0) / (t1 - t0)
-        return self.points[-1][1]
+                break
+        return w0 + (w1 - w0) * (t_hours - t0) / (t1 - t0)
 
 
 @dataclass(frozen=True)
@@ -229,6 +230,17 @@ class Scenario:
             raise ConfigurationError(
                 f"day [{start}, {end}] h cannot be counted in dispatch periods of "
                 f"{self.dispatch_period!r} s"
+            )
+        # every cycle runs at least to its first checkpoint, and its schedule's
+        # diameter is at least D, so no cycle of such a scenario fits its budget
+        first_checkpoint = CheckpointSchedule(
+            self.diameter_bound or 1, self.delay.tau_bar
+        ).checkpoint_len
+        budget = self.dispatch_period / self.consensus_period
+        if first_checkpoint > budget:
+            raise ConfigurationError(
+                f"the first checkpoint, at step {first_checkpoint}, lies past the "
+                f"dispatch budget of {budget!r} steps"
             )
 
     @property

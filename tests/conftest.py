@@ -1,6 +1,9 @@
-"""Session set-up shared by every test module."""
+"""Session set-up and fixtures shared by every test module."""
 
+import gc
 import warnings
+
+import pytest
 
 # Hypothesis reports a failing example through hypothesis.extra._patching,
 # which imports libcst where it is installed, and libcst's import warns with
@@ -14,3 +17,14 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:
         pass
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector_was(request):
+    """The cyclic collector turned on or off before the test; restored after it."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    try:
+        yield request.param
+    finally:
+        (gc.enable if was_enabled else gc.disable)()

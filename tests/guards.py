@@ -62,17 +62,15 @@ def main() -> int:
         lines_of.setdefault(filename, set()).add(line)
     ran = set()
 
-    def tracer(frame, event, arg):
-        wanted = lines_of.get(frame.f_code.co_filename)
-        if wanted is None:
-            return None
-
-        def local(frame, event, arg):
-            if event == "line" and frame.f_lineno in wanted:
-                ran.add((frame.f_code.co_filename, frame.f_lineno))
-            return local
-
+    # one local tracer for every frame: a closure made per call would refer to
+    # itself, and leave a reference cycle per traced call for the collector
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno in lines_of[frame.f_code.co_filename]:
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
         return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code.co_filename in lines_of else None
 
     os.chdir(ROOT)
     sys.path.insert(0, str(ROOT / "src"))

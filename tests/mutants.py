@@ -211,6 +211,28 @@ MUTANTS = (
         "28 theta-4 instants of 60 steps on the default day, the first two in "
         "TestResultsDigests' seven-instant day",
     ),
+    Mutant(
+        "src/lisnet/netsim.py",
+        "        if was_enabled:\n            gc.enable()\n",
+        "        if was_enabled:\n            pass\n",
+        "the cyclic collector stays off after the first cycle, for the rest of a "
+        "library caller's process",
+    ),
+    Mutant(
+        "src/lisnet/netsim.py",
+        "        with collector_paused():\n            while self._frozen != n:\n",
+        "        if True:\n            while self._frozen != n:\n",
+        "the collector rescans the loop's envelopes: a 200-unit cycle collects 5 "
+        "times inside its steps",
+    ),
+    Mutant(
+        "src/lisnet/scenario.py",
+        "        if first_checkpoint > budget:\n",
+        "        if False:\n",
+        "a scenario whose first checkpoint lies past the dispatch budget loads: "
+        "diameter 1e9 then runs for hours before any node can freeze, and "
+        "--tau-bar 40 runs all 481 instants over budget and exits 0",
+    ),
 )
 
 

@@ -1,17 +1,18 @@
 """Reference models that the simulator's fast paths are tested against.
 
 Each is the plain, obviously correct computation that a faster
-implementation in ``lisnet`` must reproduce exactly. Three test helpers
+implementation in ``lisnet`` must reproduce exactly. Four test helpers
 that the program itself never calls live here too: ``Envelope``, which
 builds an envelope tuple by field name, ``read_trace_csv``, a strict reader
-for the trace file, and ``path_graph``.
+for the trace file, ``path_graph`` and ``cyclic_garbage``.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from lisnet.scenario import TRACE_COLUMNS
 from lisnet.errors import ConfigurationError, InvariantError
@@ -120,3 +121,20 @@ def all_pairs_diameter(adjacency: Mapping[int, Sequence[int]]) -> int:
                     frontier.append(v)
         best = max(best, max(dist.values()))
     return best
+
+
+def cyclic_garbage(run: Callable[[], object]) -> int:
+    """How many unreachable objects in reference cycles ``run()`` leaves.
+
+    Counted with the collector off from a clean start, so nothing is
+    collected before the count; the collector's state is restored after.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        run()
+        return gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()

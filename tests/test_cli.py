@@ -1,4 +1,5 @@
 import copy
+import gc
 import hashlib
 import json
 import math
@@ -27,7 +28,7 @@ from lisnet.cli import (
 from lisnet.errors import ConfigurationError, InvariantError
 from lisnet.scenario import PowerProfile, day_instants, instant_rows, run_day
 from lisnet.topology import Graph
-from reference import read_trace_csv
+from reference import cyclic_garbage, read_trace_csv
 
 
 @pytest.fixture
@@ -940,6 +941,36 @@ class TestScenarioValue:
         assert "cannot be counted in dispatch periods" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_diameter_bound_past_the_budget_is_rejected_at_load(self, tmp_path):
+        # a bound of 1e9 puts the first checkpoint at step 4,000,000,003: every
+        # cycle would run for hours before any node could freeze
+        shipped = Path(__file__).parent.parent / "configs" / "six_lis.yaml"
+        path = tmp_path / "scenario.yaml"
+        path.write_text(shipped.read_text().replace("diameter: 3\n", "diameter: 1000000000\n", 1))
+        with pytest.raises(ConfigurationError, match="first checkpoint, at step 4000000003,"):
+            ScenarioConfig.load(path)
+
+    @pytest.mark.parametrize(
+        "diameter, flags, step",
+        [("1000000000", [], 4000000003), ("3", ["--tau-bar", "40"], 163)],
+        ids=["diameter-1e9", "tau-bar-40"],
+    )
+    def test_a_first_checkpoint_past_the_budget_exits_two(
+        self, tmp_path, capsys, diameter, flags, step
+    ):
+        shipped = Path(__file__).parent.parent / "configs" / "six_lis.yaml"
+        path = tmp_path / "scenario.yaml"
+        path.write_text(shipped.read_text().replace("diameter: 3\n", f"diameter: {diameter}\n", 1))
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(path), "--out-dir", str(out), *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (
+            f"the first checkpoint, at step {step}, lies past the dispatch budget of 60.0 steps"
+        ) in captured.err
+        assert not out.exists()
+
     def test_a_budget_beyond_float_range_flags_no_overrun(self, tmp_path):
         # 1e306 s of 0.001 s iterations is more than a float holds
         shipped = Path(__file__).parent.parent / "configs" / "six_lis.yaml"
@@ -1171,6 +1202,12 @@ class TestReplicateCommand:
         assert code == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_six_lis_day_through_the_entry_point(self, capsys):
+        code = main(["replicate", "six-lis-day"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "PASS" in out and "FAIL" not in out
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_oracle_sweep_without_instances_exits_two(self, count, capsys):
         code = main(["replicate", "oracle-sweep", "--count", count])
@@ -1187,3 +1224,44 @@ class TestReplicateCommand:
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):
             main(["replicate", "not-a-suite"])
+
+
+class TestCollectorPaused:
+    """Every command runs without the cyclic collector and leaves it as it found it."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["run", "--check-feasibility"], 0),
+            (["run", "--cycle-only"], 1),
+            (["run", "--at-hours", "4"], 2),
+        ],
+        ids=["exit-0", "exit-1", "exit-2"],
+    )
+    def test_main_leaves_the_collector_as_it_found_it(
+        self, tmp_path, monkeypatch, capsys, collector_was, argv, code
+    ):
+        def broken(*args, **kwargs):
+            assert not gc.isenabled()
+            raise InvariantError("mass leak at step 7")
+
+        monkeypatch.setattr("lisnet.scenario.run_cycle", broken)
+        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == code
+        assert gc.isenabled() is collector_was
+
+    def test_the_garbage_a_run_leaves_does_not_grow_with_the_day(self, tmp_path, capsys):
+        paths = {}
+        for hours in (1.0, 8.0):
+            paths[hours] = tmp_path / f"{hours:g}h.yaml"
+            paths[hours].write_text(
+                yaml.safe_dump(replace(default_config(), end_hours=hours).to_dict())
+            )
+
+        def run(hours):
+            out = tmp_path / f"out-{hours:g}h"
+            assert main(["run", "--config", str(paths[hours]), "--out-dir", str(out)]) == 0
+
+        run(1.0)  # lazy imports and caches fill once
+        one_hour = cyclic_garbage(lambda: run(1.0))
+        eight_hours = cyclic_garbage(lambda: run(8.0))
+        assert one_hour == eight_hours

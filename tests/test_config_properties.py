@@ -3,6 +3,8 @@
 ``ScenarioConfig.from_dict`` must end every document it is given in a
 ``ScenarioConfig`` or a ``ConfigurationError``, never in another exception,
 and a loaded scenario must read back from its own ``to_dict()`` unchanged.
+A mutated document that loads must also run: its first two instants each
+end in a result or a ``LisnetError``, and never run on for hours.
 Examples are derived from the test's name, so every run sees the same ones.
 """
 
@@ -11,7 +13,8 @@ import copy
 import pytest
 
 from lisnet.cli import ScenarioConfig, default_config
-from lisnet.errors import ConfigurationError
+from lisnet.errors import ConfigurationError, LisnetError
+from lisnet.scenario import day_instants, solve_instant
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -46,8 +49,15 @@ WORDS = st.sampled_from(
     ["res", "non_res", "lag", "instant", "fixed", "stochastic", "1-2", "2->1"]
 )
 
+# numbers at the edges of what a field can hold: a zero, the least subnormal,
+# counts too large to step through, and the largest float
+EXTREMES = st.sampled_from([0, 5e-324, 1e9, 1e16, 2**53 + 1, 1.7e308])
+
 # any value YAML can load, leaning towards the schema's own keys and words
-atoms = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4) | WORDS
+atoms = (
+    st.none() | st.booleans() | st.integers() | st.floats() | EXTREMES
+    | st.text(max_size=4) | WORDS
+)
 yaml_values = st.recursive(
     atoms,
     lambda inner: st.lists(inner, max_size=4)
@@ -62,8 +72,8 @@ def change_at(path):
     for key in path:
         old = old[key]
     same_type = {
-        int: st.integers(),
-        float: st.floats() | st.integers(),
+        int: st.integers() | EXTREMES,
+        float: st.floats() | st.integers() | EXTREMES,
         str: WORDS | st.text(max_size=4),
     }.get(type(old), st.nothing())
     return st.tuples(st.just(path), same_type | yaml_values | st.just(DELETE))
@@ -74,13 +84,14 @@ mutations = st.lists(st.sampled_from(PATHS).flatmap(change_at), min_size=1, max_
 DETERMINISTIC = hypothesis.settings(derandomize=True, deadline=None, database=None)
 
 
-def loads_and_round_trips_or_is_rejected(doc) -> None:
+def loads_and_round_trips_or_is_rejected(doc) -> ScenarioConfig | None:
     try:
         config = ScenarioConfig.from_dict(doc)
     except ConfigurationError:
-        return
+        return None
     emitted = config.to_dict()
     assert ScenarioConfig.from_dict(emitted).to_dict() == emitted
+    return config
 
 
 @hypothesis.settings(DETERMINISTIC, max_examples=200)
@@ -92,6 +103,8 @@ def test_arbitrary_document(doc):
 @hypothesis.settings(DETERMINISTIC, max_examples=500)
 @hypothesis.given(mutations)
 @hypothesis.example([(("rho",), 10**400)])  # an integer no float can hold
+# a first checkpoint 4,000,000,003 steps in: it loads only if it runs for hours
+@hypothesis.example([(("diameter",), 10**9)])
 def test_mutated_scenario(changes):
     doc = copy.deepcopy(FULL)
     for path, value in changes:
@@ -105,7 +118,14 @@ def test_mutated_scenario(changes):
                 parent[path[-1]] = value
         except (KeyError, IndexError, TypeError):
             pass  # an earlier change removed or replaced this path
-    loads_and_round_trips_or_is_rejected(doc)
+    config = loads_and_round_trips_or_is_rejected(doc)
+    if config is None:
+        return
+    for t_hours, cycle_seed in day_instants(config)[:2]:
+        try:
+            solve_instant(config, t_hours, cycle_seed)
+        except LisnetError:
+            pass
 
 
 def test_the_full_scenario_loads():

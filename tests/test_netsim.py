@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import deque
 
@@ -21,6 +22,7 @@ from lisnet.termination import CheckpointSchedule
 from lisnet.topology import Graph, build_weights, diameter
 from reference import (
     Envelope,
+    cyclic_garbage,
     global_extremes_oracle,
     oldest_age_scan,
     path_graph,
@@ -514,17 +516,12 @@ class TestRunCycle:
         assert abs(result.commands.total - 7000.0) <= 0.02 * problem.total_span
 
     def test_a_command_outside_its_budget_raises(self):
-        # demand at the fleet's ceiling puts both units at hi; the stopping
-        # rule freezes with unit 1 at 184.47 W, 1.553 rho spans below 200 W
-        problem = ApportionProblem(300.0, {1: (0.0, 200.0), 2: (0.0, 100.0)}, frozenset({2}))
-        model = DelayModel(FIXED, 3, fixed_delays={(1, 2): 2, (2, 1): 3})
-        g = path_graph(2)
         with pytest.raises(
             InvariantError,
             match=r"^node 1: command 184\.47221263104555 is 1\.553 rho spans "
             r"from the closed form 200\.0$",
         ):
-            run_cycle(g, build_weights(g), problem, model, CheckpointSchedule(1, 3), 0.05)
+            two_unit_stopping_rule_cycle()
 
     def test_nontermination_ceiling(self):
         g = Graph.cycle(6)
@@ -752,3 +749,107 @@ class TestNaiveBaseline:
         )
         values = list(final.values())
         assert max(values) - min(values) <= 1e-6
+
+
+def two_unit_stopping_rule_cycle():
+    """``run_cycle`` on the two-unit instance whose check raises ``InvariantError``.
+
+    Demand at the fleet's ceiling puts both units at hi; the stopping rule
+    freezes with unit 1 at 184.47 W, 1.553 rho spans below 200 W.
+    """
+    problem = ApportionProblem(300.0, {1: (0.0, 200.0), 2: (0.0, 100.0)}, frozenset({2}))
+    model = DelayModel(FIXED, 3, fixed_delays={(1, 2): 2, (2, 1): 3})
+    g = path_graph(2)
+    return run_cycle(g, build_weights(g), problem, model, CheckpointSchedule(1, 3), 0.05)
+
+
+def six_node_cycle(record_steps=False):
+    g = Graph.cycle(6)
+    return run_cycle(
+        g, build_weights(g), table_problem(), DelayModel.stochastic(3),
+        CheckpointSchedule(3, 3), 0.02, seed=0, record_steps=record_steps,
+    )
+
+
+def never_freezing_loop():
+    """``run_until_frozen`` on a threshold no cycle meets; raises ``NonTerminationError``."""
+    g = Graph.cycle(6)
+    sim = Simulation(
+        g, build_weights(g), init_states(table_problem()), DelayModel.stochastic(3),
+        CheckpointSchedule(3, 3), 1e-15, seed=0,
+    )
+    sim.run_until_frozen(90)
+
+
+class TestCollectorPaused:
+    """The loop runs without the cyclic collector, and leaves it as it found it."""
+
+    def test_a_pause_restores_the_state_it_found(self, collector_was):
+        with pytest.raises(KeyError):
+            with netsim.collector_paused():
+                assert not gc.isenabled()
+                with netsim.collector_paused():
+                    assert not gc.isenabled()
+                assert not gc.isenabled()
+                raise KeyError
+        assert gc.isenabled() is collector_was
+
+    @pytest.mark.parametrize(
+        "run, error",
+        [
+            (six_node_cycle, None),
+            (two_unit_stopping_rule_cycle, InvariantError),
+            (never_freezing_loop, NonTerminationError),
+        ],
+        ids=["returns", "invariant-error", "non-termination"],
+    )
+    def test_a_cycle_leaves_the_collector_as_it_found_it(self, collector_was, run, error):
+        if error is None:
+            run()
+        else:
+            with pytest.raises(error):
+                run()
+        assert gc.isenabled() is collector_was
+
+    def test_no_collection_runs_inside_a_large_cycle(self, monkeypatch):
+        # with the collector on in the loop, this 200-unit cycle collects 5 times
+        _, g, problem = seeded_fleet(0, 200)
+        sim = Simulation(
+            g, build_weights(g), init_states(problem), DelayModel.stochastic(3),
+            CheckpointSchedule(max(1, diameter(g)), 3), 0.02, seed=0,
+        )
+        in_step = []
+        collections = []
+        step = Simulation.step
+
+        def counted_step(self):
+            in_step.append(self.step_index)
+            try:
+                step(self)
+            finally:
+                in_step.pop()
+
+        def count(phase, info):
+            if phase == "start" and in_step:
+                collections.append((in_step[0], info["generation"]))
+
+        monkeypatch.setattr(Simulation, "step", counted_step)
+        assert gc.isenabled()
+        gc.callbacks.append(count)
+        try:
+            sim.run_until_frozen(1000 * sim.machines[1]._checkpoint_len)
+        finally:
+            gc.callbacks.remove(count)
+        assert sim.step_index == 195
+        assert collections == []
+
+    @pytest.mark.parametrize("record_steps", [False, True], ids=["plain", "verbose"])
+    def test_a_cycle_leaves_no_cyclic_garbage(self, record_steps):
+        assert cyclic_garbage(lambda: six_node_cycle(record_steps)) == 0
+
+    def test_averaging_leaves_no_cyclic_garbage(self):
+        g = Graph.cycle(6)
+        r0 = {i: float(i) for i in g.nodes}
+        s0 = dict.fromkeys(g.nodes, 1.0)
+        sim = simulate_averaging(g, build_weights(g), r0, s0, DelayModel.stochastic(3))
+        assert cyclic_garbage(lambda: sim.run(200)) == 0

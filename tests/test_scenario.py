@@ -1,3 +1,4 @@
+import gc
 import math
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from lisnet.scenario import (
     track,
 )
 from lisnet.topology import Graph
+from reference import cyclic_garbage
 
 
 def sunny_day() -> PowerProfile:
@@ -49,6 +51,15 @@ class TestPowerProfile:
     def test_must_increase(self):
         with pytest.raises(ConfigurationError):
             PowerProfile(((0.0, 1.0), (0.0, 2.0)))
+
+    def test_a_one_point_profile_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="profile needs at least two points"):
+            PowerProfile(((4.0, 100.0),))
+
+    def test_every_point_reads_its_own_power(self):
+        # the first and the last hour included: every hour has a segment
+        p = PowerProfile(((1.0, 10.0), (2.0, 30.0), (4.0, 20.0)))
+        assert [p.power_at(t) for t, _ in p.points] == [10.0, 30.0, 20.0]
 
 
 class TestBoundsAt:
@@ -128,9 +139,41 @@ class TestScenarioDispatch:
             replace(default_config(), epsilon=0.0)
 
     def test_dispatch_period_covers_a_consensus_iteration(self):
-        fits = replace(default_config(), consensus_period=2.0, dispatch_period=2.0)
+        # tau_bar 0 and no diameter bound: the first checkpoint is at step 1
+        fits = replace(
+            default_config(), consensus_period=2.0, dispatch_period=2.0,
+            delay=DelayModel.stochastic(0), diameter_bound=None,
+        )
         with pytest.raises(ConfigurationError, match="at least one consensus iteration"):
             replace(fits, dispatch_period=1.5)
+
+    @pytest.mark.parametrize(
+        "changes, step, budget",
+        [
+            ({"diameter_bound": 10**9}, 4000000003, 60.0),
+            ({"delay": DelayModel.stochastic(40)}, 163, 60.0),
+            ({"dispatch_period": 14.0}, 15, 14.0),
+            ({"diameter_bound": None, "dispatch_period": 6.0}, 7, 6.0),
+        ],
+        ids=["diameter-1e9", "tau-bar-40", "bound-3", "no-bound"],
+    )
+    def test_a_first_checkpoint_past_the_budget_is_rejected(self, changes, step, budget):
+        # the first checkpoint is at max(1, D) * (1 + tau_bar) + tau_bar steps
+        with pytest.raises(
+            ConfigurationError,
+            match=rf"^the first checkpoint, at step {step}, lies past the dispatch "
+            rf"budget of {budget} steps$",
+        ):
+            replace(default_config(), **changes)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"dispatch_period": 15.0}, {"diameter_bound": None, "dispatch_period": 7.0}],
+        ids=["bound-3", "no-bound"],
+    )
+    def test_a_first_checkpoint_at_the_budget_loads(self, changes):
+        scenario = replace(default_config(), **changes)
+        assert scenario.dispatch_period == changes["dispatch_period"]
 
     def test_a_cycle_of_exactly_the_budget_is_not_an_overrun(self):
         # the seed-0 default day: a 60 s dispatch period covers 60 steps of
@@ -220,6 +263,14 @@ class TestRunDay:
         )
         fields.update(kwargs)
         return run_day(Scenario(**fields), record_steps=record_steps)
+
+    def test_a_day_leaves_the_collector_as_it_found_it(self, collector_was):
+        self._short_day()
+        assert gc.isenabled() is collector_was
+
+    @pytest.mark.parametrize("record_steps", [False, True], ids=["plain", "verbose"])
+    def test_a_day_leaves_no_cyclic_garbage(self, record_steps):
+        assert cyclic_garbage(lambda: self._short_day(record_steps)) == 0
 
     def test_demand_met_at_every_instant(self):
         day = self._short_day()

@@ -195,6 +195,18 @@ class TestNodeMachine:
         with pytest.raises(ProtocolError):
             machine.advance([stray])
 
+    def test_a_frozen_node_steps_over_an_empty_inbox(self):
+        # the simulator steps every node, frozen or not, until all have frozen
+        problem = ApportionProblem(100.0, {1: (0.0, 200.0)}, frozenset({1}))
+        machine = NodeMachine(
+            init_states(problem)[1], 1.0, (), CheckpointSchedule(1, 0), rho=1e-6,
+        )
+        machine.advance(())
+        assert machine.frozen
+        frozen = (machine.r, machine.s, machine.k, machine.z, machine.y, machine.theta)
+        assert machine.advance(()) is None
+        assert (machine.r, machine.s, machine.k, machine.z, machine.y, machine.theta) == frozen
+
     def test_loose_threshold_freezes_at_first_checkpoint(self):
         g = Graph.cycle(6)
         w = build_weights(g)
