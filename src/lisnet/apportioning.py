@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .consensus import ConsensusState
 from .errors import FeasibilityError, InvariantError
 
 Bounds = tuple[float, float]
@@ -103,8 +102,8 @@ class ReferenceCommand:
         return ordered_sum(self.commands.values())
 
 
-def init_states(problem: ApportionProblem) -> dict[int, ConsensusState]:
-    """Initial consensus states for a feasible problem.
+def init_states(problem: ApportionProblem) -> dict[int, tuple[float, float]]:
+    """Initial consensus states ``(r0, s0)`` of every node of a feasible problem.
 
     Demand-circulation nodes start their numerator at an equal slice of the
     demand less their own floor; everyone else starts at minus their floor.
@@ -115,7 +114,7 @@ def init_states(problem: ApportionProblem) -> dict[int, ConsensusState]:
     states = {}
     for i, (lo, hi) in sorted(problem.bounds.items()):
         r0 = (share - lo) if i in problem.demand_set else -lo
-        states[i] = ConsensusState(node=i, r=r0, s=hi - lo)
+        states[i] = (r0, hi - lo)
     return states
 
 

@@ -504,8 +504,7 @@ def _run_single_cycle(
 
 def _run_full_day(config: ScenarioConfig, out_dir: Path, record_steps: bool) -> int:
     day = run_day(config, record_steps=record_steps)
-    feasible = [r for r in day.records if r.feasible]
-    deviations = [abs(r.total_delivered - r.demand) for r in feasible]
+    worst = day.max_total_deviation
     per_cycle = [
         {
             "index": r.index,
@@ -526,7 +525,7 @@ def _run_full_day(config: ScenarioConfig, out_dir: Path, record_steps: bool) -> 
         "cycles": len(day.records),
         "infeasible_cycles": day.infeasible_count,
         "budget_exceeded_cycles": day.budget_exceeded_count,
-        "max_total_deviation": max(deviations) if deviations else None,
+        "max_total_deviation": worst,
         "max_conservation_error": day.max_conservation_error,
         "per_cycle": per_cycle,
     }
@@ -536,7 +535,7 @@ def _run_full_day(config: ScenarioConfig, out_dir: Path, record_steps: bool) -> 
         f"({day.infeasible_count} infeasible, commands held; "
         f"{day.budget_exceeded_count} over the dispatch budget)",
         f"worst |total - demand| over feasible instants: "
-        f"{max(deviations):.3f} W" if deviations else "no feasible instants",
+        f"{worst:.3f} W" if worst is not None else "no feasible instants",
         f"max conservation error: {day.max_conservation_error:.3e}",
     ]
     return _write_outputs(out_dir, day.trace_chunks, results, summary)
@@ -599,7 +598,7 @@ def replicate_six_lis_day(seed: int = 0) -> tuple[bool, list[str]]:
     """Full-day dispatch of the six-unit fleet against the 7 kW demand band."""
     day = run_day(replace(default_config(), seed=seed))
     feasible = [r for r in day.records if r.feasible]
-    worst = max(abs(r.total_delivered - r.demand) for r in feasible)
+    worst = day.max_total_deviation
     thetas = sorted(r.theta for r in feasible)
     median_theta = thetas[len(thetas) // 2]
     checks = [

@@ -31,7 +31,6 @@ from .apportioning import (
     ordered_sum,
     reference_command,
 )
-from .consensus import ConsensusState
 from .errors import ConfigurationError, InvariantError, NonTerminationError
 from .termination import CheckpointSchedule, NodeMachine
 from .topology import Graph, diameter, edge_key
@@ -225,7 +224,7 @@ class Mailbox:
     """Envelope tuples awaiting delivery, keyed by delivery round.
 
     An envelope is a tuple ``(src, dst, send_step, payload_r, payload_s,
-    payload_z, payload_y)``, as ``consensus.emit`` builds it. Posting order
+    payload_z, payload_y)``, as ``termination.emit`` builds it. Posting order
     is preserved within a round, so delivery is deterministic given a
     deterministic posting sequence. Envelopes must be posted in
     non-decreasing send step, as the simulator does, so that the first
@@ -273,8 +272,7 @@ class Simulation:
     """Drives one node machine per graph node in lockstep rounds over a delay channel.
 
     ``weights`` maps each node to its share weight and ``states`` to its
-    initial consensus state; each machine copies its own state, so the
-    caller's states are never changed.
+    initial consensus states ``(r0, s0)``.
     The simulator builds every node's ``NodeMachine`` on ``schedule`` with
     stopping threshold ``rho`` (the default 0 never freezes).
     ``trace_rows`` are the checkpoint events, or with ``record_steps``
@@ -285,7 +283,7 @@ class Simulation:
         self,
         graph: Graph,
         weights: Mapping[int, float],
-        states: Mapping[int, ConsensusState],
+        states: Mapping[int, tuple[float, float]],
         delay_model: DelayModel,
         schedule: CheckpointSchedule,
         rho: float = 0.0,
@@ -293,12 +291,10 @@ class Simulation:
         seed: int = 0,
         record_steps: bool = False,
     ):
-        if set(states) != set(graph.nodes) or any(
-            state.node != i for i, state in states.items()
-        ):
+        if set(states) != set(graph.nodes):
             raise ConfigurationError("states must be keyed by exactly the graph's nodes")
         self.machines = {
-            i: NodeMachine(states[i], weights[i], graph.neighbors(i), schedule, rho)
+            i: NodeMachine(i, *states[i], weights[i], graph.neighbors(i), schedule, rho)
             for i in sorted(graph.nodes)
         }
         # the step's iteration order, built once
@@ -458,7 +454,7 @@ def simulate_averaging(
     node freezes.
     """
     schedule = CheckpointSchedule(max(1, diameter(graph)), delay_model.tau_bar)
-    states = {i: ConsensusState(node=i, r=r0[i], s=s0[i]) for i in graph.nodes}
+    states = {i: (r0[i], s0[i]) for i in graph.nodes}
     return Simulation(graph, weights, states, delay_model, schedule, seed=seed)
 
 

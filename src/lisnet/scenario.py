@@ -278,13 +278,15 @@ class DispatchRecord:
 class DayResult:
     """Full-day dispatch trace plus run-wide audit summaries.
 
-    ``trace_chunks`` hold each feasible instant's ``instant_rows``, in order,
-    ready to write.
+    ``max_total_deviation`` is the largest |delivered - demand| over feasible
+    instants, or None. ``trace_chunks`` hold each feasible instant's
+    ``instant_rows``, in order, ready to write.
     """
 
     records: list[DispatchRecord]
     infeasible_count: int
     budget_exceeded_count: int
+    max_total_deviation: float | None
     max_conservation_error: float
     trace_chunks: list[bytes]
 
@@ -498,10 +500,12 @@ def run_day(scenario: Scenario, *, record_steps: bool = False) -> DayResult:
         )
         prev_commands = commands
         prev_delivered = delivered
+    deviations = [abs(rec.total_delivered - rec.demand) for rec in records if rec.feasible]
     return DayResult(
         records=records,
         infeasible_count=sum(not rec.feasible for rec in records),
         budget_exceeded_count=sum(rec.budget_exceeded for rec in records),
+        max_total_deviation=max(deviations, default=None),
         max_conservation_error=worst_leak,
         trace_chunks=trace_chunks,
     )

@@ -1,28 +1,30 @@
-"""Distributed finite-time stopping for ratio consensus under delays.
+"""One node's protocol loop: ratio consensus with distributed finite-time stopping.
 
-Each node tracks a running maximum ``z`` and minimum ``y`` of the node
+Every node carries a numerator state ``r`` and a denominator state ``s``
+through the same linear iteration. A sender splits its state into weighted
+shares before transmission, so a share that spends any number of rounds in
+flight still deposits exactly the mass it left with; total mass (held plus
+in flight) is conserved. With column-stochastic weights on a connected
+graph, every node's quotient r/s converges to the ratio of the initial
+sums, and that limit does not depend on the delay realization.
+
+Each node also tracks a running maximum ``z`` and minimum ``y`` of the node
 quotients, seeded from its own quotient. The extremes ride piggyback on the
-ordinary consensus envelopes, so they experience the same per-link delays.
-Merging happens only at epoch boundaries spaced one step wider than the
-worst link delay: a value emitted at the start of an epoch is then
-guaranteed to arrive before the epoch closes, so one epoch propagates the
-extremes one hop, and a diameter's worth of epochs propagates them
-everywhere. At every checkpoint (a diameter's worth of epochs plus a flush
-allowance) each node compares its gap z - y against the stopping threshold:
-below threshold it freezes its numerator and denominator and goes silent,
-otherwise both extremes reseed from the node's current quotient and the
-next round of epochs begins.
+consensus envelopes, so they experience the same per-link delays. Merging
+happens only at epoch boundaries spaced one step wider than the worst link
+delay: a value emitted at the start of an epoch is then guaranteed to
+arrive before the epoch closes, so one epoch propagates the extremes one
+hop, and a diameter's worth of epochs propagates them everywhere. At every
+checkpoint (a diameter's worth of epochs plus a flush allowance) each node
+compares its gap z - y against the stopping threshold: below threshold it
+freezes r and s and goes silent, otherwise both extremes reseed from the
+node's current quotient and the next round of epochs begins. Every node
+evaluates the same propagated extremes on the same schedule, so all nodes
+freeze at the same checkpoint with no extra signalling.
 
-Because every node evaluates the same propagated extremes on the same
-schedule, the freeze decision is unanimous: all nodes stop at the same
-checkpoint with no extra signalling.
-
-Every simulated node runs this one machine, ``NodeMachine``: the node's
-``ConsensusState`` together with its extremes ``z`` and ``y``, its
-checkpoint index ``theta`` and its ``frozen`` flag. Plain ratio
-consensus (the Fig. 1 averaging demo) is the same machine with ``rho`` 0:
-z never falls below y, so no node ever freezes, and the extremes still
-propagate and reseed at every checkpoint.
+``NodeMachine`` is the whole node. Plain ratio consensus (the Fig. 1
+averaging demo) is the same machine with ``rho`` 0: z never falls below y,
+so no node ever freezes, and the extremes still propagate and reseed.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .consensus import ConsensusState, absorb, emit
-from .errors import ConfigurationError, ProtocolError
+from .errors import ConfigurationError, InvariantError, ProtocolError
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,79 @@ class CheckpointSchedule:
     @property
     def checkpoint_len(self) -> int:
         return self.diameter * (1 + self.tau_bar) + self.tau_bar
+
+
+def emit(
+    machine: NodeMachine, neighbors: Iterable[int], weight: float, z: float, y: float
+) -> list[tuple]:
+    """Weighted shares of ``machine``'s state for every out-neighbor, as envelope tuples.
+
+    An envelope is ``(src, dst, send_step, payload_r, payload_s, payload_z,
+    payload_y)``: the sender-weighted shares of r and s at ``send_step``,
+    and the sender's running extremes ``z`` and ``y``, which ride on the
+    same links and delays for the stopping rule.
+
+    ``weight`` is the node's share weight (see :func:`topology.build_weights`):
+    each share to ``neighbors``, in sending order, carries it times the
+    state. The share kept locally has the same weight; :func:`absorb`
+    applies it, so emit stays a pure read.
+    """
+    node, k = machine.node, machine.k
+    share_r = weight * machine.r
+    share_s = weight * machine.s
+    # a loop, not a comprehension: on 3.11 a comprehension runs in a frame
+    # of its own, which costs more than the few shares of a node
+    out = []
+    append = out.append
+    for j in neighbors:
+        append((node, j, k, share_r, share_s, z, y))
+    return out
+
+
+def absorb(
+    machine: NodeMachine,
+    delivered: Iterable[tuple],
+    self_weight: float,
+    since: int,
+    z: float,
+    y: float,
+) -> tuple[float, float]:
+    """Fold the shares due this round into the retained share; advance ``k``.
+
+    ``self_weight`` is the node's share weight. ``delivered`` must hold
+    exactly the envelopes due at this node this round; shares not yet
+    arrived simply contribute nothing, which is what keeps conservation
+    exact through the start-up transient.
+
+    Updates ``machine``'s ``r``, ``s`` and ``k`` in place. In the same pass,
+    returns the largest ``payload_z`` and the smallest ``payload_y`` among
+    ``z``, ``y`` and the envelopes sent at or after step ``since``. A
+    rejected round (a misaddressed envelope, a non-finite or non-positive
+    result) raises before ``machine`` is touched.
+    """
+    node = machine.node
+    r = self_weight * machine.r
+    s = self_weight * machine.s
+    for _, dst, sent, share_r, share_s, share_z, share_y in delivered:
+        if dst != node:
+            raise ProtocolError(f"node {node} received an envelope addressed to {dst}")
+        r += share_r
+        s += share_s
+        if sent >= since:
+            if share_z > z:
+                z = share_z
+            if share_y < y:
+                y = share_y
+    if not (math.isfinite(r) and math.isfinite(s)):
+        raise InvariantError(f"node {node}: non-finite state at k={machine.k + 1}")
+    if s <= 0.0:
+        raise InvariantError(
+            f"node {node}: denominator state {s} not positive at k={machine.k + 1}"
+        )
+    machine.r = r
+    machine.s = s
+    machine.k += 1
+    return z, y
 
 
 def epoch_update(term: NodeMachine, z: float, y: float) -> None:
@@ -116,7 +190,7 @@ class CheckpointEvent(NamedTuple):
     frozen: bool
 
 
-class NodeMachine(ConsensusState):
+class NodeMachine:
     """One node's full protocol loop: consensus plus stopping bookkeeping.
 
     The machine is driven in lockstep rounds by a simulator: every round it
@@ -125,21 +199,23 @@ class NodeMachine(ConsensusState):
     ``schedule``; with ``rho`` 0 it propagates and reseeds the extremes but
     never freezes.
 
-    The machine is the node's only state: the consensus states ``r``, ``s``
-    and ``k``, copied from ``state`` so the caller's object is never
-    changed, and beside them the running extremes ``z`` and ``y``, the
-    checkpoint index ``theta`` and ``frozen``. A frozen node never absorbs
-    again, so its ``r`` and ``s`` are its frozen snapshot r*, s*.
+    The machine is the node's only state: the consensus states ``r`` and
+    ``s`` at iteration ``k`` (0 when built), and beside them the running
+    extremes ``z`` and ``y``, the checkpoint index ``theta`` and ``frozen``.
+    A frozen node never absorbs again, so its ``r`` and ``s`` are its
+    frozen snapshot r*, s*.
     """
 
     __slots__ = (
-        "z", "y", "theta", "frozen", "rho", "_neighbors", "_weight", "_epoch_len",
-        "_checkpoint_len", "_buf_z", "_buf_y",
+        "node", "r", "s", "k", "z", "y", "theta", "frozen", "rho", "_neighbors", "_weight",
+        "_epoch_len", "_checkpoint_len", "_buf_z", "_buf_y",
     )
 
     def __init__(
         self,
-        state: ConsensusState,
+        node: int,
+        r: float,
+        s: float,
         weight: float,
         neighbors: Iterable[int],
         schedule: CheckpointSchedule,
@@ -147,7 +223,10 @@ class NodeMachine(ConsensusState):
     ):
         if not rho >= 0.0:
             raise ConfigurationError(f"stopping threshold must be non-negative, got {rho}")
-        ConsensusState.__init__(self, state.node, state.r, state.s, state.k)
+        self.node = node
+        self.r = r
+        self.s = s
+        self.k = 0
         self.rho = rho
         self.z = self.y = self.ratio()
         self.theta = 1
@@ -159,6 +238,11 @@ class NodeMachine(ConsensusState):
         self._checkpoint_len = schedule.checkpoint_len
         self._buf_z = -math.inf
         self._buf_y = math.inf
+
+    def ratio(self) -> float:
+        if self.s == 0.0:
+            raise InvariantError(f"node {self.node}: denominator state is zero at k={self.k}")
+        return self.r / self.s
 
     def emit(self) -> list[tuple]:
         """Envelope tuples of the current state; a frozen node emits nothing."""

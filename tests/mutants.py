@@ -68,13 +68,13 @@ MUTANTS = (
         "shares, so the audit reports a mass leak instead",
     ),
     Mutant(
-        "src/lisnet/consensus.py",
+        "src/lisnet/termination.py",
         "    if not (math.isfinite(r) and math.isfinite(s)):\n",
         "    if False:\n",
         "an infinite or NaN state is stored instead of rejected",
     ),
     Mutant(
-        "src/lisnet/consensus.py",
+        "src/lisnet/termination.py",
         "    if s <= 0.0:\n",
         "    if False:\n",
         "a zero or negative denominator is stored instead of rejected",
@@ -100,7 +100,7 @@ MUTANTS = (
         "a run that breaks an invariant exits 0, as if it had succeeded",
     ),
     Mutant(
-        "src/lisnet/consensus.py",
+        "src/lisnet/termination.py",
         "        if sent >= since:\n",
         "        if sent > since:\n",
         "extremes sent at the first step of a checkpoint period are dropped as "

@@ -21,7 +21,6 @@ from lisnet.cli import (
     replicate_oracle_sweep,
     replicate_six_lis_day,
 )
-from lisnet.consensus import ConsensusState
 from lisnet.netsim import DelayModel, Simulation, run_cycle, simulate_averaging
 from lisnet.scenario import run_day
 from lisnet.termination import CheckpointSchedule
@@ -92,7 +91,7 @@ def test_criterion_4_extremes_exact_after_one_period():
             r0 = {i: rng.uniform(-20.0, 20.0) for i in graph.nodes}
             s0 = {i: rng.uniform(0.25, 4.0) for i in graph.nodes}
             seeds = [r0[i] / s0[i] for i in graph.nodes]
-            states = {i: ConsensusState(node=i, r=r0[i], s=s0[i]) for i in graph.nodes}
+            states = {i: (r0[i], s0[i]) for i in graph.nodes}
             sim = Simulation(
                 graph,
                 weights,

@@ -81,17 +81,15 @@ class TestInitStates:
     def test_single_circulation_node(self):
         p = ApportionProblem(7000.0, TABLE_BOUNDS, frozenset({2}))
         states = init_states(p)
-        assert states[2].r == pytest.approx(7000.0 - 999.0)
-        assert states[2].s == pytest.approx(1.0)
+        assert states[2] == (pytest.approx(7000.0 - 999.0), pytest.approx(1.0))
         for i in (1, 3, 4, 5, 6):
-            assert states[i].r == 0.0
-            assert states[i].s == TABLE_BOUNDS[i][1]
+            assert states[i] == (0.0, TABLE_BOUNDS[i][1])
 
     def test_zero_demand_zero_floors(self):
         bounds = {i: (0.0, 100.0 * i) for i in (1, 2, 3)}
         p = ApportionProblem(0.0, bounds, frozenset({1}))
         states = init_states(p)
-        assert all(s.r == 0.0 for s in states.values())
+        assert all(r == 0.0 for r, _ in states.values())
         oracle = closed_form_oracle(p)
         assert all(oracle[i] == 0.0 for i in bounds)
 
@@ -99,10 +97,10 @@ class TestInitStates:
         bounds = {1: (0.0, 10.0), 2: (0.0, 10.0), 3: (0.0, 10.0)}
         p = ApportionProblem(12.0, bounds, frozenset({1, 3}))
         states = init_states(p)
-        assert states[1].r == pytest.approx(6.0)
-        assert states[3].r == pytest.approx(6.0)
-        assert states[2].r == 0.0
-        assert sum(s.r for s in states.values()) == pytest.approx(12.0)
+        assert states[1][0] == pytest.approx(6.0)
+        assert states[3][0] == pytest.approx(6.0)
+        assert states[2][0] == 0.0
+        assert sum(r for r, _ in states.values()) == pytest.approx(12.0)
 
 
 def test_ordered_sum_adds_left_to_right():

@@ -3,19 +3,25 @@ import random
 
 import pytest
 
-from lisnet.consensus import ConsensusState, absorb, emit
 from lisnet.errors import InvariantError, ProtocolError
 from lisnet.netsim import FIXED, DelayModel, simulate_averaging
+from lisnet.termination import CheckpointSchedule, NodeMachine, absorb, emit
 from lisnet.topology import Graph, build_weights
 from reference import Envelope, global_extremes_oracle
+
+
+def machine(node=1, r=1.0, s=1.0, k=0):
+    """A lone node's machine at iteration ``k``, for driving emit and absorb by hand."""
+    m = NodeMachine(node, r, s, 1.0, (), CheckpointSchedule(1, 0))
+    m.k = k
+    return m
 
 
 class TestEmit:
     def test_uniform_split_two_neighbors(self):
         g = Graph.cycle(3)
         w = build_weights(g)
-        state = ConsensusState(node=1, r=3.0, s=0.6)
-        out = emit(state, g.neighbors(1), w[1])
+        out = emit(machine(1, 3.0, 0.6), g.neighbors(1), w[1], 0.0, 0.0)
         assert [dst for _, dst, *_ in out] == [2, 3]
         for src, _, send_step, payload_r, payload_s, _, _ in out:
             assert src == 1
@@ -26,12 +32,12 @@ class TestEmit:
     def test_isolated_node_emits_nothing(self):
         g = Graph.from_edges([1], [])
         w = build_weights(g)
-        assert emit(ConsensusState(node=1, r=5.0, s=1.0), g.neighbors(1), w[1]) == []
+        assert emit(machine(1, 5.0, 1.0), g.neighbors(1), w[1], 0.0, 0.0) == []
 
     def test_zero_numerator(self):
         g = Graph.cycle(3)
         w = build_weights(g)
-        out = emit(ConsensusState(node=2, r=0.0, s=0.5), g.neighbors(2), w[2])
+        out = emit(machine(2, 0.0, 0.5), g.neighbors(2), w[2], 0.0, 0.0)
         for _, _, _, payload_r, payload_s, _, _ in out:
             assert payload_r == 0.0
             assert payload_s == pytest.approx(0.5 / 3.0)
@@ -39,9 +45,7 @@ class TestEmit:
     def test_piggybacked_extremes(self):
         g = Graph.cycle(3)
         w = build_weights(g)
-        out = emit(
-            ConsensusState(node=1, r=1.0, s=1.0), g.neighbors(1), w[1], z=4.0, y=-2.0
-        )
+        out = emit(machine(), g.neighbors(1), w[1], 4.0, -2.0)
         assert all(z == 4.0 and y == -2.0 for *_, z, y in out)
 
 
@@ -49,7 +53,7 @@ class TestAbsorb:
     def test_pure_self_decay(self):
         g = Graph.cycle(3)
         w = build_weights(g)
-        state = ConsensusState(node=1, r=3.0, s=0.9)
+        state = machine(1, 3.0, 0.9)
         absorb(state, [], w[1], 0, -math.inf, math.inf)
         assert state.r == pytest.approx(1.0)
         assert state.s == pytest.approx(0.3)
@@ -60,11 +64,11 @@ class TestAbsorb:
         g = Graph.from_edges([1, 2], [(1, 2)])
         w = build_weights(g)
         states = {
-            1: ConsensusState(node=1, r=4.0, s=1.0),
-            2: ConsensusState(node=2, r=0.0, s=1.0),
+            1: machine(1, 4.0, 1.0),
+            2: machine(2, 0.0, 1.0),
         }
         for _ in range(3):
-            outbound = {i: emit(states[i], g.neighbors(i), w[i]) for i in states}
+            outbound = {i: emit(states[i], g.neighbors(i), w[i], 0.0, 0.0) for i in states}
             absorb(states[1], outbound[2], w[1], 0, 0.0, 0.0)
             absorb(states[2], outbound[1], w[2], 0, 0.0, 0.0)
         assert states[1].r == pytest.approx(2.0)
@@ -77,10 +81,10 @@ class TestAbsorb:
         w = build_weights(g)
         fine = Envelope(src=2, dst=1, send_step=0, payload_r=0.1, payload_s=0.1, payload_z=9.0)
         stray = Envelope(src=2, dst=3, send_step=0, payload_r=0.1, payload_s=0.1)
-        state = ConsensusState(node=1, r=1.0, s=1.0)
+        state = machine()
         with pytest.raises(ProtocolError):
             absorb(state, [fine, stray], w[1], 0, 1.0, 1.0)
-        assert state == ConsensusState(node=1, r=1.0, s=1.0)
+        assert (state.r, state.s, state.k) == (1.0, 1.0, 0)
 
     @pytest.mark.parametrize(
         "share_r, share_s, message",
@@ -93,22 +97,22 @@ class TestAbsorb:
         ids=["r-inf", "s-nan", "s-negative", "s-zero"],
     )
     def test_an_unusable_state_is_rejected_untouched(self, share_r, share_s, message):
-        state = ConsensusState(node=1, r=1.0, s=1.0)
+        state = machine()
         share = Envelope(src=2, dst=1, send_step=0, payload_r=share_r, payload_s=share_s)
         with pytest.raises(InvariantError, match=f"node 1: {message} at k=1"):
             absorb(state, [share], 0.5, 0, 1.0, 1.0)
-        assert state == ConsensusState(node=1, r=1.0, s=1.0)
+        assert (state.r, state.s, state.k) == (1.0, 1.0, 0)
 
     def test_extremes_from_the_period_start_on(self):
         # since = 8: the envelope sent at 8 counts, the one sent at 7 is stale
-        state = ConsensusState(node=1, r=1.0, s=1.0, k=9)
+        state = machine(k=9)
         at_since = Envelope(2, 1, 8, 0.1, 0.1, payload_z=5.0, payload_y=-5.0)
         before = Envelope(3, 1, 7, 0.1, 0.1, payload_z=50.0, payload_y=-50.0)
         assert absorb(state, [before, at_since], 0.5, 8, 1.0, 1.0) == (5.0, -5.0)
         assert absorb(state, [before], 0.5, 8, 1.0, 1.0) == (1.0, 1.0)
 
     def test_empty_inbox_returns_the_given_pair(self):
-        state = ConsensusState(node=1, r=1.0, s=1.0)
+        state = machine()
         assert absorb(state, [], 0.5, 0, 2.5, -0.5) == (2.5, -0.5)
         assert absorb(state, [], 0.5, 0, -math.inf, math.inf) == (-math.inf, math.inf)
 
@@ -127,14 +131,16 @@ class TestAbsorb:
 
 class TestRatio:
     def test_simple_quotient(self):
-        assert ConsensusState(node=1, r=7.0, s=2.0).ratio() == 3.5
+        assert machine(1, 7.0, 2.0).ratio() == 3.5
 
     def test_zero_numerator(self):
-        assert ConsensusState(node=1, r=0.0, s=1.0).ratio() == 0.0
+        assert machine(1, 0.0, 1.0).ratio() == 0.0
 
     def test_zero_denominator_faults(self):
-        with pytest.raises(InvariantError):
-            ConsensusState(node=1, r=1.0, s=0.0).ratio()
+        state = machine(k=4)
+        state.s = 0.0
+        with pytest.raises(InvariantError, match="node 1: denominator state is zero at k=4"):
+            state.ratio()
 
 
 class TestGlobalExtremesOracle:

@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from lisnet.consensus import ConsensusState, absorb
+from lisnet.termination import CheckpointSchedule, NodeMachine, absorb
 from reference import Envelope, period_extremes_scan
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -43,7 +43,8 @@ def inboxes(draw):
 @hypothesis.given(inboxes())
 def test_absorb_extremes_match_the_period_filter(case):
     period_len, theta, inbox, z, y = case
-    state = ConsensusState(node=1, r=1.0, s=1.0, k=theta * period_len - 1)
+    state = NodeMachine(1, 1.0, 1.0, 1.0, (), CheckpointSchedule(1, 0))
+    state.k = theta * period_len - 1
     since = (theta - 1) * period_len
     assert absorb(state, inbox, 0.5, since, z, y) == period_extremes_scan(
         inbox, period_len, theta, z, y

@@ -205,7 +205,7 @@ def test_stopping_rule_misses_quotients_in_flight_at_a_reseed():
 def small_instant_keeps_the_limit_inside_every_checkpoint(instant):
     graph, problem, model, rho, seed = instant
     states = init_states(problem).values()
-    limit = ordered_sum(st.r for st in states) / ordered_sum(st.s for st in states)
+    limit = ordered_sum(r for r, _ in states) / ordered_sum(s for _, s in states)
     tol = 1e-12 * max(1.0, abs(limit))
     result = run_instant(graph, problem, model, rho, seed=seed)
     for step, node, _, _, _, z, y, theta, _ in result.trace_rows:

@@ -6,7 +6,6 @@ import pytest
 
 from lisnet import netsim
 from lisnet.apportioning import ApportionProblem, closed_form_oracle, init_states
-from lisnet.consensus import ConsensusState
 from lisnet.errors import ConfigurationError, InvariantError, NonTerminationError, ProtocolError
 from lisnet.netsim import (
     FIXED,
@@ -382,12 +381,11 @@ class TestConservationAndDelivery:
         g = path_graph(3)
         w = build_weights(g)
         sched = CheckpointSchedule(2, 0)
-        states = {i: ConsensusState(node=i, r=1.0, s=1.0) for i in g.nodes}
+        states = {i: (1.0, 1.0) for i in g.nodes}
         Simulation(g, w, states, DelayModel(FIXED, 0), sched)
         for bad in (
             {i: states[i] for i in (1, 2)},  # node 3 missing
-            {**states, 4: ConsensusState(node=4, r=1.0, s=1.0)},  # not a graph node
-            {**states, 3: ConsensusState(node=1, r=1.0, s=1.0)},  # keyed by the wrong node
+            {**states, 4: (1.0, 1.0)},  # not a graph node
         ):
             with pytest.raises(ConfigurationError, match="keyed by exactly the graph's nodes"):
                 Simulation(g, w, bad, DelayModel(FIXED, 0), sched)
@@ -595,23 +593,23 @@ class TestRunCycle:
         spread = max(totals.values()) - min(totals.values())
         assert spread <= 2 * rho * (8200.0 - 999.0)
 
-    def test_callers_states_are_left_untouched(self, monkeypatch):
-        # every machine updates a copy of its initial state in place
+    def test_one_states_map_seeds_repeated_runs(self):
+        # the machines hold their own r and s, so a second run from the
+        # same map starts where the first did and ends the same to the bit
         g = Graph.cycle(6)
         w = build_weights(g)
         states = init_states(table_problem())
-        before = {i: (state.r, state.s, state.k) for i, state in states.items()}
-        sim = Simulation(
-            g, w, states, DelayModel.stochastic(3), CheckpointSchedule(3, 3), 0.02,
-        )
-        sim.run(20)
-        assert {i: (state.r, state.s, state.k) for i, state in states.items()} == before
-        monkeypatch.setattr(netsim, "init_states", lambda problem: states)
-        result = run_cycle(
-            g, w, table_problem(), DelayModel.stochastic(3), CheckpointSchedule(3, 3), 0.02,
-        )
-        assert result.steps > 20
-        assert {i: (state.r, state.s, state.k) for i, state in states.items()} == before
+        before = dict(states)
+        runs = []
+        for _ in range(2):
+            sim = Simulation(
+                g, w, states, DelayModel.stochastic(3), CheckpointSchedule(3, 3), 0.02, seed=4,
+            )
+            sim.run(20)
+            runs.append([(m.r, m.s, m.k) for m in sim.machines.values()])
+        assert states == before
+        assert runs[0] == runs[1]
+        assert runs[0] != [(*before[i], 0) for i in sorted(g.nodes)]
 
     def test_seeded_cycle_is_pinned_to_the_last_bit(self):
         _, g, problem = seeded_fleet(50, 50)
@@ -680,10 +678,7 @@ def _audit_case(seed: int, kind: str, terminating: bool) -> Simulation:
     w = build_weights(g)
     schedule = CheckpointSchedule(max(1, diameter(g)), tau)
     rho = 0.01 if terminating else 0.0
-    states = {
-        i: ConsensusState(node=i, r=rng.uniform(-50, 50), s=rng.uniform(0.5, 2))
-        for i in g.nodes
-    }
+    states = {i: (rng.uniform(-50, 50), rng.uniform(0.5, 2)) for i in g.nodes}
     return Simulation(g, w, states, model, schedule, rho, seed=seed)
 
 

@@ -337,6 +337,11 @@ class TestRunDay:
             if not rec.feasible:
                 assert rec.commands == held
             held = rec.commands
+        # a held command lies far from the demand the fleet could not meet,
+        # and the day's worst deviation leaves it out
+        deviation = [abs(rec.total_delivered - rec.demand) for rec in day.records]
+        feasible = [d for d, rec in zip(deviation, day.records) if rec.feasible]
+        assert day.max_total_deviation == max(feasible) < max(deviation)
 
     def test_demand_circulation_falls_back_to_lowest_participant(self):
         # at hour 0 of the built-in day unit 2, its circulation node, sits out

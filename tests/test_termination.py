@@ -6,7 +6,6 @@ import pytest
 
 from lisnet import termination
 from lisnet.apportioning import ApportionProblem, init_states, reference_command
-from lisnet.consensus import ConsensusState
 from lisnet.errors import ConfigurationError, ProtocolError
 from lisnet.netsim import FIXED, DelayModel, Simulation, run_cycle
 from lisnet.termination import (
@@ -23,7 +22,7 @@ def probe_machine(neighbors=()):
     """Node 1 with rho 0 on the paper's schedule: quotient 0.5, never freezes."""
     g = path_graph(2) if neighbors else Graph.from_edges([1], [])
     return NodeMachine(
-        ConsensusState(node=1, r=1.0, s=2.0),
+        1, 1.0, 2.0,
         build_weights(g)[1],
         neighbors,
         CheckpointSchedule(diameter=3, tau_bar=3),
@@ -165,9 +164,9 @@ class TestNodeMachine:
         g = Graph.from_edges([1], [])
         w = build_weights(g)
         problem = ApportionProblem(100.0, {1: (0.0, 200.0)}, frozenset({1}))
-        state = init_states(problem)[1]
+        r0, s0 = init_states(problem)[1]
         sched = CheckpointSchedule(diameter=1, tau_bar=0)
-        machine = NodeMachine(state, w[1], g.neighbors(1), sched, rho=1e-6)
+        machine = NodeMachine(1, r0, s0, w[1], g.neighbors(1), sched, rho=1e-6)
         assert machine.emit() == []
         machine.advance([])
         assert machine.frozen
@@ -181,7 +180,7 @@ class TestNodeMachine:
         # neighbour would create mass
         problem = ApportionProblem(100.0, {1: (0.0, 200.0)}, frozenset({1}))
         machine = NodeMachine(
-            init_states(problem)[1],
+            1, *init_states(problem)[1],
             build_weights(path_graph(2))[1],
             (2,),
             CheckpointSchedule(1, 0),
@@ -199,7 +198,7 @@ class TestNodeMachine:
         # the simulator steps every node, frozen or not, until all have frozen
         problem = ApportionProblem(100.0, {1: (0.0, 200.0)}, frozenset({1}))
         machine = NodeMachine(
-            init_states(problem)[1], 1.0, (), CheckpointSchedule(1, 0), rho=1e-6,
+            1, *init_states(problem)[1], 1.0, (), CheckpointSchedule(1, 0), rho=1e-6,
         )
         machine.advance(())
         assert machine.frozen
@@ -226,12 +225,11 @@ class TestNodeMachine:
     def test_rejects_negative_or_nan_threshold(self):
         g = Graph.from_edges([1], [])
         w = build_weights(g)
-        state = ConsensusState(node=1, r=1.0, s=2.0)
         for rho in (-1e-9, math.nan):
             with pytest.raises(ConfigurationError):
-                NodeMachine(state, w[1], (), CheckpointSchedule(1, 0), rho=rho)
+                NodeMachine(1, 1.0, 2.0, w[1], (), CheckpointSchedule(1, 0), rho=rho)
         # rho 0 is plain ratio consensus: the machine never freezes
-        assert NodeMachine(state, w[1], (), CheckpointSchedule(1, 0), rho=0.0).rho == 0.0
+        assert NodeMachine(1, 1.0, 2.0, w[1], (), CheckpointSchedule(1, 0), rho=0.0).rho == 0.0
 
     @pytest.mark.parametrize("rho", [0.0, -1.0])
     def test_cycle_rejects_nonpositive_threshold(self, rho):
@@ -245,7 +243,7 @@ class TestNodeMachine:
 
 class TestTerminationProperties:
     def _states(self, g, r0, s0):
-        return {i: ConsensusState(node=i, r=r0[i], s=s0[i]) for i in g.nodes}
+        return {i: (r0[i], s0[i]) for i in g.nodes}
 
     def test_extremes_exact_after_one_checkpoint_period(self):
         # fixed delays, random graphs: after D(1 + tau) + tau steps every
