@@ -54,18 +54,15 @@ class ApportionProblem:
                 )
         if not self.demand_set:
             raise FeasibilityError("demand-circulation set is empty")
-        unknown = self.demand_set - set(self.bounds)
-        if unknown:
+        if unknown := self.demand_set - set(self.bounds):
             raise FeasibilityError(
                 f"demand-circulation nodes {sorted(unknown)} are not in the problem"
             )
-        if not self.total_min <= self.rho_d <= self.total_max:
-            raise FeasibilityError(
-                f"demand {self.rho_d} outside feasible range "
-                f"[{self.total_min}, {self.total_max}]"
-            )
-        if not self.total_span > 0.0:
-            raise FeasibilityError("fleet has zero collective span")
+        lo, hi = self.total_min, self.total_max
+        if not lo <= self.rho_d <= hi:
+            raise FeasibilityError(f"demand {self.rho_d:g} W outside [{lo:g}, {hi:g}] W")
+        if not lo < hi:
+            raise FeasibilityError(f"the windows sum to no span at {lo:g} W")
 
     @property
     def p(self) -> int:

@@ -18,9 +18,10 @@ import os
 import random
 import sys
 from dataclasses import dataclass, replace
+from itertools import islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .apportioning import ApportionProblem, closed_form_oracle, ordered_sum
 from .errors import ConfigurationError, InvariantError, LisnetError
@@ -49,8 +50,20 @@ from .topology import diameter  # noqa: F401  traced here by perfbench/tracer.py
 OUT_DIR_ENV = "LISNET_OUT_DIR"
 
 SUITES = ("fig1-misconvergence", "six-lis-day", "oracle-sweep")
-# the ``run`` flags that replace a key of the scenario document
-OVERRIDE_FLAGS = ("seed", "rho", "tau_bar", "delay_model", "demand", "dispatch_period")
+# the ``run`` flags that replace a key of the scenario document, by argparse
+# dest: the key's section (None at the top level), the key, the flag's options
+OVERRIDES: dict[str, tuple[str | None, str, dict[str, Any]]] = {
+    "seed": (None, "seed", {"type": int, "help": "override the scenario seed"}),
+    "rho": (None, "rho", {"type": float, "help": "override the stopping threshold"}),
+    "tau_bar": (None, "tau_bar", {"type": int, "help": "override the delay bound"}),
+    "delay_model": ("delay", "model", {
+        "choices": ["fixed", "stochastic"], "help": "override the delay model kind",
+    }),
+    "dispatch_period": ("dispatch", "dispatch_period", {
+        "type": float, "help": "override the dispatch period in seconds",
+    }),
+    "demand": ("demand", "watts", {"type": float, "help": "override the demand in watts"}),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +401,13 @@ def _write_outputs(out_dir: Path, chunks: Sequence[bytes], results: dict, summar
 
 
 def _resolve_out_dir(flag: str | None, config: ScenarioConfig) -> Path:
-    target = flag or config.out_dir or os.environ.get(OUT_DIR_ENV) or "lisnet-out"
+    # the flag, else the document: an empty one is an error, an empty variable unset
+    source, target = "--out-dir", flag
+    if target is None:
+        source, target = "output: directory", config.out_dir
+    if target == "":
+        raise ConfigurationError(f"{source} is empty")
+    target = target or os.environ.get(OUT_DIR_ENV) or "lisnet-out"
     path = Path(target)
     try:
         path.mkdir(parents=True, exist_ok=True)
@@ -408,63 +427,58 @@ def cmd_run(args: argparse.Namespace) -> int:
         if not math.isfinite(args.at_hours):
             raise ConfigurationError(f"--at-hours must be finite, got {args.at_hours}")
     config = ScenarioConfig.load(args.config) if args.config else default_config()
-    if any(getattr(args, flag) is not None for flag in OVERRIDE_FLAGS):
+    if any(getattr(args, dest) is not None for dest in OVERRIDES):
         config = ScenarioConfig.from_dict(_override(config.to_dict(), args))
-    # the position in the day of the --cycle-only instant, by default the first
+    # the whole day, or the --cycle-only instant (by default the day's first)
+    instants = day_instants(config)
     index = None
     if args.cycle_only:
         index = 0 if args.at_hours is None else instant_index(config, args.at_hours)
+        instants = islice(instants, index, index + 1)
 
     if args.check_feasibility:
-        return _check_feasibility(config, index)
+        return _check_feasibility(config, instants)
 
     out_dir = _resolve_out_dir(args.out_dir, config)
     if index is not None:
-        return _run_single_cycle(config, index, out_dir, args.verbose_trace)
+        return _run_single_cycle(config, index, *next(instants), out_dir, args.verbose_trace)
     return _run_full_day(config, out_dir, args.verbose_trace)
 
 
 def _override(doc: dict[str, Any], args: argparse.Namespace) -> dict[str, Any]:
-    """``doc`` with each ``run`` flag that is given in place of its key.
+    """``doc`` with each ``OVERRIDES`` flag that is given in place of its key.
 
     The document is then read like a file, so a flag is checked exactly as
     its key is. Switching ``--delay-model`` drops the other model's
     ``fixed_delays`` or ``probabilities``, and ``--demand`` replaces a
     demand ``shape``.
     """
-    for key, value in (("seed", args.seed), ("rho", args.rho), ("tau_bar", args.tau_bar)):
-        if value is not None:
-            doc[key] = value
+    for dest, (section, key, _) in OVERRIDES.items():
+        if (value := getattr(args, dest)) is not None:
+            (doc if section is None else doc[section])[key] = value
     if args.delay_model is not None:
-        doc["delay"]["model"] = args.delay_model
         doc["delay"].pop("probabilities" if args.delay_model == "fixed" else "fixed_delays", None)
     if args.demand is not None:
         doc["demand"].pop("shape", None)
-        doc["demand"]["watts"] = args.demand
-    if args.dispatch_period is not None:
-        doc["dispatch"]["dispatch_period"] = args.dispatch_period
     return doc
 
 
-def _check_feasibility(config: ScenarioConfig, index: int | None) -> int:
-    instants = [t for t, _ in day_instants(config)]
-    if index is not None:
-        instants = instants[index : index + 1]
-    plans = [plan_instant(config, t) for t in instants]
+def _check_feasibility(config: ScenarioConfig, instants: Iterable[tuple[float, int]]) -> int:
+    plans = [plan_instant(config, t) for t, _ in instants]
     bad = [plan for plan in plans if isinstance(plan, Infeasible)]
     for plan in bad:
         print(f"infeasible at t={plan.t_hours:g} h: {plan.reason}")
     if bad:
-        print(f"feasibility check failed at {len(bad)} of {len(instants)} instants")
+        print(f"feasibility check failed at {len(bad)} of {len(plans)} instants")
         return 1
-    print(f"feasible at all {len(instants)} instants")
+    print(f"feasible at all {len(plans)} instants")
     return 0
 
 
 def _run_single_cycle(
-    config: ScenarioConfig, index: int, out_dir: Path, record_steps: bool
+    config: ScenarioConfig, index: int, t: float, cycle_seed: int, out_dir: Path,
+    record_steps: bool,
 ) -> int:
-    t, cycle_seed = day_instants(config)[index]
     plan, result = solve_instant(config, t, cycle_seed, record_steps=record_steps)
     if result is None:
         print(f"infeasible at t={t:g} h: {plan.reason}", file=sys.stderr)
@@ -685,48 +699,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a scenario configuration")
     run.add_argument("--config", help="scenario YAML (defaults to the built-in six-unit day)")
-    run.add_argument("--seed", type=int, help="override the scenario seed")
-    run.add_argument("--rho", type=float, help="override the stopping threshold")
-    run.add_argument("--tau-bar", type=int, dest="tau_bar", help="override the delay bound")
-    run.add_argument(
-        "--delay-model",
-        choices=["fixed", "stochastic"],
-        dest="delay_model",
-        help="override the delay model kind",
-    )
-    run.add_argument(
-        "--dispatch-period",
-        type=float,
-        dest="dispatch_period",
-        help="override the dispatch period in seconds",
-    )
-    run.add_argument("--demand", type=float, help="override the demand in watts")
+    for dest, (_, _, options) in OVERRIDES.items():
+        run.add_argument("--" + dest.replace("_", "-"), **options)
     run.add_argument(
         "--cycle-only",
         action="store_true",
-        dest="cycle_only",
         help="run a single consensus cycle instead of the full day",
     )
     run.add_argument(
         "--at-hours",
         type=float,
-        dest="at_hours",
         help="the day's dispatch instant, in hours, for --cycle-only, also when "
         "checked with --check-feasibility (default: the day's first instant)",
     )
     run.add_argument(
         "--check-feasibility",
         action="store_true",
-        dest="check_feasibility",
         help="only verify demand feasibility, run nothing",
     )
     run.add_argument(
         "--verbose-trace",
         action="store_true",
-        dest="verbose_trace",
         help="one trace row per node per iteration instead of per checkpoint",
     )
-    run.add_argument("--out-dir", dest="out_dir", help=f"output directory (or ${OUT_DIR_ENV})")
+    run.add_argument("--out-dir", help=f"output directory (or ${OUT_DIR_ENV})")
     run.set_defaults(func=cmd_run)
 
     rep = sub.add_parser("replicate", help="run a built-in validation suite")

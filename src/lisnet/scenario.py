@@ -4,7 +4,7 @@ A fleet mixes renewable units, whose capacity window is pinned to the power
 their tracker currently extracts (so the network must absorb everything
 they have), and dispatchable units with static windows. A ``Scenario`` holds
 the fleet, its graph and everything else one run needs. ``day_instants``
-lists the day's dispatch instants, each with its cycle seed.
+yields the day's dispatch instants, each with its cycle seed.
 ``plan_instant`` turns a scenario at one dispatch instant into an
 apportioning problem on the participants' subgraph, or says why the instant
 is infeasible; ``run_instant`` solves such a problem with one
@@ -20,10 +20,10 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .apportioning import ApportionProblem, ordered_sum
-from .errors import ConfigurationError
+from .errors import ConfigurationError, FeasibilityError
 from .netsim import CycleResult, DelayModel, run_cycle
 from .termination import CheckpointSchedule
 from .topology import Graph, build_weights, diameter
@@ -315,34 +315,29 @@ def plan_instant(scenario: Scenario, t_hours: float) -> InstantPlan | Infeasible
     """The consensus instance for one dispatch instant, or why there is none.
 
     Participants are the units whose window is open at ``t_hours``. The
-    instant is infeasible when nobody participates, when the demand lies
-    outside the participants' collective range, when that range rounds to a
-    single value, or when the participants do not form a connected
-    subgraph. Demand circulates at the requested nodes that participate, or
-    at the lowest participant when none does.
+    instant is infeasible when nobody participates, when their windows make
+    no ``ApportionProblem`` (whose ``FeasibilityError`` is the reason), or
+    when they do not form a connected subgraph. Demand circulates at the
+    requested nodes that participate, or at the lowest participant if none.
     """
-    window = {}
-    for unit in sorted(scenario.fleet, key=lambda u: u.uid):
-        b = bounds_at(unit, t_hours, scenario.epsilon)
-        if b is not None:
-            window[unit.uid] = b
+    window = {
+        unit.uid: b for unit in sorted(scenario.fleet, key=lambda u: u.uid)
+        if (b := bounds_at(unit, t_hours, scenario.epsilon)) is not None
+    }
     participants = tuple(window)
     demand = scenario.demand
     demand = demand.power_at(t_hours) if isinstance(demand, PowerProfile) else float(demand)
-    lo = ordered_sum(b[0] for b in window.values())
-    hi = ordered_sum(b[1] for b in window.values())
     infeasible = partial(Infeasible, t_hours, demand, participants)
     if not participants:
         return infeasible("no unit offers capacity")
-    if not lo <= demand <= hi:
-        return infeasible(f"demand {demand:g} W outside [{lo:g}, {hi:g}] W")
-    if not lo < hi:
-        return infeasible(f"the windows sum to no span at {lo:g} W")
+    circulating = scenario.circulation.intersection(participants) or frozenset(participants[:1])
+    try:
+        problem = ApportionProblem(demand, window, circulating)
+    except FeasibilityError as exc:
+        return infeasible(str(exc))
     subgraph = scenario.graph.induced(participants)
     if not subgraph.is_connected():
         return infeasible(f"participants {list(participants)} are not connected")
-    circulating = scenario.circulation.intersection(participants) or frozenset(participants[:1])
-    problem = ApportionProblem(demand, window, circulating)
     return InstantPlan(demand, participants, problem, subgraph)
 
 
@@ -402,37 +397,48 @@ def instant_rows(
     return b"".join(lines)
 
 
-def day_instants(scenario: Scenario) -> list[tuple[float, int]]:
-    """The day's dispatch instants as ``(t_hours, cycle_seed)``, in order.
+def _day_grid(scenario: Scenario) -> tuple[float, float, int]:
+    """The day's first hour, its dispatch period in hours, and its instant count."""
+    start, end = scenario.day
+    step_hours = scenario.dispatch_period / 3600.0
+    return start, step_hours, math.floor((end - start) / step_hours + 1e-9) + 1
+
+
+def day_instants(scenario: Scenario) -> Iterator[tuple[float, int]]:
+    """The day's dispatch instants as ``(t_hours, cycle_seed)``, yielded in order.
 
     The day's start, then one instant per dispatch period up to the last at
     or before its end; one that misses the end by float rounding, within
     1e-9 of a period, counts. Each seed is the next ``randrange(2**32)`` of
     ``Random(scenario.seed)``, feasible instant or not: the one seed source.
     """
-    start, end = scenario.day
-    step_hours = scenario.dispatch_period / 3600.0
-    count = math.floor((end - start) / step_hours + 1e-9) + 1
+    start, step_hours, count = _day_grid(scenario)
     rng = random.Random(scenario.seed)
-    return [(start + index * step_hours, rng.randrange(2**32)) for index in range(count)]
+    for index in range(count):
+        yield start + index * step_hours, rng.randrange(2**32)
 
 
 def instant_index(scenario: Scenario, t_hours: float) -> int:
     """The position in ``day_instants`` of the instant at ``t_hours``.
 
     An hour within 1e-9 of a period of an instant names it; any other hour
-    is a ``ConfigurationError`` that names the nearest instants.
+    is a ``ConfigurationError`` that names the nearest instants. No list is
+    made: the search computes each hour it tests as ``day_instants`` does.
     """
-    hours = [t for t, _ in day_instants(scenario)]
+    start, step_hours, count = _day_grid(scenario)
+
+    def hour(index: int) -> float:
+        return start + index * step_hours
+
     tolerance = 1e-9 * scenario.dispatch_period / 3600.0
-    above = bisect_left(hours, t_hours)
-    nearest = range(max(above - 1, 0), min(above + 1, len(hours)))
+    above = bisect_left(range(count), t_hours, key=hour)
+    nearest = range(max(above - 1, 0), min(above + 1, count))
     for index in nearest:
-        if abs(hours[index] - t_hours) <= tolerance:
+        if abs(hour(index) - t_hours) <= tolerance:
             return index
     raise ConfigurationError(
         f"{t_hours!r} h is not a dispatch instant of the day; nearest instants: "
-        + ", ".join(f"{hours[index]!r} h" for index in nearest)
+        + ", ".join(f"{hour(index)!r} h" for index in nearest)
     )
 
 

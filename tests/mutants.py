@@ -233,6 +233,28 @@ MUTANTS = (
         "diameter 1e9 then runs for hours before any node can freeze, and "
         "--tau-bar 40 runs all 481 instants over budget and exits 0",
     ),
+    Mutant(
+        "src/lisnet/scenario.py",
+        "    except FeasibilityError as exc:\n",
+        "    except ZeroDivisionError as exc:\n",
+        "an instant whose windows make no apportioning problem ends the run: "
+        "--check-feasibility --demand 9000 exits 2 at its first instant "
+        "instead of naming every infeasible one and exiting 1",
+    ),
+    Mutant(
+        "src/lisnet/cli.py",
+        "            (doc if section is None else doc[section])[key] = value\n",
+        "            doc[key] = value\n",
+        "a flag whose key lives in a section lands at the top level, which the "
+        "reader rejects: --demand 4000 exits 2",
+    ),
+    Mutant(
+        "src/lisnet/cli.py",
+        '    if target == "":\n',
+        "    if False:\n",
+        "an empty --out-dir or output: directory counts as absent: the run "
+        "exits 0 and writes to ./lisnet-out",
+    ),
 )
 
 

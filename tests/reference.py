@@ -23,7 +23,7 @@ class Envelope(NamedTuple):
     """One weighted share in flight from ``src`` to ``dst``.
 
     The simulator moves envelopes as plain 7-tuples in this field order
-    (see ``consensus.emit``); this class builds one by name.
+    (see ``termination.emit``); this class builds one by name.
     ``payload_r``/``payload_s`` are the sender-weighted shares of the
     consensus states at ``send_step``; ``payload_z``/``payload_y``
     piggyback the sender's running extremes.

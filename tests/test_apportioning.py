@@ -73,7 +73,7 @@ class TestProblemValidation:
             2: (2724.2140097339084, 2724.214009733909),
             3: (6516.822180366255, 6516.822180366256),
         }
-        with pytest.raises(FeasibilityError, match="zero collective span"):
+        with pytest.raises(FeasibilityError, match="the windows sum to no span at 9476.48 W"):
             ApportionProblem(9476.4819606852, bounds, frozenset({1}))
 
 

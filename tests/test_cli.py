@@ -8,7 +8,9 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -26,7 +28,7 @@ from lisnet.cli import (
     write_trace_csv,
 )
 from lisnet.errors import ConfigurationError, InvariantError
-from lisnet.scenario import PowerProfile, day_instants, instant_rows, run_day
+from lisnet.scenario import PowerProfile, day_instants, instant_index, instant_rows, run_day
 from lisnet.topology import Graph
 from reference import cyclic_garbage, read_trace_csv
 
@@ -878,6 +880,41 @@ class TestRunCommand:
         assert code == 0
         assert (target / "trace.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flag, directory, env, message",
+        [
+            ("", None, None, "--out-dir is empty"),
+            (None, "", None, "output: directory is empty"),
+            ("", "elsewhere", None, "--out-dir is empty"),
+            (None, "", "via-env", "output: directory is empty"),
+        ],
+        ids=["flag", "document", "flag-before-document", "document-before-env"],
+    )
+    def test_an_empty_out_dir_exits_two(
+        self, tmp_path, config_path, monkeypatch, capsys, flag, directory, env, message
+    ):
+        # a falsy value is not absent: it names no directory, not the default
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("LISNET_OUT_DIR", raising=False)
+        if env is not None:
+            monkeypatch.setenv("LISNET_OUT_DIR", env)
+        doc = yaml.safe_load(config_path.read_text())
+        if directory is not None:
+            doc["output"] = {"directory": directory}
+        config_path.write_text(yaml.safe_dump(doc))
+        flags = [] if flag is None else ["--out-dir", flag]
+        code = main(["run", "--config", str(config_path), "--cycle-only", *flags])
+        assert code == 2
+        assert f"configuration error: {message}\n" == capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.yaml"]
+
+    def test_an_empty_out_dir_variable_is_unset(self, tmp_path, config_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("LISNET_OUT_DIR", "")
+        code = main(["run", "--config", str(config_path), "--cycle-only"])
+        assert code == 0
+        assert (tmp_path / "lisnet-out" / "trace.csv").exists()
+
 
 def without_renewables() -> tuple:
     """The built-in fleet with unit 2 dispatchable, so no profile bounds the day."""
@@ -1008,6 +1045,34 @@ class TestScenarioValue:
         rng = random.Random(5)
         seeds = [seed for _, seed in day_instants(config)]
         assert seeds == [rng.randrange(2**32) for _ in seeds]
+
+    @pytest.mark.parametrize("period", [60.0, 100.0, 3700.0, 6000.0])
+    def test_each_instants_hour_names_it(self, period):
+        config = replace(default_config(), dispatch_period=period)
+        for index, (t, _) in enumerate(day_instants(config)):
+            assert instant_index(config, t) == index
+
+    @pytest.mark.parametrize(
+        "t_hours, nearest", [(1e300, "8.0 h"), (-1e300, "0.0 h"), (8.01, "8.0 h")]
+    )
+    def test_an_hour_off_the_day_names_its_nearest_end(self, t_hours, nearest):
+        with pytest.raises(ConfigurationError, match=f"nearest instants: {nearest}$"):
+            instant_index(default_config(), t_hours)
+
+    def test_finding_an_instant_of_a_long_day_lists_no_instants(self):
+        # 2000 h of 60 s periods is 120,001 instants: a list of them and their
+        # seeds peaks near 15 MB
+        config = replace(default_config(), fleet=without_renewables(), end_hours=2000.0)
+        tracemalloc.start()
+        try:
+            index = instant_index(config, 4.0)
+            instant = next(islice(day_instants(config), index, None))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert (index, instant) == (240, (4.0, 2948143304))
+        assert instant == list(day_instants(config))[240]
 
 
 class TestEntryPointsAgree:
@@ -1164,6 +1229,48 @@ class TestEntryPointsAgree:
             "nearest instants: 4.0 h, 4.016666666666667 h"
         ) in captured.err
         assert not out.exists()
+
+
+class TestAWindowThatRoundsToNoWidth:
+    """With epsilon 1e-14, unit 2's floor rounds to its ceiling from 128 W up."""
+
+    @pytest.fixture(scope="class")
+    def config(self):
+        return replace(default_config(), epsilon=1e-14)
+
+    def test_the_day_flags_those_instants_and_holds_their_commands(self, config):
+        day = run_day(config)
+        unit = next(u for u in config.fleet if u.uid == 2)
+        held = day.records[0].commands
+        for record in day.records:
+            assert record.feasible == (unit.profile.power_at(record.t_hours) < 128.0)
+            if not record.feasible:
+                assert record.commands == held
+            held = record.commands
+        assert day.infeasible_count == 433
+
+    def test_check_feasibility_names_them(self, tmp_path, config, capsys):
+        path = tmp_path / "scenario.yaml"
+        config.dump(path)
+        assert main(["run", "--config", str(path), "--check-feasibility"]) == 1
+        out = capsys.readouterr().out
+        assert (
+            "infeasible at t=4 h: node 2: capacity window [1000.0, 1000.0] has no width\n"
+        ) in out
+        assert out.endswith("feasibility check failed at 433 of 481 instants\n")
+
+    def test_a_cycle_at_one_of_them_exits_one(self, tmp_path, config, capsys):
+        path = tmp_path / "scenario.yaml"
+        config.dump(path)
+        out = tmp_path / "out"
+        code = main([
+            "run", "--config", str(path), "--cycle-only", "--at-hours", "4",
+            "--out-dir", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "infeasible at t=4 h: node 2: capacity window [1000.0, 1000.0] has no width\n"
+        )
 
 
 class TestReplicateCommand:

@@ -236,7 +236,7 @@ class TestRunInstant:
         # the full fleet's 6-cycle has diameter 3: L = D(1 + 3) + 3 is 15,
         # or 27 under a bound of 6
         config = default_config()
-        t, seed = day_instants(config)[240]
+        t, seed = list(day_instants(config))[240]
         plan = plan_instant(config, t)
         result = run_instant(
             plan.graph, plan.problem, config.delay, config.rho, diameter_bound=bound, seed=seed,
@@ -346,7 +346,7 @@ class TestRunDay:
     def test_demand_circulation_falls_back_to_lowest_participant(self):
         # at hour 0 of the built-in day unit 2, its circulation node, sits out
         config = default_config()
-        t, seed = day_instants(config)[0]
+        t, seed = next(day_instants(config))
         plan, result = solve_instant(config, t, seed)
         assert plan.participants == (1, 3, 4, 5, 6)
         assert plan.problem.demand_set == {1}
