@@ -59,6 +59,8 @@ class ApportionProblem:
                 f"demand-circulation nodes {sorted(unknown)} are not in the problem"
             )
         lo, hi = self.total_min, self.total_max
+        if not math.isfinite(hi - lo):
+            raise FeasibilityError(f"the windows sum to no finite span: [{lo:g}, {hi:g}] W")
         if not lo <= self.rho_d <= hi:
             raise FeasibilityError(f"demand {self.rho_d:g} W outside [{lo:g}, {hi:g}] W")
         if not lo < hi:

@@ -377,7 +377,7 @@ def write_trace_csv(path: Path, chunks: Sequence[bytes]) -> None:
 
     Every node runs the stopping machine, so ``z``, ``y`` and ``theta`` are
     never empty; without ``--verbose-trace`` the lines are the cycles'
-    checkpoint events.
+    checkpoint rows.
     """
     with open(path, "wb") as out:
         out.write(f"{TRACE_HEADER}\n{','.join(TRACE_COLUMNS)}\n".encode())

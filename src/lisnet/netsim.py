@@ -51,7 +51,7 @@ def collector_paused() -> Iterator[None]:
     """Hold off Python's cyclic garbage collector for the ``with`` body.
 
     Everything the hot loop makes (envelope tuples, inbox dicts and lists,
-    checkpoint events) is freed by reference counting, so the collector's
+    trace rows) is freed by reference counting, so the collector's
     rescans of it find nothing and only cost time. The collector is turned
     back on afterwards, also when the body raises, only if it was on: a
     nested pause, or a caller that had turned it off, keeps its state.
@@ -275,8 +275,8 @@ class Simulation:
     initial consensus states ``(r0, s0)``.
     The simulator builds every node's ``NodeMachine`` on ``schedule`` with
     stopping threshold ``rho`` (the default 0 never freezes).
-    ``trace_rows`` are the checkpoint events, or with ``record_steps``
-    every node's state after every step.
+    ``trace_rows`` hold a row per node at each checkpoint, or with
+    ``record_steps`` every node's state after every step.
     """
 
     def __init__(
@@ -312,7 +312,7 @@ class Simulation:
         self._scale_s = max(1.0, abs(self._target_s))
         self.max_conservation_error = 0.0
         self.audit()
-        # machines frozen so far, counted from the frozen checkpoint events
+        # machines frozen so far, counted at their checkpoints
         self._frozen = 0
         # (step, node, r, s, ratio, z, y, theta, frozen) tuples, see CycleResult
         self.trace_rows: list[tuple] = []
@@ -385,14 +385,15 @@ class Simulation:
                 inboxes[dst] = [env]
             else:
                 inbox.append(env)
-        events = None if self._record_steps else self.trace_rows
+        rows = None if self._record_steps else self.trace_rows
         frozen = self._frozen
         for i, machine in zip(self._nodes, machines):
-            event = machine.advance(inbox_of(i, ()))
-            if event is not None:
-                if events is not None:
-                    events.append(event)
-                if event.frozen:
+            tested = machine.advance(inbox_of(i, ()))
+            if tested is not None:
+                if rows is not None:
+                    r, s = machine.r, machine.s
+                    rows.append((machine.k, i, r, s, r / s, *tested, machine.frozen))
+                if machine.frozen:
                     frozen += 1
         self._frozen = frozen
         self.step_index = k = k + 1
@@ -426,9 +427,9 @@ class CycleResult:
     ``trace_rows`` holds one ``(step, node, r, s, ratio, z, y, theta,
     frozen)`` tuple per recorded node state: the ``scenario.TRACE_COLUMNS``
     order without the leading ``cycle`` and the frozen-only ``pi_star`` and
-    ``delivered_power``. The rows are the ``CheckpointEvent``s, or with
-    ``record_steps`` one row per node per step. Every node runs the
-    stopping machine, so no cell is None.
+    ``delivered_power``: a node's state and tested z, y, theta at each
+    checkpoint, or with ``record_steps`` after every step. Every node runs
+    the stopping machine, so no cell is None.
     """
 
     commands: ReferenceCommand

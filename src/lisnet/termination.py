@@ -22,16 +22,17 @@ node's current quotient and the next round of epochs begins. Every node
 evaluates the same propagated extremes on the same schedule, so all nodes
 freeze at the same checkpoint with no extra signalling.
 
-``NodeMachine`` is the whole node. Plain ratio consensus (the Fig. 1
-averaging demo) is the same machine with ``rho`` 0: z never falls below y,
-so no node ever freezes, and the extremes still propagate and reseed.
+``NodeMachine`` is the whole node, and each protocol step takes it alone.
+Plain ratio consensus (the Fig. 1 averaging demo) is the same machine with
+``rho`` 0: z never falls below y, so no node ever freezes, and the extremes
+still propagate and reseed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ConfigurationError, InvariantError, ProtocolError
 
@@ -63,9 +64,7 @@ class CheckpointSchedule:
         return self.diameter * (1 + self.tau_bar) + self.tau_bar
 
 
-def emit(
-    machine: NodeMachine, neighbors: Iterable[int], weight: float, z: float, y: float
-) -> list[tuple]:
+def emit(machine: NodeMachine) -> list[tuple]:
     """Weighted shares of ``machine``'s state for every out-neighbor, as envelope tuples.
 
     An envelope is ``(src, dst, send_step, payload_r, payload_s, payload_z,
@@ -73,47 +72,46 @@ def emit(
     and the sender's running extremes ``z`` and ``y``, which ride on the
     same links and delays for the stopping rule.
 
-    ``weight`` is the node's share weight (see :func:`topology.build_weights`):
-    each share to ``neighbors``, in sending order, carries it times the
-    state. The share kept locally has the same weight; :func:`absorb`
-    applies it, so emit stays a pure read.
+    Each share to the node's neighbors, in sending order, carries the node's
+    share weight (see :func:`topology.build_weights`) times its state. The
+    share kept locally has the same weight; :func:`absorb` applies it, so
+    emit stays a pure read.
     """
-    node, k = machine.node, machine.k
+    node, k, z, y = machine.node, machine.k, machine.z, machine.y
+    weight = machine._weight
     share_r = weight * machine.r
     share_s = weight * machine.s
     # a loop, not a comprehension: on 3.11 a comprehension runs in a frame
     # of its own, which costs more than the few shares of a node
     out = []
     append = out.append
-    for j in neighbors:
+    for j in machine._neighbors:
         append((node, j, k, share_r, share_s, z, y))
     return out
 
 
-def absorb(
-    machine: NodeMachine,
-    delivered: Iterable[tuple],
-    self_weight: float,
-    since: int,
-    z: float,
-    y: float,
-) -> tuple[float, float]:
+def absorb(machine: NodeMachine, delivered: Iterable[tuple]) -> None:
     """Fold the shares due this round into the retained share; advance ``k``.
 
-    ``self_weight`` is the node's share weight. ``delivered`` must hold
-    exactly the envelopes due at this node this round; shares not yet
-    arrived simply contribute nothing, which is what keeps conservation
-    exact through the start-up transient.
+    ``delivered`` must hold exactly the envelopes due at this node this
+    round; shares not yet arrived simply contribute nothing, which is what
+    keeps conservation exact through the start-up transient.
 
-    Updates ``machine``'s ``r``, ``s`` and ``k`` in place. In the same pass,
-    returns the largest ``payload_z`` and the smallest ``payload_y`` among
-    ``z``, ``y`` and the envelopes sent at or after step ``since``. A
-    rejected round (a misaddressed envelope, a non-finite or non-positive
-    result) raises before ``machine`` is touched.
+    Updates ``machine``'s ``r``, ``s`` and ``k`` in place, and in the same
+    pass folds into its epoch buffers the largest ``payload_z`` and the
+    smallest ``payload_y`` of the envelopes sent in the current checkpoint
+    period. A rejected round (a misaddressed envelope, a non-finite or
+    non-positive result) raises before ``machine`` is touched.
     """
     node = machine.node
-    r = self_weight * machine.r
-    s = self_weight * machine.s
+    weight = machine._weight
+    r = weight * machine.r
+    s = weight * machine.s
+    # sent >= since is sent // checkpoint_len == theta - 1: nothing due now
+    # was sent at or past theta * checkpoint_len, where theta is bumped
+    since = (machine.theta - 1) * machine._checkpoint_len
+    z = machine._buf_z
+    y = machine._buf_y
     for _, dst, sent, share_r, share_s, share_z, share_y in delivered:
         if dst != node:
             raise ProtocolError(f"node {node} received an envelope addressed to {dst}")
@@ -133,61 +131,41 @@ def absorb(
     machine.r = r
     machine.s = s
     machine.k += 1
-    return z, y
+    machine._buf_z, machine._buf_y = z, y
 
 
-def epoch_update(term: NodeMachine, z: float, y: float) -> None:
-    """Merge the largest ``z`` and smallest ``y`` heard over the closing epoch.
+def epoch_update(machine: NodeMachine) -> None:
+    """Merge the extremes buffered over the closing epoch, then empty the buffers.
 
-    Raises ``term.z`` to a larger ``z`` and lowers ``term.y`` to a smaller
-    ``y``, in place; an epoch that heard nothing passes -inf and inf. Call
-    only at an epoch boundary, with values emitted during the previous
-    epoch window.
+    Raises ``machine.z`` to a larger buffered z and lowers ``machine.y`` to a
+    smaller buffered y; an empty buffer's -inf and inf never win. Call only
+    at an epoch boundary.
     """
-    if term.frozen:
+    if machine.frozen:
         raise ProtocolError("epoch update on a frozen node")
-    if z > term.z:
-        term.z = z
-    if y < term.y:
-        term.y = y
+    if machine._buf_z > machine.z:
+        machine.z = machine._buf_z
+    if machine._buf_y < machine.y:
+        machine.y = machine._buf_y
+    machine._buf_z, machine._buf_y = -math.inf, math.inf
 
 
-def checkpoint(term: NodeMachine, current_r: float, current_s: float, rho: float) -> None:
-    """Freeze below threshold, otherwise reseed both extremes and continue.
+def checkpoint(machine: NodeMachine) -> None:
+    """Empty the epoch buffers, then freeze below ``machine.rho`` or reseed.
 
-    Updates ``term`` in place: a freeze keeps the tested extremes and
-    ``theta``, a reseed overwrites them, so read what was tested before the
-    call. ``rho`` of 0 never freezes, since z >= y. Call only at a
-    checkpoint boundary.
+    A freeze keeps the tested extremes and ``theta``; a reseed overwrites
+    them from the node's quotient, so read what was tested before the call.
+    ``rho`` of 0 never freezes, since z >= y. Call only at a checkpoint
+    boundary.
     """
-    if term.frozen:
+    if machine.frozen:
         raise ProtocolError("checkpoint on a frozen node")
-    if term.z - term.y < rho:
-        term.frozen = True
+    machine._buf_z, machine._buf_y = -math.inf, math.inf
+    if machine.z - machine.y < machine.rho:
+        machine.frozen = True
         return
-    term.z = term.y = current_r / current_s
-    term.theta += 1
-
-
-class CheckpointEvent(NamedTuple):
-    """What a node held and decided at one checkpoint instant.
-
-    The fields are the checkpoint trace row: ``scenario.TRACE_COLUMNS`` order
-    without the leading ``cycle`` and the frozen-only ``pi_star`` and
-    ``delivered_power``. ``r``, ``s`` and ``ratio`` are the node's state
-    after the step's absorb; ``z``, ``y`` and ``theta`` are the extremes
-    and the checkpoint index it tested; ``frozen`` is the decision.
-    """
-
-    step: int
-    node: int
-    r: float
-    s: float
-    ratio: float
-    z: float
-    y: float
-    theta: int
-    frozen: bool
+    machine.z = machine.y = machine.r / machine.s
+    machine.theta += 1
 
 
 class NodeMachine:
@@ -201,9 +179,10 @@ class NodeMachine:
 
     The machine is the node's only state: the consensus states ``r`` and
     ``s`` at iteration ``k`` (0 when built), and beside them the running
-    extremes ``z`` and ``y``, the checkpoint index ``theta`` and ``frozen``.
-    A frozen node never absorbs again, so its ``r`` and ``s`` are its
-    frozen snapshot r*, s*.
+    extremes ``z`` and ``y``, the checkpoint index ``theta``, ``frozen``, and
+    the epoch buffers ``_buf_z`` and ``_buf_y`` that absorb fills. A frozen
+    node never absorbs again, so its ``r`` and ``s`` are its frozen
+    snapshot r*, s*.
     """
 
     __slots__ = (
@@ -231,7 +210,7 @@ class NodeMachine:
         self.z = self.y = self.ratio()
         self.theta = 1
         self.frozen = False
-        # neighbors and schedule lengths are resolved once; advance runs per step
+        # neighbors and schedule lengths are resolved once, not on every step
         self._neighbors = sorted(neighbors)
         self._weight = weight
         self._epoch_len = schedule.epoch_len
@@ -248,47 +227,30 @@ class NodeMachine:
         """Envelope tuples of the current state; a frozen node emits nothing."""
         if self.frozen:
             return []
-        return emit(self, self._neighbors, self._weight, self.z, self.y)
+        return emit(self)
 
-    def advance(self, inbox: Sequence[tuple]) -> CheckpointEvent | None:
+    def advance(self, inbox: Sequence[tuple]) -> tuple[float, float, int] | None:
         """Absorb the envelopes due this round and roll one step forward.
 
         Runs the epoch merge when the new step index is a multiple of the
         epoch length and the checkpoint decision when it is a multiple of
         the checkpoint length. Extremes reseed at every checkpoint, so only
         those sent in the current checkpoint period (send step // checkpoint
-        length == theta - 1) are merged; older ones are stale. Returns the
-        checkpoint event when one fired.
+        length == theta - 1) are merged; older ones are stale. When a
+        checkpoint fired, returns the ``(z, y, theta)`` it tested.
         """
         if self.frozen:
             if inbox:
                 raise ProtocolError(f"frozen node {self.node} received traffic")
             return None
-        period_len = self._checkpoint_len
-        # sent >= since is the test sent // period_len == theta - 1: every
-        # envelope due now was sent at or before the current step, which is
-        # below theta * period_len, as the checkpoint there bumps theta
-        buf_z, buf_y = absorb(
-            self, inbox, self._weight, (self.theta - 1) * period_len,
-            self._buf_z, self._buf_y,
-        )
+        absorb(self, inbox)
         step = self.k
         if step % self._epoch_len == 0:
-            # an empty buffer's -inf and inf never win a comparison
-            epoch_update(self, buf_z, buf_y)
-            buf_z = -math.inf
-            buf_y = math.inf
+            epoch_update(self)
         # not nested under the epoch test: checkpoint_len is a multiple of
         # epoch_len only when tau_bar is 0
-        if step % period_len:
-            self._buf_z = buf_z
-            self._buf_y = buf_y
+        if step % self._checkpoint_len:
             return None
-        # the extremes reseed (or the node freezes and never reads them again)
-        self._buf_z = -math.inf
-        self._buf_y = math.inf
-        z, y, theta = self.z, self.y, self.theta
-        checkpoint(self, self.r, self.s, self.rho)
-        return CheckpointEvent(
-            step, self.node, self.r, self.s, self.ratio(), z, y, theta, self.frozen,
-        )
+        tested = self.z, self.y, self.theta
+        checkpoint(self)
+        return tested

@@ -109,8 +109,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/lisnet/termination.py",
-        "    if term.z - term.y < rho:\n",
-        "    if term.z - term.y <= rho:\n",
+        "    if machine.z - machine.y < machine.rho:\n",
+        "    if machine.z - machine.y <= machine.rho:\n",
         "with rho 0 a node whose extremes agree freezes, so plain averaging "
         "stops at a checkpoint and a live neighbour's traffic raises",
     ),
@@ -254,6 +254,14 @@ MUTANTS = (
         "    if False:\n",
         "an empty --out-dir or output: directory counts as absent: the run "
         "exits 0 and writes to ./lisnet-out",
+    ),
+    Mutant(
+        "src/lisnet/apportioning.py",
+        "        if not math.isfinite(hi - lo):\n",
+        "        if False:\n",
+        "windows whose summed ceilings overflow plan as feasible: with units 5 "
+        "and 6 at 1e308 W the closed form totals 999 W against a 7000 W demand, "
+        "and the default day dispatches every instant",
     ),
 )
 

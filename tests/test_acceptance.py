@@ -101,11 +101,14 @@ def test_criterion_4_extremes_exact_after_one_period():
                 rho=0.0,
             )
             sim.run(schedule.checkpoint_len)
-            events = [e for e in sim.trace_rows if e.step == schedule.checkpoint_len]
-            assert len(events) == len(graph.nodes)
-            for event in events:
-                assert event.z == max(seeds)
-                assert event.y == min(seeds)
+            tested = [
+                (z, y) for step, _, _, _, _, z, y, _, _ in sim.trace_rows
+                if step == schedule.checkpoint_len
+            ]
+            assert len(tested) == len(graph.nodes)
+            for z, y in tested:
+                assert z == max(seeds)
+                assert y == min(seeds)
 
 
 def test_criterion_5_oracle_equivalence_sweep():
@@ -180,9 +183,11 @@ def test_criterion_7_finite_simultaneous_termination():
             )
             assert result.theta <= 3, (seed, result.theta)
             assert result.steps == result.theta * schedule.checkpoint_len
-            freeze_events = [e for e in result.trace_rows if e.frozen]
-            assert len(freeze_events) == len(graph.nodes)
-            assert len({e.step for e in freeze_events}) == 1
+            freeze_steps = [
+                step for step, _, _, _, _, _, _, _, frozen in result.trace_rows if frozen
+            ]
+            assert len(freeze_steps) == len(graph.nodes)
+            assert len(set(freeze_steps)) == 1
 
 
 def test_criterion_8_byte_identical_reruns(tmp_path):

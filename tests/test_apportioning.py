@@ -76,6 +76,21 @@ class TestProblemValidation:
         with pytest.raises(FeasibilityError, match="the windows sum to no span at 9476.48 W"):
             ApportionProblem(9476.4819606852, bounds, frozenset({1}))
 
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ({1: (0.0, 1e308), 2: (0.0, 1e308)}, r"\[0, inf\]"),
+            ({1: (-1e308, 0.0), 2: (-1e308, 0.0)}, r"\[-inf, 0\]"),
+            ({1: (-1e308, 0.0), 2: (0.0, 1e308)}, r"\[-1e\+308, 1e\+308\]"),
+        ],
+        ids=["ceilings", "floors", "span"],
+    )
+    def test_rejects_windows_whose_sums_overflow(self, bounds, message):
+        # each window is finite, but the summed ceilings, the summed floors or
+        # the span between them overflow, and the fraction would be 0 or nan
+        with pytest.raises(FeasibilityError, match=f"sum to no finite span: {message}"):
+            ApportionProblem(-1.0, bounds, frozenset({1}))
+
 
 class TestInitStates:
     def test_single_circulation_node(self):

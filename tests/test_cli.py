@@ -1273,6 +1273,43 @@ class TestAWindowThatRoundsToNoWidth:
         )
 
 
+class TestCeilingsThatSumPastTheLargestFloat:
+    """Units 5 and 6 at 1e308 W each: every instant's summed ceilings are inf."""
+
+    @pytest.fixture(scope="class")
+    def config(self):
+        config = default_config()
+        fleet = tuple(
+            replace(u, pi_max=1e308) if u.uid in (5, 6) else u for u in config.fleet
+        )
+        return replace(config, fleet=fleet)
+
+    def test_the_day_flags_every_instant_and_holds_its_commands(self, config):
+        day = run_day(config)
+        assert day.infeasible_count == len(day.records) == 481
+        assert all(record.commands == dict.fromkeys(range(1, 7), 0.0) for record in day.records)
+
+    def test_check_feasibility_names_them(self, tmp_path, config, capsys):
+        path = tmp_path / "scenario.yaml"
+        config.dump(path)
+        assert main(["run", "--config", str(path), "--check-feasibility"]) == 1
+        out = capsys.readouterr().out
+        assert "infeasible at t=4 h: the windows sum to no finite span: [999, inf] W\n" in out
+        assert out.endswith("feasibility check failed at 481 of 481 instants\n")
+
+    def test_a_cycle_exits_one(self, tmp_path, config, capsys):
+        path = tmp_path / "scenario.yaml"
+        config.dump(path)
+        code = main([
+            "run", "--config", str(path), "--cycle-only", "--at-hours", "4",
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "infeasible at t=4 h: the windows sum to no finite span: [999, inf] W\n"
+        )
+
+
 class TestReplicateCommand:
     def test_fig1_suite_passes(self):
         passed, lines = replicate_fig1(seed=0)

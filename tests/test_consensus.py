@@ -10,10 +10,24 @@ from lisnet.topology import Graph, build_weights
 from reference import Envelope, global_extremes_oracle
 
 
-def machine(node=1, r=1.0, s=1.0, k=0):
-    """A lone node's machine at iteration ``k``, for driving emit and absorb by hand."""
-    m = NodeMachine(node, r, s, 1.0, (), CheckpointSchedule(1, 0))
+def machine(
+    node=1, r=1.0, s=1.0, k=0, *, weight=1.0, neighbors=(), zy=None, since=0,
+    buffers=(-math.inf, math.inf),
+):
+    """A node's machine at iteration ``k``, for driving emit and absorb by hand.
+
+    It holds what the two steps read: the share ``weight``, the
+    ``neighbors``, the extremes ``zy`` (the quotient when None), the first
+    send step ``since`` of the current checkpoint period (as theta on a
+    schedule whose period is ``since``, or 1 for 0) and the epoch ``buffers``.
+    """
+    period = since or 1
+    m = NodeMachine(node, r, s, weight, neighbors, CheckpointSchedule(period, 0))
     m.k = k
+    m.theta = since // period + 1
+    if zy is not None:
+        m.z, m.y = zy
+    m._buf_z, m._buf_y = buffers
     return m
 
 
@@ -21,7 +35,7 @@ class TestEmit:
     def test_uniform_split_two_neighbors(self):
         g = Graph.cycle(3)
         w = build_weights(g)
-        out = emit(machine(1, 3.0, 0.6), g.neighbors(1), w[1], 0.0, 0.0)
+        out = emit(machine(1, 3.0, 0.6, weight=w[1], neighbors=g.neighbors(1), zy=(0.0, 0.0)))
         assert [dst for _, dst, *_ in out] == [2, 3]
         for src, _, send_step, payload_r, payload_s, _, _ in out:
             assert src == 1
@@ -32,12 +46,12 @@ class TestEmit:
     def test_isolated_node_emits_nothing(self):
         g = Graph.from_edges([1], [])
         w = build_weights(g)
-        assert emit(machine(1, 5.0, 1.0), g.neighbors(1), w[1], 0.0, 0.0) == []
+        assert emit(machine(1, 5.0, 1.0, weight=w[1], neighbors=g.neighbors(1))) == []
 
     def test_zero_numerator(self):
         g = Graph.cycle(3)
         w = build_weights(g)
-        out = emit(machine(2, 0.0, 0.5), g.neighbors(2), w[2], 0.0, 0.0)
+        out = emit(machine(2, 0.0, 0.5, weight=w[2], neighbors=g.neighbors(2), zy=(0.0, 0.0)))
         for _, _, _, payload_r, payload_s, _, _ in out:
             assert payload_r == 0.0
             assert payload_s == pytest.approx(0.5 / 3.0)
@@ -45,7 +59,7 @@ class TestEmit:
     def test_piggybacked_extremes(self):
         g = Graph.cycle(3)
         w = build_weights(g)
-        out = emit(machine(), g.neighbors(1), w[1], 4.0, -2.0)
+        out = emit(machine(weight=w[1], neighbors=g.neighbors(1), zy=(4.0, -2.0)))
         assert all(z == 4.0 and y == -2.0 for *_, z, y in out)
 
 
@@ -53,8 +67,8 @@ class TestAbsorb:
     def test_pure_self_decay(self):
         g = Graph.cycle(3)
         w = build_weights(g)
-        state = machine(1, 3.0, 0.9)
-        absorb(state, [], w[1], 0, -math.inf, math.inf)
+        state = machine(1, 3.0, 0.9, weight=w[1])
+        absorb(state, [])
         assert state.r == pytest.approx(1.0)
         assert state.s == pytest.approx(0.3)
         assert state.k == 1
@@ -64,13 +78,14 @@ class TestAbsorb:
         g = Graph.from_edges([1, 2], [(1, 2)])
         w = build_weights(g)
         states = {
-            1: machine(1, 4.0, 1.0),
-            2: machine(2, 0.0, 1.0),
+            i: machine(i, r, 1.0, weight=w[i], neighbors=g.neighbors(i), zy=(0.0, 0.0),
+                       buffers=(0.0, 0.0))
+            for i, r in ((1, 4.0), (2, 0.0))
         }
         for _ in range(3):
-            outbound = {i: emit(states[i], g.neighbors(i), w[i], 0.0, 0.0) for i in states}
-            absorb(states[1], outbound[2], w[1], 0, 0.0, 0.0)
-            absorb(states[2], outbound[1], w[2], 0, 0.0, 0.0)
+            outbound = {i: emit(states[i]) for i in states}
+            absorb(states[1], outbound[2])
+            absorb(states[2], outbound[1])
         assert states[1].r == pytest.approx(2.0)
         assert states[2].r == pytest.approx(2.0)
         assert states[1].ratio() == pytest.approx(2.0)
@@ -81,10 +96,10 @@ class TestAbsorb:
         w = build_weights(g)
         fine = Envelope(src=2, dst=1, send_step=0, payload_r=0.1, payload_s=0.1, payload_z=9.0)
         stray = Envelope(src=2, dst=3, send_step=0, payload_r=0.1, payload_s=0.1)
-        state = machine()
+        state = machine(weight=w[1], buffers=(1.0, 1.0))
         with pytest.raises(ProtocolError):
-            absorb(state, [fine, stray], w[1], 0, 1.0, 1.0)
-        assert (state.r, state.s, state.k) == (1.0, 1.0, 0)
+            absorb(state, [fine, stray])
+        assert (state.r, state.s, state.k, state._buf_z, state._buf_y) == (1.0, 1.0, 0, 1.0, 1.0)
 
     @pytest.mark.parametrize(
         "share_r, share_s, message",
@@ -97,24 +112,26 @@ class TestAbsorb:
         ids=["r-inf", "s-nan", "s-negative", "s-zero"],
     )
     def test_an_unusable_state_is_rejected_untouched(self, share_r, share_s, message):
-        state = machine()
+        state = machine(weight=0.5, buffers=(1.0, 1.0))
         share = Envelope(src=2, dst=1, send_step=0, payload_r=share_r, payload_s=share_s)
         with pytest.raises(InvariantError, match=f"node 1: {message} at k=1"):
-            absorb(state, [share], 0.5, 0, 1.0, 1.0)
-        assert (state.r, state.s, state.k) == (1.0, 1.0, 0)
+            absorb(state, [share])
+        assert (state.r, state.s, state.k, state._buf_z, state._buf_y) == (1.0, 1.0, 0, 1.0, 1.0)
 
     def test_extremes_from_the_period_start_on(self):
         # since = 8: the envelope sent at 8 counts, the one sent at 7 is stale
-        state = machine(k=9)
         at_since = Envelope(2, 1, 8, 0.1, 0.1, payload_z=5.0, payload_y=-5.0)
         before = Envelope(3, 1, 7, 0.1, 0.1, payload_z=50.0, payload_y=-50.0)
-        assert absorb(state, [before, at_since], 0.5, 8, 1.0, 1.0) == (5.0, -5.0)
-        assert absorb(state, [before], 0.5, 8, 1.0, 1.0) == (1.0, 1.0)
+        for inbox, buffered in (([before, at_since], (5.0, -5.0)), ([before], (1.0, 1.0))):
+            state = machine(k=9, weight=0.5, since=8, buffers=(1.0, 1.0))
+            absorb(state, inbox)
+            assert (state._buf_z, state._buf_y) == buffered
 
     def test_empty_inbox_returns_the_given_pair(self):
-        state = machine()
-        assert absorb(state, [], 0.5, 0, 2.5, -0.5) == (2.5, -0.5)
-        assert absorb(state, [], 0.5, 0, -math.inf, math.inf) == (-math.inf, math.inf)
+        for buffers in ((2.5, -0.5), (-math.inf, math.inf)):
+            state = machine(weight=0.5, buffers=buffers)
+            absorb(state, [])
+            assert (state._buf_z, state._buf_y) == buffers
 
     def test_five_node_average_reaches_400(self):
         # initial values summing to 2000 average to 400 at every node

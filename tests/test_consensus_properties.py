@@ -43,9 +43,12 @@ def inboxes(draw):
 @hypothesis.given(inboxes())
 def test_absorb_extremes_match_the_period_filter(case):
     period_len, theta, inbox, z, y = case
-    state = NodeMachine(1, 1.0, 1.0, 1.0, (), CheckpointSchedule(1, 0))
+    # a checkpoint period of period_len steps: diameter period_len, no delay
+    state = NodeMachine(1, 1.0, 1.0, 0.5, (), CheckpointSchedule(period_len, 0))
     state.k = theta * period_len - 1
-    since = (theta - 1) * period_len
-    assert absorb(state, inbox, 0.5, since, z, y) == period_extremes_scan(
+    state.theta = theta
+    state._buf_z, state._buf_y = z, y
+    absorb(state, inbox)
+    assert (state._buf_z, state._buf_y) == period_extremes_scan(
         inbox, period_len, theta, z, y
     )

@@ -4,7 +4,7 @@ from collections import deque
 
 import pytest
 
-from lisnet import netsim
+from lisnet import netsim, termination
 from lisnet.apportioning import ApportionProblem, closed_form_oracle, init_states
 from lisnet.errors import ConfigurationError, InvariantError, NonTerminationError, ProtocolError
 from lisnet.netsim import (
@@ -566,7 +566,7 @@ class TestRunCycle:
         result = run_cycle(
             g, w, table_problem(), DelayModel.stochastic(3), sched, 0.005, seed=3,
         )
-        instants = sorted({e.step for e in result.trace_rows})
+        instants = sorted({step for step, *_ in result.trace_rows})
         assert len(instants) >= 3
         assert [step for step, _ in audit_log] == list(range(result.steps + 1))
         extremes = window_extremes(audit_log, depth=3 + 1)  # tau_bar + 1
@@ -696,6 +696,66 @@ class TestAuditMatchesReference:
                 if frozen == len(sim.machines):
                     break
                 sim.step()
+
+
+class TestTracedCallStructure:
+    """The call counts of the targets ``perfbench/tracer.py`` patches.
+
+    The tracer reads its per-layer metrics from these counts, so a hot-loop
+    change keeps each target's name, owner and count. Retires with ROADMAP
+    item 1, which re-maps the tracer to phases.
+    """
+
+    TARGETS = (
+        (netsim.Simulation, "step"),
+        (netsim.Simulation, "audit"),
+        (netsim.DelayModel, "delay_for"),
+        (netsim.Mailbox, "post"),
+        (netsim.Mailbox, "due"),
+        (netsim.Mailbox, "oldest_age"),
+        (termination.NodeMachine, "emit"),
+        (termination.NodeMachine, "advance"),
+        (termination, "emit"),
+        (termination, "absorb"),
+        (termination, "epoch_update"),
+        (termination, "checkpoint"),
+    )
+
+    def test_a_seeded_cycle_calls_each_target_per_node_message_or_step(self, monkeypatch):
+        calls = {}
+        for owner, name in self.TARGETS:
+            key = f"{owner.__name__.rpartition('.')[2]}.{name}"
+            calls[key] = 0
+
+            def counted(*args, fn=getattr(owner, name), key=key, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        _, g, problem = seeded_fleet(3, 12)
+        schedule = CheckpointSchedule(diameter(g), 3)
+        result = run_cycle(
+            g, build_weights(g), problem, DelayModel.stochastic(3), schedule, 0.01, seed=3,
+        )
+        n, steps, theta = len(g.nodes), result.steps, result.theta
+        # several checkpoints, and a step count that is no multiple of the
+        # epoch length 4, so the count per epoch rounds down
+        assert (n, len(g.edges), schedule.checkpoint_len, theta, steps) == (12, 13, 27, 5, 135)
+        assert calls == {
+            "Simulation.step": steps,
+            "Simulation.audit": steps + 1,  # and once at construction
+            "DelayModel.delay_for": steps,
+            "Mailbox.post": steps * 2 * len(g.edges),  # every node sends every step
+            "Mailbox.due": steps,
+            "Mailbox.oldest_age": steps,
+            "NodeMachine.emit": n * steps,
+            "NodeMachine.advance": n * steps,
+            # all nodes freeze at the last step, so every node is live until then
+            "termination.emit": n * steps,
+            "termination.absorb": n * steps,
+            "termination.epoch_update": n * (steps // schedule.epoch_len),
+            "termination.checkpoint": n * theta,
+        }
 
 
 class TestNaiveBaseline:

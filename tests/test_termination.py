@@ -1,6 +1,5 @@
 import math
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -39,13 +38,13 @@ class TestCheckpointSchedule:
         merges = []
         real_update = termination.epoch_update
 
-        def counted(term, z, y):
+        def counted(term):
             merges.append(machine.k)
-            return real_update(term, z, y)
+            return real_update(term)
 
         monkeypatch.setattr(termination, "epoch_update", counted)
-        events = [machine.advance([]) for _ in range(34)]
-        assert [e.step for e in events if e is not None] == [15, 30]
+        checkpoints = [machine.k for _ in range(34) if machine.advance([]) is not None]
+        assert checkpoints == [15, 30]
         assert merges == [4, 8, 12, 16, 20, 24, 28, 32]
 
     def test_send_period_flips_after_each_checkpoint(self):
@@ -66,13 +65,11 @@ class TestCheckpointSchedule:
 
     def test_checkpoint_event_reports_the_tested_extremes(self):
         # the extremes merged at step 4 are what the step-15 checkpoint
-        # tests; the reseed afterwards must not leak into its event
+        # tests; the reseed afterwards must not leak into what advance returns
         machine = probe_machine(neighbors=(2,))
         machine.advance([Envelope(2, 1, 0, 0.0, 0.0, payload_z=9.0, payload_y=-9.0)])
-        event = [machine.advance([]) for _ in range(14)][-1]
-        assert (event.step, event.z, event.y, event.theta, event.frozen) == (
-            15, 9.0, -9.0, 1, False,
-        )
+        tested = [machine.advance([]) for _ in range(14)][-1]
+        assert (machine.k, *tested, machine.frozen) == (15, 9.0, -9.0, 1, False)
         assert (machine.z, machine.y, machine.theta) == (0.5, 0.5, 2)
 
     def test_rejects_degenerate(self):
@@ -82,30 +79,45 @@ class TestCheckpointSchedule:
             CheckpointSchedule(diameter=1, tau_bar=-1)
 
 
-def extremes(z, y, theta=1, frozen=False):
-    """The four fields that epoch_update and checkpoint read and write."""
-    return SimpleNamespace(z=z, y=y, theta=theta, frozen=frozen)
+def extremes(
+    z, y, theta=1, frozen=False, *, r=1.0, s=1.0, rho=0.0, buffers=(-math.inf, math.inf)
+):
+    """A lone node's machine holding what epoch_update and checkpoint read and write."""
+    term = NodeMachine(1, r, s, 1.0, (), CheckpointSchedule(1, 0), rho)
+    term.z, term.y, term.theta, term.frozen = z, y, theta, frozen
+    term._buf_z, term._buf_y = buffers
+    return term
+
+
+def fields(term):
+    """Every field epoch_update and checkpoint may read or write, as a tuple."""
+    return (
+        term.r, term.s, term.k, term.z, term.y, term.theta, term.frozen, term.rho,
+        term._buf_z, term._buf_y,
+    )
 
 
 class TestEpochUpdate:
     def test_takes_max_and_min(self):
-        term = extremes(2.0, 2.0)
-        epoch_update(term, 5.0, 1.0)
+        term = extremes(2.0, 2.0, buffers=(5.0, 1.0))
+        epoch_update(term)
         assert (term.z, term.y) == (5.0, 1.0)
-        epoch_update(term, 3.0, 4.0)  # a smaller z or a larger y moves nothing
+        assert (term._buf_z, term._buf_y) == (-math.inf, math.inf)  # emptied
+        term._buf_z, term._buf_y = 3.0, 4.0
+        epoch_update(term)  # a smaller z or a larger y moves nothing
         assert (term.z, term.y) == (5.0, 1.0)
 
     def test_no_neighbors_keeps_values(self):
-        # an epoch that heard nothing passes the empty buffer's -inf and inf
-        term = extremes(2.0, -1.0)
-        epoch_update(term, -math.inf, math.inf)
+        # an epoch that heard nothing leaves the empty buffer's -inf and inf
+        term = extremes(2.0, -1.0, buffers=(-math.inf, math.inf))
+        epoch_update(term)
         assert (term.z, term.y) == (2.0, -1.0)
 
     def test_frozen_rejected(self):
-        term = extremes(1.0, 1.0, frozen=True)
+        term = extremes(1.0, 1.0, frozen=True, buffers=(2.0, 0.0))
         with pytest.raises(ProtocolError):
-            epoch_update(term, 2.0, 0.0)
-        assert term == extremes(1.0, 1.0, frozen=True)
+            epoch_update(term)
+        assert fields(term) == fields(extremes(1.0, 1.0, frozen=True, buffers=(2.0, 0.0)))
 
     def test_path_propagation_in_diameter_epochs(self):
         # synchronous epoch merges on a 4-node path: the 9 reaches everyone
@@ -116,11 +128,9 @@ class TestEpochUpdate:
         for round_index in range(3):
             snapshot = {i: terms[i].z for i in g.nodes}
             for i in g.nodes:
-                epoch_update(
-                    terms[i],
-                    max(snapshot[j] for j in g.neighbors(i)),
-                    min(snapshot[j] for j in g.neighbors(i)),
-                )
+                terms[i]._buf_z = max(snapshot[j] for j in g.neighbors(i))
+                terms[i]._buf_y = min(snapshot[j] for j in g.neighbors(i))
+                epoch_update(terms[i])
             if round_index < 2:
                 assert terms[1].z != 9.0
         assert all(terms[i].z == 9.0 for i in g.nodes)
@@ -128,34 +138,36 @@ class TestEpochUpdate:
 
 class TestCheckpoint:
     def test_freezes_below_threshold(self):
-        term = extremes(0.5001, 0.5000)
-        checkpoint(term, current_r=3.0, current_s=6.0, rho=1e-3)
+        term = extremes(0.5001, 0.5000, r=3.0, s=6.0, rho=1e-3, buffers=(0.7, 0.2))
+        checkpoint(term)
         assert term.frozen
         assert term.z == 0.5001  # frozen values never move
+        assert (term._buf_z, term._buf_y) == (-math.inf, math.inf)  # emptied
 
     def test_reseeds_above_threshold(self):
-        term = extremes(0.9, 0.1)
-        checkpoint(term, current_r=3.0, current_s=6.0, rho=1e-3)
+        term = extremes(0.9, 0.1, r=3.0, s=6.0, rho=1e-3, buffers=(0.7, 0.2))
+        checkpoint(term)
         assert not term.frozen
+        assert (term._buf_z, term._buf_y) == (-math.inf, math.inf)  # emptied
         assert term.z == term.y == pytest.approx(0.5)
         assert term.theta == 2
 
     def test_infinite_threshold_always_freezes(self):
-        term = extremes(100.0, -100.0)
-        checkpoint(term, 1.0, 2.0, math.inf)
+        term = extremes(100.0, -100.0, r=1.0, s=2.0, rho=math.inf)
+        checkpoint(term)
         assert term.frozen
 
     def test_probe_mode_never_freezes(self):
-        term = extremes(0.5, 0.5)
-        checkpoint(term, 1.0, 2.0, rho=0.0)
+        term = extremes(0.5, 0.5, r=1.0, s=2.0, rho=0.0)
+        checkpoint(term)
         assert not term.frozen
         assert term.theta == 2
 
     def test_frozen_rejected(self):
-        term = extremes(1.0, 1.0, frozen=True)
+        term = extremes(1.0, 1.0, frozen=True, rho=1.0, buffers=(2.0, 0.0))
         with pytest.raises(ProtocolError):
-            checkpoint(term, 1.0, 1.0, 1.0)
-        assert term == extremes(1.0, 1.0, frozen=True)
+            checkpoint(term)
+        assert fields(term) == fields(extremes(1.0, 1.0, frozen=True, rho=1.0, buffers=(2.0, 0.0)))
 
 
 class TestNodeMachine:
@@ -262,11 +274,14 @@ class TestTerminationProperties:
                 DelayModel.fixed_random(g, tau, rng.randrange(999)), sched,
             )
             sim.run(sched.checkpoint_len)
-            events = [e for e in sim.trace_rows if e.step == sched.checkpoint_len]
-            assert len(events) == len(g.nodes)
-            for event in events:
-                assert event.z == max(seeds)  # bitwise: propagation copies floats
-                assert event.y == min(seeds)
+            tested = [
+                (z, y) for step, _, _, _, _, z, y, _, _ in sim.trace_rows
+                if step == sched.checkpoint_len
+            ]
+            assert len(tested) == len(g.nodes)
+            for z, y in tested:
+                assert z == max(seeds)  # bitwise: propagation copies floats
+                assert y == min(seeds)
 
     def _wrong_extremes(self, g, tau, r0, s0, schedule, periods=4):
         """(theta, node) of every probe-mode checkpoint whose z or y is not exact.
@@ -288,10 +303,13 @@ class TestTerminationProperties:
         seeds = [r0[i] / s0[i] for i in sorted(g.nodes)]
         wrong = []
         for theta in range(1, periods + 1):
-            events = [e for e in sim.trace_rows if e.step == theta * length]
-            assert [e.theta for e in events] == [theta] * len(g.nodes)
-            wrong += [(theta, e.node) for e in events if (e.z, e.y) != (max(seeds), min(seeds))]
-            seeds = [e.ratio for e in events]  # what each node reseeds from
+            rows = [row for row in sim.trace_rows if row[0] == theta * length]
+            assert [row[7] for row in rows] == [theta] * len(g.nodes)
+            wrong += [
+                (theta, node) for _, node, _, _, _, z, y, _, _ in rows
+                if (z, y) != (max(seeds), min(seeds))
+            ]
+            seeds = [ratio for _, _, _, _, ratio, *_ in rows]  # what each node reseeds from
         return wrong
 
     def test_extremes_exact_at_every_checkpoint_under_worst_case_delays(self):
@@ -332,15 +350,15 @@ class TestTerminationProperties:
         sim = Simulation(g, w, self._states(g, r0, s0), DelayModel.stochastic(3), sched, seed=2)
         sim.run(4 * sched.checkpoint_len)
         by_step = {}
-        for event in sim.trace_rows:
-            by_step.setdefault(event.step, []).append(event)
+        for step, _, _, _, ratio, z, y, _, _ in sim.trace_rows:
+            by_step.setdefault(step, []).append((ratio, z, y))
         assert len(by_step) == 4
-        for step, events in by_step.items():
-            gaps = [e.z - e.y for e in events]
+        for step, tested in by_step.items():
+            gaps = [z - y for _, z, y in tested]
             assert max(gaps) - min(gaps) <= 1e-12
             # the true quotient envelope sandwiches every node's quotient
-            for e in events:
-                assert e.y - 1e-12 <= e.ratio <= e.z + 1e-12
+            for ratio, z, y in tested:
+                assert y - 1e-12 <= ratio <= z + 1e-12
 
     def test_all_nodes_freeze_together_and_accurately(self):
         rng = random.Random(31)
@@ -364,10 +382,13 @@ class TestTerminationProperties:
             )
             assert result.theta <= 100
             exact = (problem.rho_d - problem.total_min) / problem.total_span
-            # a frozen event's r and s are the node's frozen snapshot r*, s*
-            frozen = {e.node: e for e in result.trace_rows if e.frozen}
+            # a frozen row's r and s are the node's frozen snapshot r*, s*
+            frozen = {
+                node: (r, s) for _, node, r, s, _, _, _, _, is_frozen in result.trace_rows
+                if is_frozen
+            }
             for i in g.nodes:
-                quotient = frozen[i].r / frozen[i].s
+                quotient = frozen[i][0] / frozen[i][1]
                 assert abs(quotient - exact) <= rho
                 # any excursion past the feasible band stays within threshold
                 assert -rho <= quotient <= 1.0 + rho
